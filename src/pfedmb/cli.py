@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import federation, metrics, nn
-from .config import OUTPUT_DIR_ENV, parse_config
+from .config import METHODS, OUTPUT_DIR_ENV, TOP_KEYS, parse_config
 from .data import partition
 from .errors import PfedmbError, ValidationError
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--method", choices=["pfedmb", "pfedmb_plain_agg", "fedavg", "local"])
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--branches", type=int)
         p.add_argument("--rounds", type=int)
         p.add_argument("--clients", type=int)
@@ -75,15 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "method", "branches", "rounds", "clients", "participation", "lr_alpha",
-    "lr_w", "local_epochs", "batch_size", "seed", "output_dir", "threads",
-    "shared_alpha",
-)
-
-
 def _overrides(args) -> dict:
-    return {k: getattr(args, k) for k in _OVERRIDE_KEYS if getattr(args, k) is not None}
+    """The config keys given as flags; flags that were not passed are None."""
+    given = {k: getattr(args, k, None) for k in TOP_KEYS}
+    return {k: v for k, v in given.items() if v is not None}
 
 
 def cmd_run(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from . import data as datamod
@@ -23,23 +23,13 @@ OUTPUT_DIR_ENV = "PFEDMB_OUT"
 DEFAULT_LOCAL_EPOCHS = 5
 DEFAULT_BATCH_SIZE = 64
 
-_TOP_KEYS = {
-    "method", "clients", "sample_size", "participation", "rounds",
-    "local_epochs", "batch_size", "branches", "lr_alpha", "lr_w",
-    "shared_alpha", "hidden_dims", "data", "partition", "seed",
-    "output_dir", "threads",
-}
-
-_SYNTHETIC_KEYS = {
-    "num_classes", "input_dim", "class_mean_scale", "noise_std",
-    "samples_per_class", "seed",
-}
-
-_PARTITION_KEYS_BY_SCHEME = {
-    "random_k_classes": {"k"},
-    "dirichlet": {"beta"},
-    "size_heterogeneous": {"k", "u_min", "u_max"},
-    "paired_clusters": {"num_pairs", "classes_per_pair"},
+# partition scheme name -> scheme dataclass; its fields are the allowed keys,
+# and the fields without a default are the required ones
+SCHEMES = {
+    "random_k_classes": datamod.RandomKClasses,
+    "dirichlet": datamod.Dirichlet,
+    "size_heterogeneous": datamod.SizeHeterogeneous,
+    "paired_clusters": datamod.PairedClusters,
 }
 
 
@@ -92,20 +82,19 @@ class ExperimentConfig:
 
     def make_partition_spec(self) -> datamod.PartitionSpec:
         params = dict(self.partition)
-        scheme_name = params.pop("scheme")
+        scheme_cls = SCHEMES[params.pop("scheme")]
         seed = params.pop("seed", self.seed)
-        scheme_cls = {
-            "random_k_classes": datamod.RandomKClasses,
-            "dirichlet": datamod.Dirichlet,
-            "size_heterogeneous": datamod.SizeHeterogeneous,
-            "paired_clusters": datamod.PairedClusters,
-        }[scheme_name]
         return datamod.PartitionSpec(
             scheme=scheme_cls(**params), num_clients=self.clients, seed=seed
         )
 
     def layer_dims(self, input_dim: int, num_classes: int) -> list:
         return [input_dim, *self.hidden_dims, num_classes]
+
+
+# the keys a config file or a flag override may set; participation is the
+# fractional spelling of sample_size
+TOP_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"participation"}
 
 
 def _expect(raw, key, types, problems, required=True, default=None):
@@ -138,7 +127,7 @@ def _validate_data_section(raw, problems):
     if not isinstance(section, dict):
         problems.append("data.synthetic: expected an object")
         return None
-    unknown = set(section) - _SYNTHETIC_KEYS
+    unknown = set(section) - {f.name for f in fields(datamod.SyntheticTaskSpec)}
     for key in sorted(unknown):
         problems.append(f"data.synthetic.{key}: unknown key")
     if unknown:
@@ -156,20 +145,20 @@ def _validate_partition_section(raw, clients, problems):
         problems.append("partition: must be an object with a 'scheme' key")
         return None
     scheme = raw["scheme"]
-    if scheme not in _PARTITION_KEYS_BY_SCHEME:
+    if scheme not in SCHEMES:
         problems.append(
-            f"partition.scheme: unknown scheme {scheme!r}; "
-            f"choose from {sorted(_PARTITION_KEYS_BY_SCHEME)}"
+            f"partition.scheme: unknown scheme {scheme!r}; choose from {sorted(SCHEMES)}"
         )
         return None
-    allowed = _PARTITION_KEYS_BY_SCHEME[scheme] | {"scheme", "seed"}
+    scheme_fields = fields(SCHEMES[scheme])
+    allowed = {f.name for f in scheme_fields} | {"scheme", "seed"}
     unknown = set(raw) - allowed
     for key in sorted(unknown):
         problems.append(f"partition.{key}: unknown key for scheme {scheme}")
     if unknown:
         return None
     section = dict(raw)
-    for key in sorted(_PARTITION_KEYS_BY_SCHEME[scheme] - {"u_min", "u_max"}):
+    for key in sorted(f.name for f in scheme_fields if f.default is MISSING):
         if key not in section:
             problems.append(f"partition.{key}: required by scheme {scheme}")
             return None
@@ -205,7 +194,7 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
 
     problems = []
-    for key in sorted(set(raw) - _TOP_KEYS):
+    for key in sorted(set(raw) - TOP_KEYS):
         problems.append(f"{key}: unknown key")
 
     method = _expect(raw, "method", str, problems)

@@ -12,7 +12,8 @@ repeated calls with the same spec are bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,8 @@ class LabeledDataset:
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ConfigurationError("features must be a nonempty (n, d) matrix")
+        if not np.isfinite(self.features).all():
+            raise ConfigurationError("features must be finite (no nan or inf)")
         if self.labels.shape != (self.features.shape[0],):
             raise ConfigurationError("labels must be one integer per sample")
         if self.num_classes < 1:
@@ -349,10 +352,14 @@ def load_csv(path) -> LabeledDataset:
                 f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
             )
         try:
-            raw_labels.append(float(fields[0]))
-            rows.append([float(v) for v in fields[1:]])
+            label = float(fields[0])
+            row = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, [label, *row])):
+            raise ParseError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+        raw_labels.append(label)
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows")
 

@@ -6,7 +6,9 @@ first with branches frozen, then all branches with the mixing frozen), and the
 server averages each branch over the participants.  The alpha-weighted
 strategy scales every client's contribution to branch b of layer l by
 n_i * alpha_i[l, b], so clients attending to a branch shape it more; the plain
-strategy weighs by n_i alone.
+strategy weighs by n_i alone.  FedAvg is the plain strategy with one branch,
+and local-only training is the same round loop with no strategy: every client
+trains its own model every round and nothing is aggregated.
 
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
@@ -39,8 +41,8 @@ CLIENT_STREAM = 103
 ALPHA_PHASE = 0
 WEIGHT_PHASE = 1
 
-LOCAL_ONLY = "local_only"
 FEDAVG = "fedavg"
+LOCAL_ONLY = "local"
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -50,12 +52,13 @@ class AggregationStrategy(Enum):
     PLAIN_WEIGHTED = "plain_weighted"
 
 
-def strategy_for_method(method: str) -> AggregationStrategy:
-    if method == "pfedmb":
-        return AggregationStrategy.ALPHA_WEIGHTED
-    if method in ("pfedmb_plain_agg", "fedavg"):
-        return AggregationStrategy.PLAIN_WEIGHTED
-    raise UsageError(f"method {method!r} has no aggregation strategy")
+# None: no aggregation; every client trains its own local_model every round
+STRATEGY_FOR_METHOD = {
+    "pfedmb": AggregationStrategy.ALPHA_WEIGHTED,
+    "pfedmb_plain_agg": AggregationStrategy.PLAIN_WEIGHTED,
+    FEDAVG: AggregationStrategy.PLAIN_WEIGHTED,
+    LOCAL_ONLY: None,
+}
 
 
 def _rng(*key) -> np.random.Generator:
@@ -76,6 +79,10 @@ class ClientState:
     @property
     def num_samples(self) -> int:
         return len(self.shard)
+
+    def current_model(self, server: "ServerState") -> nn.Network:
+        """The branches this client trains from and is evaluated with."""
+        return server.model if self.local_model is None else self.local_model
 
 
 @dataclass
@@ -102,7 +109,7 @@ class RoundReport:
     round_index: int
     sampled: list
     train_losses: list        # aligned with sampled, loss on the full shard
-    test_accuracies: list     # every client, personalized (global W, own alpha)
+    test_accuracies: list     # every client, personalized (current_model, own alpha)
     alpha_values: np.ndarray  # (N, num_layers, B) snapshot after the round
     duration_seconds: float
 
@@ -155,12 +162,13 @@ def client_local_learning(
     x, y = client.shard.features, client.shard.labels
     n = client.num_samples
 
-    alpha = client.alpha.copy()
-    model = global_model.copy()
-
-    def run_phase(name, phase_tag, wrt, step, lr):
-        nonlocal alpha, model
-        rng = _rng(client.rng_seed, CLIENT_STREAM, client.client_id, round_index, phase_tag)
+    # nn never mutates its inputs, and every phase takes at least one step
+    alpha, model = client.alpha, global_model
+    for name, phase, wrt, lr in (
+        ("mixing", ALPHA_PHASE, nn.WRT_ALPHA, lr_alpha),
+        ("weight", WEIGHT_PHASE, nn.WRT_W, lr_w),
+    ):
+        rng = _rng(client.rng_seed, CLIENT_STREAM, client.client_id, round_index, phase)
         for epoch in range(epochs):
             for idx in _epoch_batches(n, batch_size, rng):
                 try:
@@ -170,18 +178,10 @@ def client_local_learning(
                         f"client {client.client_id}, round {round_index}, "
                         f"{name} phase, epoch {epoch}: {exc}"
                     ) from None
-                step(grads, lr)
-
-    def alpha_step(grads, lr):
-        nonlocal alpha
-        alpha = nn.step_alpha(alpha, grads, lr)
-
-    def weight_step(grads, lr):
-        nonlocal model
-        model = nn.step_network(model, grads, lr)
-
-    run_phase("mixing", ALPHA_PHASE, nn.WRT_ALPHA, alpha_step, lr_alpha)
-    run_phase("weight", WEIGHT_PHASE, nn.WRT_W, weight_step, lr_w)
+                if phase == ALPHA_PHASE:
+                    alpha = nn.step_alpha(alpha, grads, lr)
+                else:
+                    model = nn.step_network(model, grads, lr)
 
     client.alpha = alpha
     return ClientUpdate(client.client_id, n, model, alpha.values())
@@ -242,7 +242,7 @@ def aggregate(
 
 @dataclass
 class RoundOptions:
-    """Per-round knobs shared by every protocol variant."""
+    """Per-round knobs shared by every method; strategy None ignores sample_size."""
 
     epochs: int
     lr_alpha: float
@@ -278,18 +278,26 @@ def run_round(server: ServerState, clients: list, opts: RoundOptions) -> RoundRe
     """One communication round; advances the server in place and reports it."""
     started = time.perf_counter()
     t = server.round
-    sampled = sample_clients(server.rng_seed, len(clients), opts.sample_size, t)
-    snapshot = server.model
+    if opts.strategy is None:
+        sampled = list(range(len(clients)))
+    else:
+        sampled = sample_clients(server.rng_seed, len(clients), opts.sample_size, t)
 
-    results = _map_clients(
-        lambda cid: _client_pass(clients[cid], snapshot, t, opts), sampled, opts.threads
-    )
+    def work(cid):
+        return _client_pass(clients[cid], clients[cid].current_model(server), t, opts)
+
+    results = _map_clients(work, sampled, opts.threads)
     updates = [r[0] for r in results]
-    server.model = aggregate(updates, opts.strategy, snapshot)
+    if opts.strategy is None:
+        for update in updates:
+            clients[update.client_id].local_model = update.model
+    else:
+        server.model = aggregate(updates, opts.strategy, server.model)
     server.round = t + 1
 
     accuracies = [
-        metrics.evaluate_client(server.model, c.alpha, c.test_shard) for c in clients
+        metrics.evaluate_client(c.current_model(server), c.alpha, c.test_shard)
+        for c in clients
     ]
     return RoundReport(
         round_index=t,
@@ -323,8 +331,20 @@ def setup_experiment(config):
     return server, clients
 
 
-def _round_options(config, strategy) -> RoundOptions:
-    return RoundOptions(
+def run_training(config):
+    """The full protocol: T rounds of sample/local-learn/aggregate.
+
+    Returns (server, clients, reports); each client's personalized model is
+    (client.current_model(server), client.alpha).
+    """
+    if config.method not in STRATEGY_FOR_METHOD:
+        raise UsageError(f"unknown method {config.method!r}")
+    strategy = STRATEGY_FOR_METHOD[config.method]
+    server, clients = setup_experiment(config)
+    if strategy is None:
+        for client in clients:
+            client.local_model = server.model.copy()
+    opts = RoundOptions(
         epochs=config.local_epochs,
         lr_alpha=config.lr_alpha,
         lr_w=config.lr_w,
@@ -333,65 +353,14 @@ def _round_options(config, strategy) -> RoundOptions:
         strategy=strategy,
         threads=config.threads,
     )
-
-
-def run_training(config):
-    """The full protocol: T rounds of sample/local-learn/aggregate.
-
-    Returns (server, clients, reports); each client's personalized model is
-    (server.model, client.alpha).
-    """
-    strategy = strategy_for_method(config.method)
-    server, clients = setup_experiment(config)
-    opts = _round_options(config, strategy)
     reports = [run_round(server, clients, opts) for _ in range(config.rounds)]
     return server, clients, reports
 
 
-def _run_local_only(config):
-    """Every client trains alone for T passes; no aggregation ever happens."""
-    server, clients = setup_experiment(config)
-    for client in clients:
-        client.local_model = server.model.copy()
-    opts = _round_options(config, AggregationStrategy.PLAIN_WEIGHTED)
-    all_ids = list(range(len(clients)))
-
-    reports = []
-    for t in range(config.rounds):
-        started = time.perf_counter()
-
-        def work(cid):
-            return _client_pass(clients[cid], clients[cid].local_model, t, opts)
-
-        results = _map_clients(work, all_ids, opts.threads)
-        for cid, (update, _) in zip(all_ids, results):
-            clients[cid].local_model = update.model
-        accuracies = [
-            metrics.evaluate_client(c.local_model, c.alpha, c.test_shard)
-            for c in clients
-        ]
-        reports.append(
-            RoundReport(
-                round_index=t,
-                sampled=all_ids,
-                train_losses=[r[1] for r in results],
-                test_accuracies=accuracies,
-                alpha_values=_snapshot_alpha(clients),
-                duration_seconds=time.perf_counter() - started,
-            )
-        )
-        server.round = t + 1
-    return server, clients, reports
-
-
 def run_baseline(kind: str, config):
-    """Reference protocols: plain FedAvg or isolated local training."""
-    if kind == FEDAVG:
-        forced = dataclasses.replace(config, method="fedavg", branches=1)
-        return run_training(forced)
-    if kind == LOCAL_ONLY:
-        return _run_local_only(config)
-    raise UsageError(f"unknown baseline {kind!r}; use {FEDAVG!r} or {LOCAL_ONLY!r}")
+    """run_training under a baseline method, FEDAVG (one branch) or LOCAL_ONLY."""
+    branches = 1 if kind == FEDAVG else config.branches
+    return run_training(dataclasses.replace(config, method=kind, branches=branches))
 
 
 def fine_tune(
@@ -419,22 +388,14 @@ def run_experiment(config):
 
     Returns (ExperimentResult, server, clients, personalized models).
     """
-    if config.method in ("pfedmb", "pfedmb_plain_agg"):
-        server, clients, reports = run_training(config)
-    elif config.method == "fedavg":
-        server, clients, reports = run_baseline(FEDAVG, config)
-    elif config.method == "local":
-        server, clients, reports = run_baseline(LOCAL_ONLY, config)
-    else:
-        raise UsageError(f"unknown method {config.method!r}")
+    server, clients, reports = run_training(config)
 
     personalized = []
     accuracies = []
     for client in clients:
-        start = client.local_model if client.local_model is not None else server.model
         model, _ = fine_tune(
             client,
-            start,
+            client.current_model(server),
             config.local_epochs,
             config.lr_alpha,
             config.lr_w,

@@ -212,7 +212,6 @@ class ForwardCache:
     inputs: list        # input to each layer, (n, in_dim)
     preacts: list       # pre-activation of each layer, (n, out_dim)
     combined_weights: list
-    combined_biases: list
     alpha_values: np.ndarray  # (num_layers, B)
 
 
@@ -252,7 +251,7 @@ def forward(net: Network, alpha: AlphaParams, x) -> tuple:
         )
     _check_compatible(net, alpha)
     avals = alpha.values()
-    inputs, preacts, ws, bs = [], [], [], []
+    inputs, preacts, ws = [], [], []
     act = x
     for l, layer in enumerate(net.layers):
         w, b = combine_branches(layer, avals[l])
@@ -262,9 +261,8 @@ def forward(net: Network, alpha: AlphaParams, x) -> tuple:
         inputs.append(act)
         preacts.append(z)
         ws.append(w)
-        bs.append(b)
         act = np.maximum(z, 0.0) if l < net.num_layers - 1 else z
-    return act, ForwardCache(inputs, preacts, ws, bs, avals)
+    return act, ForwardCache(inputs, preacts, ws, avals)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -362,22 +360,16 @@ def _alpha_values_grad_to_logits(alpha: AlphaParams, d_values: np.ndarray) -> np
     return v * (d_values - inner)
 
 
-def sgd_step(params, grads, learning_rate: float):
-    """Plain SGD update p - lr*g over an array or nested lists of arrays."""
+def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
+    """Plain SGD update p - lr*g of one parameter array."""
     if learning_rate < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {learning_rate}")
-    if isinstance(params, np.ndarray):
-        g = np.asarray(grads, dtype=np.float64)
-        if g.shape != params.shape:
-            raise ConfigurationError(
-                f"gradient shape {g.shape} does not match parameter shape {params.shape}"
-            )
-        return params - learning_rate * g
-    if isinstance(params, (list, tuple)):
-        if len(grads) != len(params):
-            raise ConfigurationError("gradient structure does not match parameters")
-        return type(params)(sgd_step(p, g, learning_rate) for p, g in zip(params, grads))
-    raise ConfigurationError(f"cannot apply SGD to {type(params).__name__}")
+    g = np.asarray(grads, dtype=np.float64)
+    if g.shape != params.shape:
+        raise ConfigurationError(
+            f"gradient shape {g.shape} does not match parameter shape {params.shape}"
+        )
+    return params - learning_rate * g
 
 
 def step_network(net: Network, grads: GradientBundle, learning_rate: float) -> Network:

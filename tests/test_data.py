@@ -335,3 +335,19 @@ def test_csv_errors_name_the_line(tmp_path):
 
     with pytest.raises(ParseError, match="no such file"):
         load_csv(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_csv_rejects_non_finite_features_naming_the_line(tmp_path, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"label,f1,f2\n1,2.0,3.0\n0,1.0,{value}\n")
+    with pytest.raises(ParseError, match="line 3: non-finite"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(value):
+    features = np.zeros((3, 2))
+    features[1, 0] = value
+    with pytest.raises(ConfigurationError, match="finite"):
+        LabeledDataset(features, [0, 1, 0], 2)

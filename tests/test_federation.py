@@ -411,8 +411,13 @@ def test_fedavg_single_client_equals_local_only():
 
 
 def test_local_only_clients_are_isolated(config_factory):
-    """Perturbing one client's shard leaves every other client's model alone."""
-    cfg = config_factory(method="local", rounds=2)
+    """Perturbing one client's shard leaves every other client's model alone.
+
+    The hand loop below is the reference for local-only training, and the
+    library's round loop must match it bit for bit: every client trains every
+    round, even when sample_size asks for fewer.
+    """
+    cfg = config_factory(method="local", rounds=2, sample_size=2)
 
     def run_with(perturb_client):
         server, clients = fed.setup_experiment(cfg)
@@ -433,6 +438,14 @@ def test_local_only_clients_are_isolated(config_factory):
 
     base = run_with(None)
     poked = run_with(3)
+
+    _, lib_clients, reports = fed.run_training(cfg)
+    assert [r.sampled for r in reports] == [list(range(cfg.clients))] * cfg.rounds
+    for want, client in zip(base, lib_clients):
+        for la, lb in zip(want.layers, client.local_model.layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.biases, lb.biases)
+
     for i in range(3):
         for la, lb in zip(base[i].layers, poked[i].layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
