@@ -97,11 +97,9 @@ def _check_comparable(configs) -> None:
     for cfg in configs[1:]:
         other = cfg.semantic_dict()
         for key in reference:
-            if key == "method":
-                continue
-            if key == "branches" and cfg.method == "fedavg":
-                continue
-            if key == "branches" and configs[0].method == "fedavg":
+            if key == "method" or (
+                key == "branches" and "fedavg" in (configs[0].method, cfg.method)
+            ):
                 continue
             if reference[key] != other[key]:
                 raise ValidationError(

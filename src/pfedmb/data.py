@@ -18,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, PartitionError
+from .errors import (
+    ConfigurationError,
+    ParseError,
+    PartitionError,
+    ValidationError,
+    field_violations,
+)
 
 MAX_PARTITION_ATTEMPTS = 100
 
@@ -78,14 +84,13 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigurationError("need at least 2 classes")
-        if self.input_dim < 1:
-            raise ConfigurationError("input_dim must be >= 1")
-        if self.noise_std <= 0:
-            raise ConfigurationError("noise_std must be > 0")
-        if self.samples_per_class < 1:
-            raise ConfigurationError("samples_per_class must be >= 1")
+        problems = field_violations(
+            self, {"num_classes": 2, "input_dim": 1, "samples_per_class": 1, "seed": 0}
+        )
+        if "noise_std" not in problems and self.noise_std <= 0:
+            problems["noise_std"] = f"noise_std: must be > 0, got {self.noise_std!r}"
+        if problems:
+            raise ValidationError(sorted(problems.values()))
 
 
 def generate_synthetic(spec: SyntheticTaskSpec) -> LabeledDataset:
@@ -141,12 +146,57 @@ class PairedClusters:
     classes_per_pair: int
 
 
+# partition scheme name -> scheme dataclass; its fields are the allowed config
+# keys, and the fields without a default are the required ones
+SCHEMES = {
+    "random_k_classes": RandomKClasses,
+    "dirichlet": Dirichlet,
+    "size_heterogeneous": SizeHeterogeneous,
+    "paired_clusters": PairedClusters,
+}
+
+# smallest allowed value of each integer scheme parameter
+SCHEME_MINIMUMS = {"k": 1, "num_pairs": 1, "classes_per_pair": 1}
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
+    """A scheme, a client count and a seed; checks every rule that needs no dataset."""
+
     scheme: object
     num_clients: int
     seed: int = 0
     split_ratio: tuple = DEFAULT_SPLIT_RATIO
+
+    def __post_init__(self):
+        s = self.scheme
+        problems = field_violations(self, {"num_clients": 1, "seed": 0})
+        if isinstance(s, tuple(SCHEMES.values())):
+            problems.update(field_violations(s, SCHEME_MINIMUMS))
+        else:
+            problems["scheme"] = f"scheme: unknown partition scheme {type(s).__name__}"
+        valid = problems.keys().isdisjoint
+        if valid({"split_ratio"}) and (
+            len(self.split_ratio) != 3
+            or not all(isinstance(r, (int, float)) and r >= 0 for r in self.split_ratio)
+        ):
+            problems["split_ratio"] = "split_ratio: must be three nonnegative parts"
+        if isinstance(s, Dirichlet) and valid({"beta"}) and s.beta <= 0:
+            problems["beta"] = f"beta: must be > 0, got {s.beta!r}"
+        if isinstance(s, SizeHeterogeneous) and valid({"u_min", "u_max"}):
+            if s.u_min <= 0:
+                problems["u_min"] = f"u_min: must be > 0, got {s.u_min!r}"
+            elif s.u_max < s.u_min:
+                problems["u_max"] = f"u_max: must be >= u_min {s.u_min!r}, got {s.u_max!r}"
+        if isinstance(s, PairedClusters) and valid({"num_pairs", "num_clients"}) and (
+            self.num_clients != 2 * s.num_pairs
+        ):
+            problems["num_pairs"] = (
+                f"num_pairs: {s.num_pairs} pairs need {2 * s.num_pairs} clients, "
+                f"got {self.num_clients}"
+            )
+        if problems:
+            raise ValidationError(sorted(problems.values()))
 
 
 @dataclass
@@ -193,43 +243,20 @@ def apportion(total: int, weights) -> np.ndarray:
     return counts
 
 
-def _validate_spec(spec: PartitionSpec, num_classes: int) -> None:
-    n = spec.num_clients
-    problems = []
-    if n < 1:
-        problems.append("num_clients must be >= 1")
-    if len(spec.split_ratio) != 3 or any(r < 0 for r in spec.split_ratio):
-        problems.append("split_ratio must be three nonnegative parts")
-    s = spec.scheme
-    if isinstance(s, RandomKClasses):
-        if not 1 <= s.k <= num_classes:
-            problems.append(f"k={s.k} must lie in [1, {num_classes}]")
-    elif isinstance(s, Dirichlet):
-        if s.beta <= 0:
-            problems.append("beta must be > 0")
-    elif isinstance(s, SizeHeterogeneous):
-        if not 1 <= s.k <= num_classes:
-            problems.append(f"k={s.k} must lie in [1, {num_classes}]")
-        if not 0 < s.u_min <= s.u_max:
-            problems.append("need 0 < u_min <= u_max")
-        if n >= 1 and 1 <= s.k and n * s.k < num_classes:
-            problems.append(
-                f"{n} clients x {s.k} classes cannot cover {num_classes} classes"
-            )
-    elif isinstance(s, PairedClusters):
-        if s.num_pairs < 1 or s.classes_per_pair < 1:
-            problems.append("num_pairs and classes_per_pair must be >= 1")
-        elif n != 2 * s.num_pairs:
-            problems.append(f"paired clusters need exactly {2 * s.num_pairs} clients")
-        elif s.num_pairs * s.classes_per_pair > num_classes:
-            problems.append(
-                f"{s.num_pairs} pairs x {s.classes_per_pair} classes exceed "
-                f"{num_classes} available classes"
-            )
-    else:
-        problems.append(f"unknown partition scheme {type(s).__name__}")
-    if problems:
-        raise ConfigurationError("; ".join(problems))
+def _check_class_count(spec: PartitionSpec, num_classes: int) -> None:
+    """The partition rules that depend on the dataset's class count."""
+    s, n = spec.scheme, spec.num_clients
+    if isinstance(s, (RandomKClasses, SizeHeterogeneous)) and s.k > num_classes:
+        raise ConfigurationError(f"k={s.k} must lie in [1, {num_classes}]")
+    if isinstance(s, SizeHeterogeneous) and n * s.k < num_classes:
+        raise ConfigurationError(
+            f"{n} clients x {s.k} classes cannot cover {num_classes} classes"
+        )
+    if isinstance(s, PairedClusters) and s.num_pairs * s.classes_per_pair > num_classes:
+        raise ConfigurationError(
+            f"{s.num_pairs} pairs x {s.classes_per_pair} classes exceed "
+            f"{num_classes} available classes"
+        )
 
 
 def _class_weights(spec: PartitionSpec, num_classes: int, rng) -> np.ndarray:
@@ -268,7 +295,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
     Any client left without samples in some split triggers a full redraw with
     an incremented sub-seed, at most MAX_PARTITION_ATTEMPTS times.
     """
-    _validate_spec(spec, dataset.num_classes)
+    _check_class_count(spec, dataset.num_classes)
     per_class = dataset.class_indices()
     ratio = np.asarray(spec.split_ratio, dtype=np.float64)
 

@@ -216,27 +216,28 @@ def aggregate(
     total = float(sum(u.num_samples for u in updates))
     floor = 1e-12 * total
     layers = []
-    for l in range(num_layers):
-        w_new = np.empty_like(previous_global.layers[l].weights)
-        b_new = np.empty_like(previous_global.layers[l].biases)
-        for b in range(num_branches):
+    for l, prev in enumerate(previous_global.layers):
+        # running sums in update order, one entry per branch
+        denom = w_acc = b_acc = None
+        for u in updates:
             if strategy is AggregationStrategy.ALPHA_WEIGHTED:
-                coeffs = [u.num_samples * u.alpha_values[l, b] for u in updates]
+                coeffs = u.num_samples * u.alpha_values[l]
             else:
-                coeffs = [float(u.num_samples) for u in updates]
-            denom = sum(coeffs)
-            if denom < floor:
-                w_new[b] = previous_global.layers[l].weights[b]
-                b_new[b] = previous_global.layers[l].biases[b]
-                continue
-            w_acc = coeffs[0] * updates[0].model.layers[l].weights[b]
-            bias_acc = coeffs[0] * updates[0].model.layers[l].biases[b]
-            for c, u in zip(coeffs[1:], updates[1:]):
-                w_acc += c * u.model.layers[l].weights[b]
-                bias_acc += c * u.model.layers[l].biases[b]
-            w_new[b] = w_acc / denom
-            b_new[b] = bias_acc / denom
-        layers.append(nn.MultiBranchDense(w_new, b_new))
+                coeffs = np.full(num_branches, float(u.num_samples))
+            w = coeffs[:, None, None] * u.model.layers[l].weights
+            bias = coeffs[:, None] * u.model.layers[l].biases
+            if denom is None:
+                denom, w_acc, b_acc = coeffs, w, bias
+            else:
+                denom = denom + coeffs
+                w_acc += w
+                b_acc += bias
+        dead = denom < floor
+        safe = np.where(dead, 1.0, denom)
+        layers.append(nn.MultiBranchDense(
+            np.where(dead[:, None, None], prev.weights, w_acc / safe[:, None, None]),
+            np.where(dead[:, None], prev.biases, b_acc / safe[:, None]),
+        ))
     return nn.Network(layers)
 
 
@@ -337,8 +338,6 @@ def run_training(config):
     Returns (server, clients, reports); each client's personalized model is
     (client.current_model(server), client.alpha).
     """
-    if config.method not in STRATEGY_FOR_METHOD:
-        raise UsageError(f"unknown method {config.method!r}")
     strategy = STRATEGY_FOR_METHOD[config.method]
     server, clients = setup_experiment(config)
     if strategy is None:
@@ -459,10 +458,19 @@ def load_checkpoint(path, train_shards: list, test_shards: list):
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ParseError(
             f"{path}: unsupported checkpoint schema {doc.get('schema_version')!r}"
         )
+    try:
+        return _restore_states(doc, train_shards, test_shards)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+
+
+def _restore_states(doc: dict, train_shards: list, test_shards: list):
     arch = doc["architecture"]
     layers = [
         nn.MultiBranchDense(np.asarray(w), np.asarray(b))

@@ -81,6 +81,37 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
     assert "method" in err and "data" in err
 
 
+SYNTHETIC = {"num_classes": 3, "input_dim": 4, "noise_std": 0.5, "samples_per_class": 30}
+
+
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("partition.beta", {"partition": {"scheme": "dirichlet", "beta": "x"}}),
+        ("partition.k", {"partition": {"scheme": "random_k_classes", "k": 2.5}}),
+        ("partition.u_min",
+         {"partition": {"scheme": "size_heterogeneous", "k": 2, "u_min": "a"}}),
+        ("partition.seed", {"partition": {"scheme": "dirichlet", "beta": 1.0, "seed": True}}),
+        ("data.synthetic.class_mean_scale",
+         {"data": {"synthetic": dict(SYNTHETIC, class_mean_scale=float("nan"))}}),
+        ("data.synthetic.num_classes",
+         {"data": {"synthetic": dict(SYNTHETIC, num_classes="4")}}),
+        ("lr_w", {"lr_w": float("nan")}),
+    ],
+)
+def test_mistyped_config_value_is_a_located_config_error(
+    smoke_config, tmp_path, capsys, key, patch
+):
+    _, raw = smoke_config
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(raw, **patch)))  # NaN is written as JSON NaN
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_default_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,16 @@
 """Config file parsing, defaults, overrides, and exhaustive validation."""
 
+import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfedmb.config import DEFAULT_BATCH_SIZE, DEFAULT_LOCAL_EPOCHS, parse_config
+from conftest import make_config
+from pfedmb.config import DEFAULT_BATCH_SIZE, DEFAULT_LOCAL_EPOCHS, TOP_KEYS, parse_config
+from pfedmb.data import SyntheticTaskSpec
 from pfedmb.errors import ParseError, ValidationError
 
 
@@ -164,3 +170,81 @@ def test_csv_data_source_accepted(tmp_path):
     cfg = parse_config(write_config(tmp_path, valid_raw(data={"csv": str(csv)})))
     ds = cfg.make_dataset()
     assert ds.num_classes == 2 and ds.input_dim == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        (dict(method="fedavg", branches=2), "branches"),
+        (dict(clients=4, sample_size=5), "sample_size"),
+    ],
+)
+def test_direct_construction_is_validated(overrides, key):
+    with pytest.raises(ValidationError) as err:
+        make_config(**overrides)
+    assert [v.split(":")[0] for v in err.value.violations] == [key]
+
+
+def test_direct_construction_normalizes_rates_and_hidden_dims():
+    cfg = make_config(lr_alpha=1, lr_w=0, hidden_dims=[8, 4])
+    assert type(cfg.lr_alpha) is float and type(cfg.lr_w) is float
+    assert cfg.hidden_dims == (8, 4)
+
+
+# Any JSON value, the non-finite floats included.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+PARTITIONS = [
+    {"scheme": "dirichlet", "beta": 1.0, "seed": 2},
+    {"scheme": "random_k_classes", "k": 2},
+    {"scheme": "size_heterogeneous", "k": 2, "u_min": 0.2, "u_max": 0.6},
+    {"scheme": "paired_clusters", "num_pairs": 2, "classes_per_pair": 1},
+]
+SYNTHETIC_KEYS = sorted(f.name for f in dataclasses.fields(SyntheticTaskSpec))
+
+
+@st.composite
+def one_key_replaced(draw):
+    """(raw config, dotted key) with the value at that key replaced."""
+    raw = valid_raw(partition=dict(draw(st.sampled_from(PARTITIONS))))
+    section = draw(st.sampled_from(["top", "data.synthetic", "partition"]))
+    value = draw(JSON_VALUES)
+    if section == "top":
+        key = draw(st.sampled_from(sorted(TOP_KEYS)))
+        raw[key] = value
+        return raw, key
+    target = raw["partition"] if section == "partition" else raw["data"]["synthetic"]
+    key = draw(st.sampled_from(sorted(target) if section == "partition" else SYNTHETIC_KEYS))
+    target[key] = value
+    return raw, f"{section}.{key}"
+
+
+def names_key(violation, key):
+    """The violation sits at key or inside it, or its message names the field."""
+    dotted, _, message = violation.partition(": ")
+    field = key.rsplit(".", 1)[-1]
+    return dotted == key or dotted.startswith(key + ".") or re.search(rf"\b{field}\b", message)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "cfg.json"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=one_key_replaced())
+def test_any_value_at_any_key_is_accepted_or_located(config_path, case):
+    raw, key = case
+    config_path.write_text(json.dumps(raw))  # non-finite floats become NaN/Infinity
+    try:
+        parse_config(config_path)
+    except ValidationError as exc:
+        assert any(names_key(v, key) for v in exc.violations), (key, exc.violations)

@@ -9,7 +9,7 @@ import pytest
 from pfedmb import federation as fed
 from pfedmb import nn
 from pfedmb.data import LabeledDataset
-from pfedmb.errors import ConfigurationError, UsageError
+from pfedmb.errors import ConfigurationError, ParseError, UsageError
 
 
 def np_softmax(v):
@@ -541,3 +541,36 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory):
         np.testing.assert_array_equal(la.biases, lb.biases)
     for a, b in zip(resumed_clients, clients):
         np.testing.assert_array_equal(a.alpha.logits, b.alpha.logits)
+
+
+def _drop_round(doc):
+    del doc["round"]
+    return doc
+
+
+def _drop_client_alpha(doc):
+    del doc["clients"][1]["alpha_logits"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "damage, located",
+    [
+        (_drop_round, "missing key 'round'"),
+        (_drop_client_alpha, "missing key 'alpha_logits'"),
+        (lambda doc: [1, 2], "top level must be a JSON object"),
+    ],
+    ids=["no_round", "client_without_alpha_logits", "top_level_list"],
+)
+def test_malformed_checkpoint_raises_located_parse_error(
+    tmp_path, config_factory, damage, located
+):
+    server, clients, _ = fed.run_training(config_factory(rounds=1))
+    path = tmp_path / "ckpt.json"
+    fed.save_checkpoint(server, clients, path)
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    shards = [c.shard for c in clients]
+    tests = [c.test_shard for c in clients]
+    with pytest.raises(ParseError) as err:
+        fed.load_checkpoint(path, shards, tests)
+    assert str(path) in str(err.value) and located in str(err.value)
