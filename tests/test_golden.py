@@ -71,3 +71,17 @@ def result_sha256(config, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_result_bytes_match_golden(case, tmp_path):
     assert result_sha256(CASES[case], tmp_path) == GOLDEN[case]
+
+
+# sha256 of compare.csv from `pfedmb compare` over all four methods on BASE
+COMPARE_METHODS = "local,fedavg,pfedmb_plain_agg,pfedmb"
+COMPARE_GOLDEN = "2c590e07660d72de9c70f755b7cab9fd3cdea6719b67b2db10c23dc1eee775dd"
+
+
+def test_compare_table_matches_golden(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(BASE, method="pfedmb", shared_alpha=False)))
+    out = tmp_path / "out"
+    argv = ["compare", "--config", str(path), "--out", str(out), "--methods", COMPARE_METHODS]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest() == COMPARE_GOLDEN
