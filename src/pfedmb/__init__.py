@@ -34,14 +34,12 @@ from .federation import (
     AggregationStrategy,
     ClientState,
     ClientUpdate,
-    RoundOptions,
     RoundReport,
     ServerState,
     aggregate,
     client_local_learning,
     fine_tune,
     load_checkpoint,
-    run_baseline,
     run_experiment,
     run_round,
     run_training,

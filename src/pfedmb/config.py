@@ -40,13 +40,14 @@ def _build(cls, section: dict):
     return cls(**{**defaults, **section})
 
 
-def _file_under(prefix: str, build, problems: dict) -> None:
-    """Call build() and file each violation it raises under prefix + its key."""
+def _file_under(prefix: str, build, problems: dict):
+    """build(), or None after filing each violation it raises under prefix + its key."""
     try:
-        build()
+        return build()
     except ValidationError as exc:
         for violation in exc.violations:
             problems.setdefault(prefix + violation.split(":", 1)[0], prefix + violation)
+        return None
 
 
 @dataclass
@@ -54,7 +55,10 @@ class ExperimentConfig:
     """Fully resolved experiment description; a pure function of file + flags.
 
     Construction checks every rule, those of the data and partition sections
-    included, and raises one ValidationError naming each violation's key.
+    included, and raises one ValidationError naming each violation's key.  The
+    section specs it builds to do so are kept as synthetic_spec (None for CSV
+    data) and partition_spec, and the dataset and partition are built from them;
+    change a field with dataclasses.replace, which checks and builds them again.
     """
 
     method: str
@@ -76,6 +80,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         problems = field_violations(self, MINIMUMS)
+        self.synthetic_spec = self.partition_spec = None
         valid = problems.keys().isdisjoint
         if valid({"method"}) and self.method not in METHODS:
             problems["method"] = f"method: {self.method!r} is not one of {list(METHODS)}"
@@ -103,9 +108,11 @@ class ExperimentConfig:
             elif not isinstance(self.data["synthetic"], dict):
                 problems["data.synthetic"] = "data.synthetic: expected an object"
             else:
-                _file_under("data.synthetic.", self._synthetic_spec, problems)
+                self.synthetic_spec = _file_under("data.synthetic.", lambda: _build(
+                    datamod.SyntheticTaskSpec, {"seed": self.seed, **self.data["synthetic"]}
+                ), problems)
         if valid({"partition", "clients", "seed"}):
-            _file_under("partition.", self.make_partition_spec, problems)
+            self.partition_spec = _file_under("partition.", self._build_partition_spec, problems)
         if problems:
             raise ValidationError(sorted(problems.values()))
         self.lr_alpha, self.lr_w = float(self.lr_alpha), float(self.lr_w)
@@ -121,15 +128,12 @@ class ExperimentConfig:
         semantic["hidden_dims"] = list(self.hidden_dims)
         return semantic
 
-    def _synthetic_spec(self) -> datamod.SyntheticTaskSpec:
-        return _build(datamod.SyntheticTaskSpec, {"seed": self.seed, **self.data["synthetic"]})
-
     def make_dataset(self) -> datamod.LabeledDataset:
-        if "synthetic" in self.data:
-            return datamod.generate_synthetic(self._synthetic_spec())
+        if self.synthetic_spec is not None:
+            return datamod.generate_synthetic(self.synthetic_spec)
         return datamod.load_csv(self.data["csv"])
 
-    def make_partition_spec(self) -> datamod.PartitionSpec:
+    def _build_partition_spec(self) -> datamod.PartitionSpec:
         params = dict(self.partition)
         scheme = params.pop("scheme", None)
         if not isinstance(scheme, str) or scheme not in datamod.SCHEMES:

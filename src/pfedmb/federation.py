@@ -19,8 +19,10 @@ clients on any number of threads with bit-identical results.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import os
+import reprlib
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import metrics, nn
 from .data import LabeledDataset, partition
-from .errors import ConfigurationError, NumericError, ParseError, UsageError
+from .errors import ConfigurationError, NumericError, ParseError, PfedmbError, UsageError
 
 # stream tags; distinct leading constants keep the generator keys disjoint
 INIT_STREAM = 101
@@ -44,7 +46,7 @@ WEIGHT_PHASE = 1
 FEDAVG = "fedavg"
 LOCAL_ONLY = "local"
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class AggregationStrategy(Enum):
@@ -241,29 +243,6 @@ def aggregate(
     return nn.Network(layers)
 
 
-@dataclass
-class RoundOptions:
-    """Per-round knobs shared by every method; strategy None ignores sample_size."""
-
-    epochs: int
-    lr_alpha: float
-    lr_w: float
-    batch_size: int
-    sample_size: int
-    strategy: AggregationStrategy = AggregationStrategy.ALPHA_WEIGHTED
-    threads: int = 1
-
-
-def _client_pass(client, model, round_index, opts):
-    update = client_local_learning(
-        client, model, round_index, opts.epochs, opts.lr_alpha, opts.lr_w, opts.batch_size
-    )
-    train_loss = nn.batch_loss(
-        update.model, client.alpha, client.shard.features, client.shard.labels
-    )
-    return update, train_loss
-
-
 def _map_clients(work, ids, threads):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -271,29 +250,32 @@ def _map_clients(work, ids, threads):
     return [work(i) for i in ids]
 
 
-def _snapshot_alpha(clients) -> np.ndarray:
-    return np.stack([c.alpha.values() for c in clients])
-
-
-def run_round(server: ServerState, clients: list, opts: RoundOptions) -> RoundReport:
-    """One communication round; advances the server in place and reports it."""
+def run_round(server: ServerState, clients: list, config) -> RoundReport:
+    """One communication round of config.method; advances the server in place."""
     started = time.perf_counter()
     t = server.round
-    if opts.strategy is None:
+    strategy = STRATEGY_FOR_METHOD[config.method]
+    if strategy is None:
         sampled = list(range(len(clients)))
     else:
-        sampled = sample_clients(server.rng_seed, len(clients), opts.sample_size, t)
+        sampled = sample_clients(server.rng_seed, len(clients), config.sample_size, t)
 
     def work(cid):
-        return _client_pass(clients[cid], clients[cid].current_model(server), t, opts)
+        client = clients[cid]
+        update = client_local_learning(
+            client, client.current_model(server), t,
+            config.local_epochs, config.lr_alpha, config.lr_w, config.batch_size,
+        )
+        shard = client.shard
+        return update, nn.batch_loss(update.model, client.alpha, shard.features, shard.labels)
 
-    results = _map_clients(work, sampled, opts.threads)
+    results = _map_clients(work, sampled, config.threads)
     updates = [r[0] for r in results]
-    if opts.strategy is None:
+    if strategy is None:
         for update in updates:
             clients[update.client_id].local_model = update.model
     else:
-        server.model = aggregate(updates, opts.strategy, server.model)
+        server.model = aggregate(updates, strategy, server.model)
     server.round = t + 1
 
     accuracies = [
@@ -305,7 +287,7 @@ def run_round(server: ServerState, clients: list, opts: RoundOptions) -> RoundRe
         sampled=sampled,
         train_losses=[r[1] for r in results],
         test_accuracies=accuracies,
-        alpha_values=_snapshot_alpha(clients),
+        alpha_values=np.stack([c.alpha.values() for c in clients]),
         duration_seconds=time.perf_counter() - started,
     )
 
@@ -315,7 +297,7 @@ def run_round(server: ServerState, clients: list, opts: RoundOptions) -> RoundRe
 def setup_experiment(config):
     """Dataset, partition, seeded init -> fresh server and client states."""
     dataset = config.make_dataset()
-    part = partition(dataset, config.make_partition_spec())
+    part = partition(dataset, config.partition_spec)
     dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
     model = nn.init_network(dims, config.branches, seed=[config.seed, INIT_STREAM])
     server = ServerState(model=model, round=0, rng_seed=config.seed)
@@ -338,28 +320,12 @@ def run_training(config):
     Returns (server, clients, reports); each client's personalized model is
     (client.current_model(server), client.alpha).
     """
-    strategy = STRATEGY_FOR_METHOD[config.method]
     server, clients = setup_experiment(config)
-    if strategy is None:
+    if STRATEGY_FOR_METHOD[config.method] is None:
         for client in clients:
             client.local_model = server.model.copy()
-    opts = RoundOptions(
-        epochs=config.local_epochs,
-        lr_alpha=config.lr_alpha,
-        lr_w=config.lr_w,
-        batch_size=config.batch_size,
-        sample_size=config.sample_size,
-        strategy=strategy,
-        threads=config.threads,
-    )
-    reports = [run_round(server, clients, opts) for _ in range(config.rounds)]
+    reports = [run_round(server, clients, config) for _ in range(config.rounds)]
     return server, clients, reports
-
-
-def run_baseline(kind: str, config):
-    """run_training under a baseline method, FEDAVG (one branch) or LOCAL_ONLY."""
-    branches = 1 if kind == FEDAVG else config.branches
-    return run_training(dataclasses.replace(config, method=kind, branches=branches))
 
 
 def fine_tune(
@@ -420,13 +386,23 @@ def run_experiment(config):
 
 # ----------------------------------------------------------------- checkpoints
 
+def _model_doc(model: nn.Network) -> dict:
+    return {
+        "weights": [layer.weights.tolist() for layer in model.layers],
+        "biases": [layer.biases.tolist() for layer in model.layers],
+    }
+
+
 def save_checkpoint(server: ServerState, clients: list, path) -> None:
-    """Single JSON document from which a run resumes bit-exactly.
+    """Single JSON document from which a run of any method resumes bit-exactly.
 
     Shards are not stored; they rebuild deterministically from the experiment
-    config.  Full float precision is kept via repr round-tripping.
+    config.  Full float precision is kept via repr round-tripping.  The file is
+    written beside path and renamed over it, so a write that fails leaves any
+    earlier checkpoint at path as it was.
     """
     first = clients[0]
+    global_model = _model_doc(server.model)
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "architecture": {
@@ -437,72 +413,161 @@ def save_checkpoint(server: ServerState, clients: list, path) -> None:
         },
         "round": server.round,
         "server_seed": server.rng_seed,
-        "global_weights": [layer.weights.tolist() for layer in server.model.layers],
-        "global_biases": [layer.biases.tolist() for layer in server.model.layers],
+        "global_weights": global_model["weights"],
+        "global_biases": global_model["biases"],
         "clients": [
             {
                 "client_id": c.client_id,
                 "num_samples": c.num_samples,
                 "alpha_logits": c.alpha.logits.tolist(),
                 "rng": {"seed": c.rng_seed, "next_round": server.round},
+                "local_model": None if c.local_model is None else _model_doc(c.local_model),
             }
             for c in clients
         ],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(doc, sort_keys=True) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, train_shards: list, test_shards: list):
-    """Rebuild (server, clients) from a checkpoint plus regenerated shards."""
+    """Rebuild (server, clients) from a checkpoint plus regenerated shards.
+
+    Every value is checked before it is used: a malformed document raises
+    ParseError naming the path and the dotted key (clients[1].alpha_logits),
+    and shards that do not fit it raise ConfigurationError naming the path.
+    """
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ParseError(
-            f"{path}: unsupported checkpoint schema {doc.get('schema_version')!r}"
-        )
     try:
         return _restore_states(doc, train_shards, test_shards)
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing key {exc}") from None
+    except PfedmbError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _restore_states(doc: dict, train_shards: list, test_shards: list):
-    arch = doc["architecture"]
-    layers = [
-        nn.MultiBranchDense(np.asarray(w), np.asarray(b))
-        for w, b in zip(doc["global_weights"], doc["global_biases"])
-    ]
-    server = ServerState(
-        model=nn.Network(layers), round=doc["round"], rng_seed=doc["server_seed"]
-    )
-    if len(train_shards) != len(doc["clients"]) or len(test_shards) != len(doc["clients"]):
+class _Node:
+    """A value read from a checkpoint document and its dotted key."""
+
+    def __init__(self, value, key: str):
+        self.value, self.key = value, key
+
+    def error(self, problem: str) -> ParseError:
+        return ParseError(f"{self.key}: {problem}, got {reprlib.repr(self.value)}")
+
+    def __getitem__(self, name: str) -> "_Node":
+        if not isinstance(self.value, dict):
+            raise self.error("expected a JSON object")
+        key = f"{self.key}.{name}" if self.key else name
+        if name not in self.value:
+            raise ParseError(f"{key}: missing key {name!r}")
+        return _Node(self.value[name], key)
+
+    def items(self) -> list:
+        if not isinstance(self.value, list):
+            raise self.error("expected a list")
+        return [_Node(v, f"{self.key}[{i}]") for i, v in enumerate(self.value)]
+
+    def int(self) -> int:
+        if type(self.value) is not int or self.value < 0:
+            raise self.error("expected an int >= 0")
+        return self.value
+
+    def array(self, ndim: int) -> np.ndarray:
+        """Nested lists of finite numbers, ndim deep, as a float64 array."""
+        try:
+            cells = np.array(self.value, dtype=object)
+            if cells.ndim == ndim and all(type(v) in (int, float) for v in cells.flat):
+                values = cells.astype(np.float64)
+                if np.isfinite(values).all():
+                    return values
+        except (ValueError, OverflowError):
+            pass
+        raise self.error(f"expected a {ndim}-D array of finite numbers")
+
+
+def _read_network(weights: _Node, biases: _Node) -> nn.Network:
+    w_layers, b_layers = weights.items(), biases.items()
+    if not w_layers:
+        raise weights.error("expected at least one layer")
+    if len(b_layers) != len(w_layers):
+        raise biases.error(f"expected one entry per layer of {weights.key}")
+    try:
+        return nn.Network([
+            nn.MultiBranchDense(w.array(3), b.array(2)) for w, b in zip(w_layers, b_layers)
+        ])
+    except ConfigurationError as exc:  # shapes that do not fit together
+        raise ParseError(f"{weights.key}, {biases.key}: {exc}") from None
+
+
+def _shapes(model: nn.Network) -> list:
+    return [(layer.weights.shape, layer.biases.shape) for layer in model.layers]
+
+
+def _restore_states(doc, train_shards: list, test_shards: list):
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be a JSON object")
+    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+        raise _Node(doc.get("schema_version"), "schema_version").error(
+            f"unsupported checkpoint schema, expected {CHECKPOINT_SCHEMA_VERSION}"
+        )
+    root = _Node(doc, "")
+    model = _read_network(root["global_weights"], root["global_biases"])
+    arch = root["architecture"]
+    dims = [model.in_dim] + [layer.out_dim for layer in model.layers]
+    for name, held in (("layer_dims", dims), ("num_branches", model.num_branches)):
+        if arch[name].value != held:
+            raise arch[name].error(f"global_weights hold {held}")
+    shared = arch["shared_alpha"]
+    if not isinstance(shared.value, bool):
+        raise shared.error("expected a bool")
+    round_index = root["round"].int()
+    server = ServerState(model=model, round=round_index, rng_seed=root["server_seed"].int())
+
+    entries = root["clients"].items()
+    if len(train_shards) != len(entries) or len(test_shards) != len(entries):
         raise ConfigurationError(
-            f"checkpoint stores {len(doc['clients'])} clients, "
-            f"got {len(train_shards)} shards"
+            f"clients: checkpoint stores {len(entries)} clients, got {len(train_shards)} shards"
         )
+    alpha_shape = (1 if shared.value else model.num_layers, model.num_branches)
     clients = []
-    for entry, shard, test_shard in zip(doc["clients"], train_shards, test_shards):
-        if entry["num_samples"] != len(shard):
+    for i, (entry, shard, test_shard) in enumerate(zip(entries, train_shards, test_shards)):
+        if entry["client_id"].int() != i:
+            raise entry["client_id"].error(f"expected the entry's position {i}")
+        if entry["num_samples"].int() != len(shard):
             raise ConfigurationError(
-                f"client {entry['client_id']}: shard has {len(shard)} samples, "
-                f"checkpoint recorded {entry['num_samples']}"
+                f"{entry['num_samples'].key}: the shard has {len(shard)} samples, "
+                f"checkpoint recorded {entry['num_samples'].value}"
             )
-        alpha = nn.AlphaParams(
-            np.asarray(entry["alpha_logits"]),
-            num_layers=len(layers),
-            shared=arch["shared_alpha"],
-        )
+        logits = entry["alpha_logits"].array(2)
+        if logits.shape != alpha_shape:
+            raise entry["alpha_logits"].error(f"expected shape {alpha_shape}")
+        rng = entry["rng"]
+        if rng["next_round"].int() != round_index:
+            raise rng["next_round"].error(f"expected round {round_index}")
+        local, local_model = entry["local_model"], None
+        if local.value is not None:
+            local_model = _read_network(local["weights"], local["biases"])
+            if _shapes(local_model) != _shapes(model):
+                raise local.error("expected the shapes of the global model")
         clients.append(
             ClientState(
-                client_id=entry["client_id"],
+                client_id=i,
                 shard=shard,
                 test_shard=test_shard,
-                alpha=alpha,
-                rng_seed=entry["rng"]["seed"],
+                alpha=nn.AlphaParams(logits, num_layers=model.num_layers, shared=shared.value),
+                rng_seed=rng["seed"].int(),
+                local_model=local_model,
             )
         )
     return server, clients

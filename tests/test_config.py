@@ -1,5 +1,6 @@
 """Config file parsing, defaults, overrides, and exhaustive validation."""
 
+import collections
 import dataclasses
 import json
 import re
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import make_config
 from pfedmb.config import DEFAULT_BATCH_SIZE, DEFAULT_LOCAL_EPOCHS, TOP_KEYS, parse_config
-from pfedmb.data import SyntheticTaskSpec
+from pfedmb.data import PartitionSpec, SyntheticTaskSpec
 from pfedmb.errors import ParseError, ValidationError
+from pfedmb.federation import setup_experiment
 
 
 def valid_raw(**overrides):
@@ -183,6 +185,17 @@ def test_direct_construction_is_validated(overrides, key):
     with pytest.raises(ValidationError) as err:
         make_config(**overrides)
     assert [v.split(":")[0] for v in err.value.violations] == [key]
+
+
+def test_setup_builds_each_section_spec_once(tmp_path, monkeypatch):
+    built = collections.Counter()
+    for cls in (SyntheticTaskSpec, PartitionSpec):
+        def counting(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    setup_experiment(parse_config(write_config(tmp_path, valid_raw())))
+    assert built == {"SyntheticTaskSpec": 1, "PartitionSpec": 1}
 
 
 def test_direct_construction_normalizes_rates_and_hidden_dims():

@@ -2,14 +2,19 @@
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_config
 from pfedmb import federation as fed
 from pfedmb import nn
-from pfedmb.data import LabeledDataset
-from pfedmb.errors import ConfigurationError, ParseError, UsageError
+from pfedmb.data import LabeledDataset, partition
+from pfedmb.errors import ConfigurationError, ParseError, PfedmbError, UsageError
+from test_config import JSON_VALUES
 
 
 def np_softmax(v):
@@ -298,10 +303,7 @@ def test_zero_learning_rates_leave_global_params_unchanged(config_factory):
     cfg = config_factory(lr_alpha=0.0, lr_w=0.0, rounds=1)
     server, clients = fed.setup_experiment(cfg)
     before = [layer.weights.copy() for layer in server.model.layers]
-    fed.run_round(server, clients, fed.RoundOptions(
-        epochs=cfg.local_epochs, lr_alpha=0.0, lr_w=0.0,
-        batch_size=cfg.batch_size, sample_size=cfg.sample_size,
-    ))
+    fed.run_round(server, clients, cfg)
     for layer, want in zip(server.model.layers, before):
         np.testing.assert_allclose(layer.weights, want, rtol=1e-13)
 
@@ -310,10 +312,7 @@ def test_nonsampled_clients_keep_alpha_bitwise(config_factory):
     cfg = config_factory(clients=4, sample_size=2, rounds=1, seed=5)
     server, clients = fed.setup_experiment(cfg)
     before = [c.alpha.logits.copy() for c in clients]
-    report = fed.run_round(server, clients, fed.RoundOptions(
-        epochs=cfg.local_epochs, lr_alpha=cfg.lr_alpha, lr_w=cfg.lr_w,
-        batch_size=cfg.batch_size, sample_size=2,
-    ))
+    report = fed.run_round(server, clients, cfg)
     assert len(report.sampled) == 2
     for i, c in enumerate(clients):
         if i in report.sampled:
@@ -348,7 +347,7 @@ def test_thread_count_does_not_change_results(config_factory):
 def test_b1_training_equals_fedavg_baseline_bitwise(config_factory):
     cfg = config_factory(branches=1, rounds=3, clients=4, sample_size=4)
     s_mb, c_mb, _ = fed.run_training(cfg)
-    s_fa, c_fa, _ = fed.run_baseline(fed.FEDAVG, config_factory(
+    s_fa, c_fa, _ = fed.run_training(config_factory(
         method="fedavg", branches=1, rounds=3, clients=4, sample_size=4
     ))
     for la, lb in zip(s_mb.model.layers, s_fa.model.layers):
@@ -502,13 +501,21 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
 
 # ------------------------------------------------------------------ checkpoints
 
-def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory):
-    cfg = config_factory(rounds=4, clients=4, sample_size=3, seed=17)
+def _shards(cfg):
+    """The train and test shards a run of cfg regenerates on resume."""
+    dataset = cfg.make_dataset()
+    part = partition(dataset, cfg.partition_spec)
+    return [dataset.subset(idx) for idx in part.train], [dataset.subset(idx) for idx in part.test]
+
+
+@pytest.mark.parametrize("method", ["pfedmb", "pfedmb_plain_agg", "fedavg", "local"])
+def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
+    cfg = config_factory(method=method, branches=1 if method == "fedavg" else 2,
+                         rounds=4, clients=4, sample_size=3, seed=17)
     server, clients, _ = fed.run_training(cfg)
 
     # replay: stop at round 2, checkpoint, reload, run the remaining rounds
-    cfg_half = config_factory(rounds=2, clients=4, sample_size=3, seed=17)
-    half_server, half_clients, _ = fed.run_training(cfg_half)
+    half_server, half_clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=2))
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(half_server, half_clients, path)
 
@@ -518,29 +525,43 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory):
     assert doc["round"] == 2
     assert all("alpha_logits" in c and "rng" in c for c in doc["clients"])
 
-    dataset = cfg.make_dataset()
-    from pfedmb.data import partition
-
-    part = partition(dataset, cfg.make_partition_spec())
-    resumed_server, resumed_clients = fed.load_checkpoint(
-        path,
-        [dataset.subset(idx) for idx in part.train],
-        [dataset.subset(idx) for idx in part.test],
-    )
-    opts = fed.RoundOptions(
-        epochs=cfg.local_epochs, lr_alpha=cfg.lr_alpha, lr_w=cfg.lr_w,
-        batch_size=cfg.batch_size, sample_size=3,
-        strategy=fed.AggregationStrategy.ALPHA_WEIGHTED,
-    )
+    resumed_server, resumed_clients = fed.load_checkpoint(path, *_shards(cfg))
     for _ in range(2):
-        fed.run_round(resumed_server, resumed_clients, opts)
+        fed.run_round(resumed_server, resumed_clients, cfg)
 
     assert resumed_server.round == server.round
-    for la, lb in zip(resumed_server.model.layers, server.model.layers):
-        np.testing.assert_array_equal(la.weights, lb.weights)
-        np.testing.assert_array_equal(la.biases, lb.biases)
+    models = [(resumed_server.model, server.model)] + [
+        (a.local_model, b.local_model) for a, b in zip(resumed_clients, clients)
+        if method == "local"
+    ]
+    for got, want in models:
+        for la, lb in zip(got.layers, want.layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.biases, lb.biases)
     for a, b in zip(resumed_clients, clients):
         np.testing.assert_array_equal(a.alpha.logits, b.alpha.logits)
+        assert (a.local_model is None) == (method != "local")
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_checkpoint_write_keeps_the_earlier_file(
+    tmp_path, config_factory, monkeypatch, failing
+):
+    cfg = config_factory(rounds=1)
+    server, clients, _ = fed.run_training(cfg)
+    path = tmp_path / "ckpt.json"
+    fed.save_checkpoint(server, clients, path)
+    earlier = path.read_bytes()
+    fed.run_round(server, clients, cfg)
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch, pytest.raises(OSError, match="disk full"):
+        patch.setattr(os, failing, disk_full)
+        fed.save_checkpoint(server, clients, path)
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def _drop_round(doc):
@@ -553,14 +574,51 @@ def _drop_client_alpha(doc):
     return doc
 
 
+def _put(*keys, value):
+    """A damage that sets doc[k0][k1]... to value."""
+    def damage(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return damage
+
+
+MALFORMED = {
+    "no_round": (_drop_round, "missing key 'round'"),
+    "client_without_alpha_logits": (_drop_client_alpha, "missing key 'alpha_logits'"),
+    "top_level_list": (lambda doc: [1, 2], "top level must be a JSON object"),
+    "schema_1": (_put("schema_version", value=1), "schema_version: unsupported"),
+    "round_str": (_put("round", value="x"), "round: expected an int"),
+    "round_negative": (_put("round", value=-3), "round: expected an int >= 0"),
+    "server_seed_negative": (_put("server_seed", value=-1), "server_seed: expected an int"),
+    "nan_weight": (_put("global_weights", 0, 0, 0, 0, value=float("nan")),
+                   "global_weights[0]: expected a 3-D array of finite numbers"),
+    "ragged_weights": (_put("global_weights", 0, 0, value=[[1.0], [1.0, 2.0]]),
+                       "global_weights[0]: expected a 3-D array"),
+    "bias_shape": (_put("global_biases", 0, value=[[0.0]]),
+                   "global_weights, global_biases: bias shape"),
+    "layer_dims": (_put("architecture", "layer_dims", value=[5, 9, 4]),
+                   "architecture.layer_dims: global_weights hold [5, 8, 4]"),
+    "architecture_null": (_put("architecture", value=None),
+                          "architecture: expected a JSON object"),
+    "clients_null": (_put("clients", value=None), "clients: expected a list"),
+    "client_int": (_put("clients", 0, value=5), "clients[0]: expected a JSON object"),
+    "client_id_moved": (_put("clients", 1, "client_id", value=2),
+                        "clients[1].client_id: expected the entry's position 1"),
+    "alpha_non_numeric": (_put("clients", 1, "alpha_logits", value=[["a", "b"], [0, 0]]),
+                          "clients[1].alpha_logits: expected a 2-D array"),
+    "alpha_shape": (_put("clients", 1, "alpha_logits", value=[[0.0, 0.0]]),
+                    "clients[1].alpha_logits: expected shape (2, 2)"),
+    "rng_str": (_put("clients", 1, "rng", value="x"), "clients[1].rng: expected a JSON object"),
+    "local_model_int": (_put("clients", 1, "local_model", value=3),
+                        "clients[1].local_model: expected a JSON object"),
+}
+
+
 @pytest.mark.parametrize(
-    "damage, located",
-    [
-        (_drop_round, "missing key 'round'"),
-        (_drop_client_alpha, "missing key 'alpha_logits'"),
-        (lambda doc: [1, 2], "top level must be a JSON object"),
-    ],
-    ids=["no_round", "client_without_alpha_logits", "top_level_list"],
+    "damage, located", list(MALFORMED.values()), ids=list(MALFORMED)
 )
 def test_malformed_checkpoint_raises_located_parse_error(
     tmp_path, config_factory, damage, located
@@ -574,3 +632,35 @@ def test_malformed_checkpoint_raises_located_parse_error(
     with pytest.raises(ParseError) as err:
         fed.load_checkpoint(path, shards, tests)
     assert str(path) in str(err.value) and located in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoints(tmp_path_factory):
+    """method -> (checkpoint document, train shards, test shards), and a scratch path."""
+    path = tmp_path_factory.mktemp("checkpoint") / "ckpt.json"
+    saved = {}
+    for method in ("pfedmb", "local"):
+        cfg = make_config(method=method, rounds=1)
+        server, clients, _ = fed.run_training(cfg)
+        fed.save_checkpoint(server, clients, path)
+        saved[method] = (json.loads(path.read_text()), *_shards(cfg))
+    return saved, path
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_value_at_any_checkpoint_key_is_loaded_or_located(saved_checkpoints, data):
+    saved, path = saved_checkpoints
+    doc, shards, tests = saved[data.draw(st.sampled_from(sorted(saved)))]
+    doc = json.loads(json.dumps(doc))
+    target, key = doc, ""
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(doc["clients"]) - 1))
+        target, key = doc["clients"][i], f"clients[{i}]."
+    name = data.draw(st.sampled_from(sorted(target)))
+    target[name] = data.draw(JSON_VALUES)
+    path.write_text(json.dumps(doc))  # non-finite floats become NaN/Infinity
+    try:
+        fed.load_checkpoint(path, shards, tests)
+    except PfedmbError as exc:
+        assert str(path) in str(exc) and key + name in str(exc)
