@@ -95,6 +95,9 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
     if not methods:
         raise ValidationError("methods: give at least one method to compare")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValidationError(f"methods: each method may appear once, repeated {repeated}")
     base_overrides = _overrides(args)
     # one file, one set of overrides: the configs differ only in method (and
     # the single branch fedavg requires), so every run shares data and seeds
@@ -114,8 +117,8 @@ def cmd_compare(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     table = out / "compare.csv"
-    table.write_text(
-        ",".join(methods) + "\n" + ",".join(f"{a:.10g}" for a in accuracies) + "\n"
+    metrics.write_atomic(
+        table, ",".join(methods) + "\n" + ",".join(f"{a:.10g}" for a in accuracies) + "\n"
     )
     print(",".join(methods))
     print(",".join(f"{a:.4f}" for a in accuracies))
@@ -174,7 +177,7 @@ def cmd_partition_stats(args) -> int:
             hist = np.bincount(dataset.labels[idx], minlength=dataset.num_classes)
             for c in range(dataset.num_classes):
                 lines.append(f"{i},{split},{c},{hist[c]}")
-    path.write_text("\n".join(lines) + "\n")
+    metrics.write_atomic(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0
 

@@ -166,7 +166,6 @@ class PartitionSpec:
     scheme: object
     num_clients: int
     seed: int = 0
-    split_ratio: tuple = DEFAULT_SPLIT_RATIO
 
     def __post_init__(self):
         s = self.scheme
@@ -176,11 +175,6 @@ class PartitionSpec:
         else:
             problems["scheme"] = f"scheme: unknown partition scheme {type(s).__name__}"
         valid = problems.keys().isdisjoint
-        if valid({"split_ratio"}) and (
-            len(self.split_ratio) != 3
-            or not all(isinstance(r, (int, float)) and r >= 0 for r in self.split_ratio)
-        ):
-            problems["split_ratio"] = "split_ratio: must be three nonnegative parts"
         if isinstance(s, Dirichlet) and valid({"beta"}) and s.beta <= 0:
             problems["beta"] = f"beta: must be > 0, got {s.beta!r}"
         if isinstance(s, SizeHeterogeneous) and valid({"u_min", "u_max"}):
@@ -297,7 +291,6 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
     """
     _check_class_count(spec, dataset.num_classes)
     per_class = dataset.class_indices()
-    ratio = np.asarray(spec.split_ratio, dtype=np.float64)
 
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         rng = np.random.default_rng((spec.seed, attempt))
@@ -312,7 +305,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
         ]  # train/val/test -> client -> chunks
         for c in range(dataset.num_classes):
             shuffled = rng.permutation(per_class[c])
-            counts = apportion(len(shuffled), ratio)
+            counts = apportion(len(shuffled), DEFAULT_SPLIT_RATIO)
             start = 0
             for s, count in enumerate(counts):
                 pool = shuffled[start : start + count]

@@ -20,9 +20,7 @@ clients on any number of threads with bit-identical results.
 from __future__ import annotations
 
 import json
-import os
 import reprlib
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -142,37 +140,28 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def client_local_learning(
-    client: ClientState,
-    global_model: nn.Network,
-    round_index: int,
-    epochs: int,
-    lr_alpha: float,
-    lr_w: float,
-    batch_size: int,
+    client: ClientState, global_model: nn.Network, round_index: int, config
 ) -> ClientUpdate:
     """Two-phase local update; persists the client's new mixing logits.
 
-    Phase 1 runs E epochs of mini-batch SGD on the mixing logits with the
-    received branches held fixed; phase 2 holds the new mixing fixed and runs
-    E epochs on all branch weights and biases.  Each phase shuffles with its
-    own stream so the batch order of one phase never depends on the other.
+    Phase 1 runs config.local_epochs epochs of mini-batch SGD on the mixing
+    logits with the received branches held fixed; phase 2 holds the new mixing
+    fixed and runs as many epochs on all branch weights and biases.  Each phase
+    shuffles with its own stream so the batch order of one phase never depends
+    on the other.
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    if client.num_samples < 1:
-        raise UsageError(f"client {client.client_id} has an empty shard")
     x, y = client.shard.features, client.shard.labels
     n = client.num_samples
 
     # nn never mutates its inputs, and every phase takes at least one step
     alpha, model = client.alpha, global_model
     for name, phase, wrt, lr in (
-        ("mixing", ALPHA_PHASE, nn.WRT_ALPHA, lr_alpha),
-        ("weight", WEIGHT_PHASE, nn.WRT_W, lr_w),
+        ("mixing", ALPHA_PHASE, nn.WRT_ALPHA, config.lr_alpha),
+        ("weight", WEIGHT_PHASE, nn.WRT_W, config.lr_w),
     ):
         rng = _rng(client.rng_seed, CLIENT_STREAM, client.client_id, round_index, phase)
-        for epoch in range(epochs):
-            for idx in _epoch_batches(n, batch_size, rng):
+        for epoch in range(config.local_epochs):
+            for idx in _epoch_batches(n, config.batch_size, rng):
                 try:
                     _, grads = nn.loss_and_grads(model, alpha, (x[idx], y[idx]), wrt=wrt)
                 except NumericError as exc:
@@ -262,10 +251,7 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
 
     def work(cid):
         client = clients[cid]
-        update = client_local_learning(
-            client, client.current_model(server), t,
-            config.local_epochs, config.lr_alpha, config.lr_w, config.batch_size,
-        )
+        update = client_local_learning(client, client.current_model(server), t, config)
         shard = client.shard
         return update, nn.batch_loss(update.model, client.alpha, shard.features, shard.labels)
 
@@ -328,24 +314,13 @@ def run_training(config):
     return server, clients, reports
 
 
-def fine_tune(
-    client: ClientState,
-    global_model: nn.Network,
-    epochs: int,
-    lr_alpha: float,
-    lr_w: float,
-    batch_size: int,
-    round_index: int,
-):
+def fine_tune(client: ClientState, global_model: nn.Network, config) -> nn.Network:
     """Post-training local adaptation; the result never reaches the server.
 
-    Runs one more two-phase local pass on the client's own data and returns
-    (personalized network, mixing logits).
+    One more two-phase local pass on the client's own data, keyed as round
+    config.rounds; returns the personalized network.
     """
-    update = client_local_learning(
-        client, global_model, round_index, epochs, lr_alpha, lr_w, batch_size
-    )
-    return update.model, client.alpha.copy()
+    return client_local_learning(client, global_model, config.rounds, config).model
 
 
 def run_experiment(config):
@@ -354,19 +329,9 @@ def run_experiment(config):
     Returns (ExperimentResult, server, clients, personalized models).
     """
     server, clients, reports = run_training(config)
-
-    personalized = []
-    accuracies = []
+    personalized, accuracies = [], []
     for client in clients:
-        model, _ = fine_tune(
-            client,
-            client.current_model(server),
-            config.local_epochs,
-            config.lr_alpha,
-            config.lr_w,
-            config.batch_size,
-            round_index=config.rounds,
-        )
+        model = fine_tune(client, client.current_model(server), config)
         personalized.append(model)
         accuracies.append(metrics.evaluate_client(model, client.alpha, client.test_shard))
 
@@ -426,17 +391,7 @@ def save_checkpoint(server: ServerState, clients: list, path) -> None:
             for c in clients
         ],
     }
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(json.dumps(doc, sort_keys=True) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    metrics.write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path, train_shards: list, test_shards: list):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .data import LabeledDataset
-from .errors import UsageError
+from .errors import ConfigurationError, UsageError
 
 SCHEMA_VERSION = 1
 MEAN_CONVENTION = "unweighted over clients"
@@ -31,23 +33,42 @@ def _round10(x: float) -> float:
     return float(_fmt(x))
 
 
+def write_atomic(path, text: str) -> None:
+    """Write text to path all at once or not at all.
+
+    The text goes to a temporary file beside path, is fsynced, and is renamed
+    over path; if anything fails the temporary file is removed and whatever
+    was at path before stays as it was.  The file gets the permissions a
+    plain open() would give it (0o666 less the umask).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def config_fingerprint(config_dict: dict) -> str:
     """Hash of the canonical (sorted-keys) JSON form of a config."""
     canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def evaluate_client(net: nn.Network, alpha: nn.AlphaParams, shard) -> float:
+def evaluate_client(net: nn.Network, alpha: nn.AlphaParams, shard: LabeledDataset) -> float:
     """Fraction of argmax-correct predictions of (net combined with alpha)."""
-    if isinstance(shard, LabeledDataset):
-        x, y = shard.features, shard.labels
-    else:
-        x, y = shard
-        x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
-    if x.shape[0] == 0:
-        raise UsageError("cannot evaluate on an empty shard")
-    logits, _ = nn.forward(net, alpha, x)
-    return float((logits.argmax(axis=1) == y).mean())
+    if shard.num_classes != net.num_classes:
+        raise ConfigurationError(
+            f"shard has {shard.num_classes} classes, network outputs {net.num_classes}"
+        )
+    logits, _ = nn.forward(net, alpha, shard.features)
+    return float((logits.argmax(axis=1) == shard.labels).mean())
 
 
 def mean_accuracy(per_client) -> float:
@@ -111,7 +132,11 @@ class ExperimentResult:
 
 
 def emit_results(result: ExperimentResult, output_dir) -> list:
-    """Write rounds.csv, final.json, and alpha_trajectory.csv; returns the paths."""
+    """Write rounds.csv, alpha_trajectory.csv, then final.json; returns the paths.
+
+    Each file is written atomically and final.json comes last, so a directory
+    holding a new final.json holds the other two files of the same result.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -121,7 +146,7 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
         zip(result.per_round_mean_test_accuracy, result.per_round_mean_train_loss)
     ):
         lines.append(f"{t},{result.method},{_fmt(acc)},{_fmt(loss)}")
-    rounds_path.write_text("\n".join(lines) + "\n")
+    write_atomic(rounds_path, "\n".join(lines) + "\n")
 
     traj_path = out / "alpha_trajectory.csv"
     lines = ["round,client,layer,branch,alpha"]
@@ -131,7 +156,7 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
             for l in range(arr.shape[1]):
                 for b in range(arr.shape[2]):
                     lines.append(f"{t},{i},{l},{b},{_fmt(arr[i, l, b])}")
-    traj_path.write_text("\n".join(lines) + "\n")
+    write_atomic(traj_path, "\n".join(lines) + "\n")
 
     final_path = out / "final.json"
     doc = {
@@ -155,5 +180,5 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
             for a in result.final_alpha
         ],
     }
-    final_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_atomic(final_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return [rounds_path, final_path, traj_path]

@@ -160,6 +160,16 @@ def test_compare_all_methods_and_determinism(smoke_config, tmp_path):
     assert len(row.split(",")) == 4
 
 
+def test_compare_rejects_a_repeated_method(smoke_config, tmp_path, capsys):
+    path, _ = smoke_config
+    out = tmp_path / "dup"
+    assert main(["compare", "--config", str(path), "--methods", "pfedmb,fedavg,pfedmb",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: methods: " in err and "pfedmb" in err
+    assert not out.exists()
+
+
 def test_partition_stats_histograms(smoke_config, tmp_path):
     path, raw = smoke_config
     out = tmp_path / "stats"

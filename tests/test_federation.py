@@ -63,8 +63,8 @@ def test_zero_learning_rates_are_a_no_op():
     client = tiny_client()
     model = nn.init_network([2, 2], 2, seed=1)
     before_alpha = client.alpha.logits.copy()
-    update = fed.client_local_learning(client, model, 0, epochs=3,
-                                       lr_alpha=0.0, lr_w=0.0, batch_size=4)
+    cfg = make_config(local_epochs=3, lr_alpha=0.0, lr_w=0.0, batch_size=4)
+    update = fed.client_local_learning(client, model, 0, cfg)
     for got, want in zip(update.model.layers, model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.biases, want.biases)
@@ -76,7 +76,8 @@ def test_single_branch_matches_plain_local_sgd_bitwise():
     client = tiny_client(seed=5, n=10, in_dim=3, classes=3, branches=1)
     model = nn.init_network([3, 3], 1, seed=2)
     epochs, lr_w, batch_size = 2, 0.2, 4
-    update = fed.client_local_learning(client, model, 1, epochs, 0.7, lr_w, batch_size)
+    cfg = make_config(local_epochs=epochs, lr_alpha=0.7, lr_w=lr_w, batch_size=batch_size)
+    update = fed.client_local_learning(client, model, 1, cfg)
 
     # plain SGD over the same batch order, written against bare numpy
     w = model.layers[0].weights[0].copy()
@@ -116,8 +117,8 @@ def test_two_phase_single_step_matches_hand_oracle():
     client.shard = LabeledDataset(x, y, 2)
     client.alpha = nn.AlphaParams(np.array([[0.4, -0.1]]), 1)
     model = nn.Network([nn.MultiBranchDense(w.copy(), bias.copy())])
-    update = fed.client_local_learning(client, model, 0, epochs=1,
-                                       lr_alpha=lr_a, lr_w=lr_w, batch_size=8)
+    cfg = make_config(local_epochs=1, lr_alpha=lr_a, lr_w=lr_w, batch_size=8)
+    update = fed.client_local_learning(client, model, 0, cfg)
 
     def ce_dz(weights, biases, mix):
         wc = mix[0] * weights[0] + mix[1] * weights[1]
@@ -158,7 +159,8 @@ def test_local_learning_persists_alpha_and_copies_model():
     client.alpha = nn.uniform_alpha(1, 3)
     model = nn.init_network([2, 2], 3, seed=4)
     w_before = model.layers[0].weights.copy()
-    update = fed.client_local_learning(client, model, 0, 2, 0.5, 0.1, 4)
+    cfg = make_config(local_epochs=2, lr_alpha=0.5, lr_w=0.1, batch_size=4)
+    update = fed.client_local_learning(client, model, 0, cfg)
     np.testing.assert_array_equal(model.layers[0].weights, w_before)
     assert np.any(client.alpha.logits != 0.0)
     np.testing.assert_array_equal(update.alpha_values, client.alpha.values())
@@ -290,10 +292,7 @@ def test_single_client_round_equals_local_training(config_factory):
     assert server.round == 1 and len(reports) == 1
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
-    update = fed.client_local_learning(
-        fresh_clients[0], fresh_server.model, 0,
-        cfg.local_epochs, cfg.lr_alpha, cfg.lr_w, cfg.batch_size,
-    )
+    update = fed.client_local_learning(fresh_clients[0], fresh_server.model, 0, cfg)
     for got, want in zip(server.model.layers, update.model.layers):
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-14)
         np.testing.assert_allclose(got.biases, want.biases, rtol=1e-14)
@@ -428,10 +427,7 @@ def test_local_only_clients_are_isolated(config_factory):
         models = [server.model.copy() for _ in clients]
         for t in range(cfg.rounds):
             for i, client in enumerate(clients):
-                update = fed.client_local_learning(
-                    client, models[i], t, cfg.local_epochs,
-                    cfg.lr_alpha, cfg.lr_w, cfg.batch_size,
-                )
+                update = fed.client_local_learning(client, models[i], t, cfg)
                 models[i] = update.model
         return models
 
@@ -461,10 +457,7 @@ def test_zero_rounds_plus_fine_tune_is_pure_local_training(config_factory):
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
     for i, fresh in enumerate(fresh_clients):
-        update = fed.client_local_learning(
-            fresh, fresh_server.model, 0, cfg.local_epochs,
-            cfg.lr_alpha, cfg.lr_w, cfg.batch_size,
-        )
+        update = fed.client_local_learning(fresh, fresh_server.model, 0, cfg)
         for got, want in zip(personalized[i].layers, update.model.layers):
             np.testing.assert_array_equal(got.weights, want.weights)
             np.testing.assert_array_equal(got.biases, want.biases)
@@ -474,11 +467,11 @@ def test_fine_tune_zero_rates_is_identity(config_factory):
     cfg = config_factory(rounds=1)
     server, clients, _ = fed.run_training(cfg)
     before = clients[0].alpha.logits.copy()
-    model, alpha = fed.fine_tune(clients[0], server.model, 2, 0.0, 0.0,
-                                 cfg.batch_size, round_index=cfg.rounds)
+    model = fed.fine_tune(clients[0], server.model,
+                          dataclasses.replace(cfg, local_epochs=2, lr_alpha=0.0, lr_w=0.0))
     for got, want in zip(model.layers, server.model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
-    np.testing.assert_array_equal(alpha.logits, before)
+    np.testing.assert_array_equal(clients[0].alpha.logits, before)
 
 
 def test_fine_tune_improves_train_accuracy_on_separable_shard():
@@ -493,7 +486,8 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
     from pfedmb.metrics import evaluate_client
 
     before = evaluate_client(model, client.alpha, shard)
-    tuned, _ = fed.fine_tune(client, model, 5, 0.1, 0.1, 16, round_index=0)
+    cfg = make_config(rounds=0, local_epochs=5, lr_alpha=0.1, lr_w=0.1, batch_size=16)
+    tuned = fed.fine_tune(client, model, cfg)
     after = evaluate_client(tuned, client.alpha, shard)
     assert after >= before
     assert after == 1.0

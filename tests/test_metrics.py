@@ -1,13 +1,14 @@
 """Accuracy evaluation, mixing-weight similarity, and result-file emission."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from pfedmb import nn
 from pfedmb.data import LabeledDataset
-from pfedmb.errors import UsageError
+from pfedmb.errors import ConfigurationError, UsageError
 from pfedmb.metrics import (
     ExperimentResult,
     alpha_similarity,
@@ -37,7 +38,7 @@ def test_perfect_model_scores_one():
     y = np.array([0, 1] * 5)
     w = np.array([[[-5.0, 0.0], [5.0, 0.0]]])  # sign of x0 decides the class
     net = nn.Network([nn.MultiBranchDense(w, np.zeros((1, 2)))])
-    assert evaluate_client(net, nn.uniform_alpha(1, 1), (x, y)) == 1.0
+    assert evaluate_client(net, nn.uniform_alpha(1, 1), LabeledDataset(x, y, 2)) == 1.0
 
 
 def test_accuracy_matches_per_sample_hand_count():
@@ -57,9 +58,15 @@ def test_accuracy_matches_per_sample_hand_count():
 
 
 def test_evaluate_rejects_empty_shard():
-    with pytest.raises(UsageError):
-        evaluate_client(constant_net(3, 0), nn.uniform_alpha(1, 1),
-                        (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+    """evaluate_client takes a LabeledDataset, and an empty one cannot be built."""
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)
+
+
+def test_evaluate_rejects_a_shard_with_another_class_count():
+    shard = LabeledDataset(np.zeros((2, 2)), [7, 7], num_classes=8)
+    with pytest.raises(ConfigurationError, match="8 classes, network outputs 3"):
+        evaluate_client(constant_net(3, 0), nn.uniform_alpha(1, 1), shard)
 
 
 def test_mean_accuracy():
@@ -174,6 +181,32 @@ def test_final_json_reports_means_consistently(tmp_path):
     assert doc["final_per_client_test_accuracy"] == [0.625, 0.875]
     assert doc["config_fingerprint"] == "abc123"
     assert doc["mean_convention"] == "unweighted over clients"
+
+
+def test_failed_emission_keeps_the_earlier_final_json(tmp_path, monkeypatch):
+    emit_results(sample_result(rounds=1), tmp_path)
+    earlier = (tmp_path / "final.json").read_bytes()
+    replace = os.replace
+
+    def fail_on_final(src, dst):
+        if os.path.basename(dst) == "final.json":
+            raise OSError("disk full")
+        replace(src, dst)
+
+    with monkeypatch.context() as patch, pytest.raises(OSError, match="disk full"):
+        patch.setattr(os, "replace", fail_on_final)
+        emit_results(sample_result(rounds=3), tmp_path)
+    assert (tmp_path / "final.json").read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alpha_trajectory.csv", "final.json", "rounds.csv"
+    ]
+
+
+def test_emitted_files_get_the_permissions_of_a_plain_write(tmp_path):
+    (tmp_path / "plain.txt").write_text("x")
+    emit_results(sample_result(rounds=1), tmp_path)
+    modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+    assert set(modes.values()) == {modes["plain.txt"]}
 
 
 def test_fingerprint_depends_on_content_not_key_order():
