@@ -11,7 +11,6 @@ repeated calls with the same spec are bit-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,16 +203,6 @@ class Partition:
     @property
     def num_clients(self) -> int:
         return len(self.train)
-
-    def to_manifest(self) -> dict:
-        return {
-            split: [getattr(self, split)[i].tolist() for i in range(self.num_clients)]
-            for split in ("train", "val", "test")
-        }
-
-
-def write_partition_manifest(partition: Partition, path) -> None:
-    Path(path).write_text(json.dumps(partition.to_manifest(), sort_keys=True) + "\n")
 
 
 def apportion(total: int, weights) -> np.ndarray:

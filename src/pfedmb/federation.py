@@ -44,7 +44,7 @@ WEIGHT_PHASE = 1
 FEDAVG = "fedavg"
 LOCAL_ONLY = "local"
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class AggregationStrategy(Enum):
@@ -67,13 +67,12 @@ def _rng(*key) -> np.random.Generator:
 
 @dataclass
 class ClientState:
-    """One client: its shards, persistent mixing logits, and RNG seed."""
+    """One client: its shards and persistent mixing logits."""
 
     client_id: int
     shard: LabeledDataset            # local training data D_i
     test_shard: LabeledDataset
     alpha: nn.AlphaParams            # persists across rounds
-    rng_seed: int
     local_model: nn.Network = None   # only the no-communication baseline uses this
 
     @property
@@ -91,7 +90,6 @@ class ServerState:
 
     model: nn.Network
     round: int = 0
-    rng_seed: int = 0
 
 
 @dataclass
@@ -159,7 +157,7 @@ def client_local_learning(
         ("mixing", ALPHA_PHASE, nn.WRT_ALPHA, config.lr_alpha),
         ("weight", WEIGHT_PHASE, nn.WRT_W, config.lr_w),
     ):
-        rng = _rng(client.rng_seed, CLIENT_STREAM, client.client_id, round_index, phase)
+        rng = _rng(config.seed, CLIENT_STREAM, client.client_id, round_index, phase)
         for epoch in range(config.local_epochs):
             for idx in _epoch_batches(n, config.batch_size, rng):
                 try:
@@ -247,7 +245,7 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
     if strategy is None:
         sampled = list(range(len(clients)))
     else:
-        sampled = sample_clients(server.rng_seed, len(clients), config.sample_size, t)
+        sampled = sample_clients(config.seed, len(clients), config.sample_size, t)
 
     def work(cid):
         client = clients[cid]
@@ -286,14 +284,13 @@ def setup_experiment(config):
     part = partition(dataset, config.partition_spec)
     dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
     model = nn.init_network(dims, config.branches, seed=[config.seed, INIT_STREAM])
-    server = ServerState(model=model, round=0, rng_seed=config.seed)
+    server = ServerState(model=model)
     clients = [
         ClientState(
             client_id=i,
             shard=dataset.subset(part.train[i]),
             test_shard=dataset.subset(part.test[i]),
             alpha=nn.uniform_alpha(len(dims) - 1, config.branches, config.shared_alpha),
-            rng_seed=config.seed,
         )
         for i in range(config.clients)
     ]
@@ -358,34 +355,30 @@ def _model_doc(model: nn.Network) -> dict:
     }
 
 
-def save_checkpoint(server: ServerState, clients: list, path) -> None:
-    """Single JSON document from which a run of any method resumes bit-exactly.
+def _fingerprint(config) -> str:
+    return metrics.config_fingerprint(config.semantic_dict())
 
-    Shards are not stored; they rebuild deterministically from the experiment
-    config.  Full float precision is kept via repr round-tripping.  The file is
-    written beside path and renamed over it, so a write that fails leaves any
-    earlier checkpoint at path as it was.
+
+def save_checkpoint(server: ServerState, clients: list, config, path) -> None:
+    """Single JSON document from which a run of config resumes bit-exactly.
+
+    It holds only what the config cannot rebuild: the round, the global
+    branches, and per client the mixing logits and, under `local`, the client's
+    own branches.  Shards, shapes and RNG keys regenerate from the config,
+    which the document names by its fingerprint.  Full float precision is kept
+    via repr round-tripping.  The file is written beside path and renamed over
+    it, so a write that fails leaves any earlier checkpoint at path as it was.
     """
-    first = clients[0]
     global_model = _model_doc(server.model)
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "architecture": {
-            "layer_dims": [server.model.in_dim]
-            + [layer.out_dim for layer in server.model.layers],
-            "num_branches": server.model.num_branches,
-            "shared_alpha": first.alpha.shared,
-        },
+        "config_fingerprint": _fingerprint(config),
         "round": server.round,
-        "server_seed": server.rng_seed,
         "global_weights": global_model["weights"],
         "global_biases": global_model["biases"],
         "clients": [
             {
-                "client_id": c.client_id,
-                "num_samples": c.num_samples,
                 "alpha_logits": c.alpha.logits.tolist(),
-                "rng": {"seed": c.rng_seed, "next_round": server.round},
                 "local_model": None if c.local_model is None else _model_doc(c.local_model),
             }
             for c in clients
@@ -394,21 +387,25 @@ def save_checkpoint(server: ServerState, clients: list, path) -> None:
     metrics.write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_checkpoint(path, train_shards: list, test_shards: list):
-    """Rebuild (server, clients) from a checkpoint plus regenerated shards.
+def load_checkpoint(path, config):
+    """Rebuild the (server, clients) of a run of config from its checkpoint.
 
-    Every value is checked before it is used: a malformed document raises
-    ParseError naming the path and the dotted key (clients[1].alpha_logits),
-    and shards that do not fit it raise ConfigurationError naming the path.
+    setup_experiment(config) builds the fresh state; the file then overwrites
+    the round, the global branches, and each client's logits and own branches.
+    Every value is checked before it is used: a file written under another
+    config, or a malformed or misshapen value, raises ParseError naming the
+    path and the dotted key (clients[1].alpha_logits).
     """
+    server, clients = setup_experiment(config)
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     try:
-        return _restore_states(doc, train_shards, test_shards)
+        _restore_states(doc, config, server, clients)
     except PfedmbError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    return server, clients
 
 
 class _Node:
@@ -438,38 +435,35 @@ class _Node:
             raise self.error("expected an int >= 0")
         return self.value
 
-    def array(self, ndim: int) -> np.ndarray:
-        """Nested lists of finite numbers, ndim deep, as a float64 array."""
+    def array(self, shape: tuple) -> np.ndarray:
+        """Nested lists of finite numbers in the given shape, as a float64 array."""
         try:
             cells = np.array(self.value, dtype=object)
-            if cells.ndim == ndim and all(type(v) in (int, float) for v in cells.flat):
+            if cells.ndim == len(shape) and all(type(v) in (int, float) for v in cells.flat):
                 values = cells.astype(np.float64)
                 if np.isfinite(values).all():
+                    if values.shape != shape:
+                        raise self.error(f"expected shape {shape}")
                     return values
         except (ValueError, OverflowError):
             pass
-        raise self.error(f"expected a {ndim}-D array of finite numbers")
+        raise self.error(f"expected a {len(shape)}-D array of finite numbers")
 
 
-def _read_network(weights: _Node, biases: _Node) -> nn.Network:
+def _read_network(weights: _Node, biases: _Node, like: nn.Network) -> nn.Network:
+    """The branches stored under weights and biases, in the shapes of like."""
     w_layers, b_layers = weights.items(), biases.items()
-    if not w_layers:
-        raise weights.error("expected at least one layer")
-    if len(b_layers) != len(w_layers):
-        raise biases.error(f"expected one entry per layer of {weights.key}")
-    try:
-        return nn.Network([
-            nn.MultiBranchDense(w.array(3), b.array(2)) for w, b in zip(w_layers, b_layers)
-        ])
-    except ConfigurationError as exc:  # shapes that do not fit together
-        raise ParseError(f"{weights.key}, {biases.key}: {exc}") from None
+    for node, found in ((weights, w_layers), (biases, b_layers)):
+        if len(found) != like.num_layers:
+            raise node.error(f"expected {like.num_layers} layers")
+    return nn.Network([
+        nn.MultiBranchDense(w.array(layer.weights.shape), b.array(layer.biases.shape))
+        for w, b, layer in zip(w_layers, b_layers, like.layers)
+    ])
 
 
-def _shapes(model: nn.Network) -> list:
-    return [(layer.weights.shape, layer.biases.shape) for layer in model.layers]
-
-
-def _restore_states(doc, train_shards: list, test_shards: list):
+def _restore_states(doc, config, server: ServerState, clients: list) -> None:
+    """Overwrite the fresh state of config with what the document holds."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
@@ -477,52 +471,29 @@ def _restore_states(doc, train_shards: list, test_shards: list):
             f"unsupported checkpoint schema, expected {CHECKPOINT_SCHEMA_VERSION}"
         )
     root = _Node(doc, "")
-    model = _read_network(root["global_weights"], root["global_biases"])
-    arch = root["architecture"]
-    dims = [model.in_dim] + [layer.out_dim for layer in model.layers]
-    for name, held in (("layer_dims", dims), ("num_branches", model.num_branches)):
-        if arch[name].value != held:
-            raise arch[name].error(f"global_weights hold {held}")
-    shared = arch["shared_alpha"]
-    if not isinstance(shared.value, bool):
-        raise shared.error("expected a bool")
-    round_index = root["round"].int()
-    server = ServerState(model=model, round=round_index, rng_seed=root["server_seed"].int())
+    stored, fingerprint = root["config_fingerprint"].value, _fingerprint(config)
+    if stored != fingerprint:
+        raise ParseError(
+            f"config_fingerprint: written under config {stored!r}, "
+            f"not under this config {fingerprint!r}"
+        )
+    server.round = root["round"].int()
+    if server.round > config.rounds:
+        raise root["round"].error(f"expected at most the config's {config.rounds} rounds")
+    server.model = _read_network(root["global_weights"], root["global_biases"], server.model)
 
     entries = root["clients"].items()
-    if len(train_shards) != len(entries) or len(test_shards) != len(entries):
-        raise ConfigurationError(
-            f"clients: checkpoint stores {len(entries)} clients, got {len(train_shards)} shards"
+    if len(entries) != len(clients):
+        raise root["clients"].error(f"expected the config's {len(clients)} clients")
+    local_only = STRATEGY_FOR_METHOD[config.method] is None
+    for entry, client in zip(entries, clients):
+        shape = client.alpha.logits.shape
+        client.alpha = nn.AlphaParams(
+            entry["alpha_logits"].array(shape), client.alpha.num_layers, client.alpha.shared
         )
-    alpha_shape = (1 if shared.value else model.num_layers, model.num_branches)
-    clients = []
-    for i, (entry, shard, test_shard) in enumerate(zip(entries, train_shards, test_shards)):
-        if entry["client_id"].int() != i:
-            raise entry["client_id"].error(f"expected the entry's position {i}")
-        if entry["num_samples"].int() != len(shard):
-            raise ConfigurationError(
-                f"{entry['num_samples'].key}: the shard has {len(shard)} samples, "
-                f"checkpoint recorded {entry['num_samples'].value}"
-            )
-        logits = entry["alpha_logits"].array(2)
-        if logits.shape != alpha_shape:
-            raise entry["alpha_logits"].error(f"expected shape {alpha_shape}")
-        rng = entry["rng"]
-        if rng["next_round"].int() != round_index:
-            raise rng["next_round"].error(f"expected round {round_index}")
-        local, local_model = entry["local_model"], None
+        local = entry["local_model"]
         if local.value is not None:
-            local_model = _read_network(local["weights"], local["biases"])
-            if _shapes(local_model) != _shapes(model):
-                raise local.error("expected the shapes of the global model")
-        clients.append(
-            ClientState(
-                client_id=i,
-                shard=shard,
-                test_shard=test_shard,
-                alpha=nn.AlphaParams(logits, num_layers=model.num_layers, shared=shared.value),
-                rng_seed=rng["seed"].int(),
-                local_model=local_model,
-            )
-        )
-    return server, clients
+            client.local_model = _read_network(local["weights"], local["biases"], server.model)
+        if (client.local_model is None) == local_only:
+            expected = "its own branches" if local_only else "null"
+            raise local.error(f"expected {expected} under method {config.method!r}")

@@ -253,15 +253,17 @@ def forward(net: Network, alpha: AlphaParams, x) -> tuple:
     avals = alpha.values()
     inputs, preacts, ws = [], [], []
     act = x
-    for l, layer in enumerate(net.layers):
-        w, b = combine_branches(layer, avals[l])
-        z = act @ w.T + b
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite activations in layer {l}")
-        inputs.append(act)
-        preacts.append(z)
-        ws.append(w)
-        act = np.maximum(z, 0.0) if l < net.num_layers - 1 else z
+    # overflow is reported by the finiteness check, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, layer in enumerate(net.layers):
+            w, b = combine_branches(layer, avals[l])
+            z = act @ w.T + b
+            if not np.isfinite(z).all():
+                raise NumericError(f"non-finite activations in layer {l}")
+            inputs.append(act)
+            preacts.append(z)
+            ws.append(w)
+            act = np.maximum(z, 0.0) if l < net.num_layers - 1 else z
     return act, ForwardCache(inputs, preacts, ws, avals)
 
 
@@ -308,46 +310,48 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
         raise UsageError(f"wrt must be one of 'w', 'alpha', 'both'; got {wrt!r}")
     x, labels = _validate_batch(net, batch)
     logits, cache = forward(net, alpha, x)
-    n = x.shape[0]
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
-    if not math.isfinite(loss):
-        raise NumericError("non-finite loss")
+    # non-finite gradients surface as non-finite activations on the next forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = x.shape[0]
+        logp = _log_softmax(logits)
+        loss = float(-logp[np.arange(n), labels].mean())
+        if not math.isfinite(loss):
+            raise NumericError("non-finite loss")
 
-    want_w = wrt in (WRT_W, WRT_BOTH)
-    want_alpha = wrt in (WRT_ALPHA, WRT_BOTH)
-    d_weights = [np.zeros_like(layer.weights) for layer in net.layers]
-    d_biases = [np.zeros_like(layer.biases) for layer in net.layers]
-    d_alpha_values = np.zeros((net.num_layers, net.num_branches))
+        want_w = wrt in (WRT_W, WRT_BOTH)
+        want_alpha = wrt in (WRT_ALPHA, WRT_BOTH)
+        d_weights = [np.zeros_like(layer.weights) for layer in net.layers]
+        d_biases = [np.zeros_like(layer.biases) for layer in net.layers]
+        d_alpha_values = np.zeros((net.num_layers, net.num_branches))
 
-    # dL/dz at the output: (softmax - onehot) / n
-    dz = np.exp(logp)
-    dz[np.arange(n), labels] -= 1.0
-    dz /= n
+        # dL/dz at the output: (softmax - onehot) / n
+        dz = np.exp(logp)
+        dz[np.arange(n), labels] -= 1.0
+        dz /= n
 
-    avals = cache.alpha_values
-    for l in reversed(range(net.num_layers)):
-        layer = net.layers[l]
-        dw_combined = dz.T @ cache.inputs[l]
-        db_combined = dz.sum(axis=0)
-        if want_w:
-            # z depends on branch b only through alpha_b * (W_b, b_b)
-            d_weights[l] = avals[l][:, None, None] * dw_combined[None, :, :]
-            d_biases[l] = avals[l][:, None] * db_combined[None, :]
+        avals = cache.alpha_values
+        for l in reversed(range(net.num_layers)):
+            layer = net.layers[l]
+            dw_combined = dz.T @ cache.inputs[l]
+            db_combined = dz.sum(axis=0)
+            if want_w:
+                # z depends on branch b only through alpha_b * (W_b, b_b)
+                d_weights[l] = avals[l][:, None, None] * dw_combined[None, :, :]
+                d_biases[l] = avals[l][:, None] * db_combined[None, :]
+            if want_alpha:
+                # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
+                d_alpha_values[l] = (
+                    np.einsum("oi,boi->b", dw_combined, layer.weights)
+                    + layer.biases @ db_combined
+                )
+            if l > 0:
+                da = dz @ cache.combined_weights[l]
+                dz = da * (cache.preacts[l - 1] > 0.0)
+
         if want_alpha:
-            # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
-            d_alpha_values[l] = (
-                np.einsum("oi,boi->b", dw_combined, layer.weights)
-                + layer.biases @ db_combined
-            )
-        if l > 0:
-            da = dz @ cache.combined_weights[l]
-            dz = da * (cache.preacts[l - 1] > 0.0)
-
-    if want_alpha:
-        d_alpha_logits = _alpha_values_grad_to_logits(alpha, d_alpha_values)
-    else:
-        d_alpha_logits = np.zeros_like(alpha.logits)
+            d_alpha_logits = _alpha_values_grad_to_logits(alpha, d_alpha_values)
+        else:
+            d_alpha_logits = np.zeros_like(alpha.logits)
     return loss, GradientBundle(d_weights, d_biases, d_alpha_logits)
 
 

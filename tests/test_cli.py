@@ -1,6 +1,10 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +183,32 @@ def test_partition_stats_histograms(smoke_config, tmp_path):
     # Dirichlet assigns every sample: totals match the dataset size
     total = sum(int(line.split(",")[3]) for line in lines[1:])
     assert total == 3 * 30
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lr_w", [1e30, 1e300])
+def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, threads):
+    """A diverging run exits 2 with one located error line, no numpy warning.
+
+    Runs in a subprocess, so stderr is what a user sees: nothing between the
+    program and the terminal records or filters warnings.
+    """
+    _, raw = smoke_config
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(dict(raw, lr_w=lr_w)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(path),
+         "--threads", str(threads)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: client "), done.stderr
+    assert "non-finite activations" in lines[0]
+    assert not (tmp_path / "out" / "final.json").exists()
 
 
 def test_output_dir_env_default(smoke_config, tmp_path, monkeypatch):

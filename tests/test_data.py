@@ -274,22 +274,6 @@ def test_conservation_over_randomized_specs():
             assert assigned == len(ds)
 
 
-def test_manifest_round_trip(tmp_path):
-    import json
-
-    from pfedmb.data import write_partition_manifest
-
-    ds = small_task()
-    p = partition(ds, PartitionSpec(RandomKClasses(k=2), num_clients=3, seed=4))
-    man = p.to_manifest()
-    assert set(man) == {"train", "val", "test"}
-    assert [sorted(x) for x in man["train"]] == [sorted(t.tolist()) for t in p.train]
-
-    path = tmp_path / "manifest.json"
-    write_partition_manifest(p, path)
-    assert json.loads(path.read_text()) == man
-
-
 # ------------------------------------------------------------------------- CSV
 
 def test_csv_shape_and_round_trip(tmp_path):

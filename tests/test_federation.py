@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import make_config
 from pfedmb import federation as fed
-from pfedmb import nn
-from pfedmb.data import LabeledDataset, partition
+from pfedmb import metrics, nn
+from pfedmb.data import LabeledDataset
 from pfedmb.errors import ConfigurationError, ParseError, PfedmbError, UsageError
 from test_config import JSON_VALUES
 
@@ -31,7 +31,7 @@ def tiny_client(seed=3, n=6, in_dim=2, classes=2, branches=2, client_id=0):
         rng.normal(size=(4, in_dim)), rng.integers(0, classes, size=4), classes
     )
     alpha = nn.uniform_alpha(1, branches)
-    return fed.ClientState(client_id, shard, test, alpha, rng_seed=seed)
+    return fed.ClientState(client_id, shard, test, alpha)
 
 
 # -------------------------------------------------------------------- sampling
@@ -63,7 +63,7 @@ def test_zero_learning_rates_are_a_no_op():
     client = tiny_client()
     model = nn.init_network([2, 2], 2, seed=1)
     before_alpha = client.alpha.logits.copy()
-    cfg = make_config(local_epochs=3, lr_alpha=0.0, lr_w=0.0, batch_size=4)
+    cfg = make_config(local_epochs=3, lr_alpha=0.0, lr_w=0.0, batch_size=4, seed=3)
     update = fed.client_local_learning(client, model, 0, cfg)
     for got, want in zip(update.model.layers, model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
@@ -76,7 +76,8 @@ def test_single_branch_matches_plain_local_sgd_bitwise():
     client = tiny_client(seed=5, n=10, in_dim=3, classes=3, branches=1)
     model = nn.init_network([3, 3], 1, seed=2)
     epochs, lr_w, batch_size = 2, 0.2, 4
-    cfg = make_config(local_epochs=epochs, lr_alpha=0.7, lr_w=lr_w, batch_size=batch_size)
+    cfg = make_config(local_epochs=epochs, lr_alpha=0.7, lr_w=lr_w, batch_size=batch_size,
+                      seed=5)
     update = fed.client_local_learning(client, model, 1, cfg)
 
     # plain SGD over the same batch order, written against bare numpy
@@ -84,7 +85,7 @@ def test_single_branch_matches_plain_local_sgd_bitwise():
     b = model.layers[0].biases[0].copy()
     x, y = client.shard.features, client.shard.labels
     rng = np.random.default_rng(
-        [client.rng_seed, fed.CLIENT_STREAM, client.client_id, 1, fed.WEIGHT_PHASE]
+        [cfg.seed, fed.CLIENT_STREAM, client.client_id, 1, fed.WEIGHT_PHASE]
     )
     for _ in range(epochs):
         perm = rng.permutation(len(x))
@@ -117,7 +118,7 @@ def test_two_phase_single_step_matches_hand_oracle():
     client.shard = LabeledDataset(x, y, 2)
     client.alpha = nn.AlphaParams(np.array([[0.4, -0.1]]), 1)
     model = nn.Network([nn.MultiBranchDense(w.copy(), bias.copy())])
-    cfg = make_config(local_epochs=1, lr_alpha=lr_a, lr_w=lr_w, batch_size=8)
+    cfg = make_config(local_epochs=1, lr_alpha=lr_a, lr_w=lr_w, batch_size=8, seed=9)
     update = fed.client_local_learning(client, model, 0, cfg)
 
     def ce_dz(weights, biases, mix):
@@ -159,7 +160,7 @@ def test_local_learning_persists_alpha_and_copies_model():
     client.alpha = nn.uniform_alpha(1, 3)
     model = nn.init_network([2, 2], 3, seed=4)
     w_before = model.layers[0].weights.copy()
-    cfg = make_config(local_epochs=2, lr_alpha=0.5, lr_w=0.1, batch_size=4)
+    cfg = make_config(local_epochs=2, lr_alpha=0.5, lr_w=0.1, batch_size=4, seed=13)
     update = fed.client_local_learning(client, model, 0, cfg)
     np.testing.assert_array_equal(model.layers[0].weights, w_before)
     assert np.any(client.alpha.logits != 0.0)
@@ -480,13 +481,13 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
                         rng.normal(2.0, 0.3, size=(20, 2))])
     y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
     shard = LabeledDataset(x, y, 2)
-    client = fed.ClientState(0, shard, shard, nn.uniform_alpha(1, 2), rng_seed=1)
+    client = fed.ClientState(0, shard, shard, nn.uniform_alpha(1, 2))
     model = nn.init_network([2, 2], 2, seed=8)
 
     from pfedmb.metrics import evaluate_client
 
     before = evaluate_client(model, client.alpha, shard)
-    cfg = make_config(rounds=0, local_epochs=5, lr_alpha=0.1, lr_w=0.1, batch_size=16)
+    cfg = make_config(rounds=0, local_epochs=5, lr_alpha=0.1, lr_w=0.1, batch_size=16, seed=1)
     tuned = fed.fine_tune(client, model, cfg)
     after = evaluate_client(tuned, client.alpha, shard)
     assert after >= before
@@ -495,46 +496,76 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
 
 # ------------------------------------------------------------------ checkpoints
 
-def _shards(cfg):
-    """The train and test shards a run of cfg regenerates on resume."""
-    dataset = cfg.make_dataset()
-    part = partition(dataset, cfg.partition_spec)
-    return [dataset.subset(idx) for idx in part.train], [dataset.subset(idx) for idx in part.test]
+SCHEMA_3_KEYS = {"schema_version", "config_fingerprint", "round",
+                 "global_weights", "global_biases", "clients"}
 
 
-@pytest.mark.parametrize("method", ["pfedmb", "pfedmb_plain_agg", "fedavg", "local"])
-def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
-    cfg = config_factory(method=method, branches=1 if method == "fedavg" else 2,
-                         rounds=4, clients=4, sample_size=3, seed=17)
-    server, clients, _ = fed.run_training(cfg)
+def _fingerprint(cfg):
+    return metrics.config_fingerprint(cfg.semantic_dict())
 
-    # replay: stop at round 2, checkpoint, reload, run the remaining rounds
-    half_server, half_clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=2))
-    path = tmp_path / "ckpt.json"
-    fed.save_checkpoint(half_server, half_clients, path)
 
-    doc = json.loads(path.read_text())
-    assert set(doc) >= {"architecture", "round", "global_weights",
-                        "global_biases", "clients"}
-    assert doc["round"] == 2
-    assert all("alpha_logits" in c and "rng" in c for c in doc["clients"])
-
-    resumed_server, resumed_clients = fed.load_checkpoint(path, *_shards(cfg))
-    for _ in range(2):
-        fed.run_round(resumed_server, resumed_clients, cfg)
-
-    assert resumed_server.round == server.round
-    models = [(resumed_server.model, server.model)] + [
-        (a.local_model, b.local_model) for a, b in zip(resumed_clients, clients)
-        if method == "local"
+def _assert_same_state(got_server, got_clients, want_server, want_clients):
+    assert got_server.round == want_server.round
+    models = [(got_server.model, want_server.model)] + [
+        (a.local_model, b.local_model) for a, b in zip(got_clients, want_clients)
+        if b.local_model is not None
     ]
     for got, want in models:
         for la, lb in zip(got.layers, want.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.biases, lb.biases)
-    for a, b in zip(resumed_clients, clients):
+    for a, b in zip(got_clients, want_clients):
         np.testing.assert_array_equal(a.alpha.logits, b.alpha.logits)
-        assert (a.local_model is None) == (method != "local")
+        assert (a.local_model is None) == (b.local_model is None)
+
+
+@pytest.mark.parametrize("method", ["pfedmb", "pfedmb_plain_agg", "fedavg", "local"])
+def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
+    """Saved after any k of T rounds and resumed, a run ends bit-equal to a straight one."""
+    cfg = config_factory(method=method, branches=1 if method == "fedavg" else 2,
+                         rounds=4, clients=4, sample_size=3, seed=17)
+    server, clients, _ = fed.run_training(cfg)
+    path = tmp_path / "ckpt.json"
+
+    part_server, part_clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=0))
+    for k in range(cfg.rounds + 1):
+        fed.save_checkpoint(part_server, part_clients, cfg, path)
+        doc = json.loads(path.read_text())
+        assert set(doc) == SCHEMA_3_KEYS
+        assert doc["round"] == k and doc["config_fingerprint"] == _fingerprint(cfg)
+        assert all(set(c) == {"alpha_logits", "local_model"} for c in doc["clients"])
+
+        resumed_server, resumed_clients = fed.load_checkpoint(path, cfg)
+        for _ in range(cfg.rounds - k):
+            fed.run_round(resumed_server, resumed_clients, cfg)
+        _assert_same_state(resumed_server, resumed_clients, server, clients)
+        assert all((c.local_model is None) == (method != "local") for c in resumed_clients)
+        if k < cfg.rounds:
+            fed.run_round(part_server, part_clients, cfg)
+
+
+@pytest.mark.parametrize("saved, resumed", [
+    (dict(seed=17), dict(seed=3, lr_w=0.5)),
+    (dict(seed=17), dict(seed=17, method="pfedmb_plain_agg")),
+    (dict(method="local"), dict(method="pfedmb")),
+], ids=["seed_and_lr_w", "plain_agg", "local_to_pfedmb"])
+def test_resume_under_another_config_names_both_fingerprints(
+    tmp_path, config_factory, saved, resumed
+):
+    cfg = config_factory(**saved)
+    other = config_factory(**resumed)
+    server, clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=1))
+    path = tmp_path / "ckpt.json"
+    fed.save_checkpoint(server, clients, cfg, path)
+    with pytest.raises(ParseError) as err:
+        fed.load_checkpoint(path, other)
+    for part in (str(path), "config_fingerprint", _fingerprint(cfg), _fingerprint(other)):
+        assert part in str(err.value)
+    # threads and output_dir do not enter the fingerprint
+    resumed_server, resumed_clients = fed.load_checkpoint(
+        path, dataclasses.replace(cfg, threads=2, output_dir="elsewhere")
+    )
+    _assert_same_state(resumed_server, resumed_clients, server, clients)
 
 
 @pytest.mark.parametrize("failing", ["fsync", "replace"])
@@ -544,7 +575,7 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(
     cfg = config_factory(rounds=1)
     server, clients, _ = fed.run_training(cfg)
     path = tmp_path / "ckpt.json"
-    fed.save_checkpoint(server, clients, path)
+    fed.save_checkpoint(server, clients, cfg, path)
     earlier = path.read_bytes()
     fed.run_round(server, clients, cfg)
 
@@ -553,7 +584,7 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(
 
     with monkeypatch.context() as patch, pytest.raises(OSError, match="disk full"):
         patch.setattr(os, failing, disk_full)
-        fed.save_checkpoint(server, clients, path)
+        fed.save_checkpoint(server, clients, cfg, path)
     assert path.read_bytes() == earlier
     assert list(tmp_path.iterdir()) == [path]
 
@@ -568,6 +599,18 @@ def _drop_client_alpha(doc):
     return doc
 
 
+def _drop_last_client(doc):
+    del doc["clients"][-1]
+    return doc
+
+
+def _give_client_own_branches(doc):
+    doc["clients"][1]["local_model"] = {
+        "weights": doc["global_weights"], "biases": doc["global_biases"]
+    }
+    return doc
+
+
 def _put(*keys, value):
     """A damage that sets doc[k0][k1]... to value."""
     def damage(doc):
@@ -579,65 +622,70 @@ def _put(*keys, value):
     return damage
 
 
+MALFORMED_CONFIG = make_config(rounds=1)
+OTHER_FINGERPRINT = _fingerprint(make_config(rounds=1, seed=17))
+
 MALFORMED = {
     "no_round": (_drop_round, "missing key 'round'"),
     "client_without_alpha_logits": (_drop_client_alpha, "missing key 'alpha_logits'"),
     "top_level_list": (lambda doc: [1, 2], "top level must be a JSON object"),
     "schema_1": (_put("schema_version", value=1), "schema_version: unsupported"),
+    "schema_2": (_put("schema_version", value=2),
+                 "schema_version: unsupported checkpoint schema, expected 3, got 2"),
+    "other_fingerprint": (
+        _put("config_fingerprint", value=OTHER_FINGERPRINT),
+        f"config_fingerprint: written under config {OTHER_FINGERPRINT!r}, "
+        f"not under this config {_fingerprint(MALFORMED_CONFIG)!r}",
+    ),
     "round_str": (_put("round", value="x"), "round: expected an int"),
     "round_negative": (_put("round", value=-3), "round: expected an int >= 0"),
-    "server_seed_negative": (_put("server_seed", value=-1), "server_seed: expected an int"),
+    "round_past_config": (_put("round", value=2),
+                          "round: expected at most the config's 1 rounds"),
     "nan_weight": (_put("global_weights", 0, 0, 0, 0, value=float("nan")),
                    "global_weights[0]: expected a 3-D array of finite numbers"),
     "ragged_weights": (_put("global_weights", 0, 0, value=[[1.0], [1.0, 2.0]]),
                        "global_weights[0]: expected a 3-D array"),
+    "other_config_weights": (_put("global_weights", 0, value=np.zeros((2, 9, 5)).tolist()),
+                             "global_weights[0]: expected shape (2, 8, 5)"),
     "bias_shape": (_put("global_biases", 0, value=[[0.0]]),
-                   "global_weights, global_biases: bias shape"),
-    "layer_dims": (_put("architecture", "layer_dims", value=[5, 9, 4]),
-                   "architecture.layer_dims: global_weights hold [5, 8, 4]"),
-    "architecture_null": (_put("architecture", value=None),
-                          "architecture: expected a JSON object"),
+                   "global_biases[0]: expected shape (2, 8)"),
     "clients_null": (_put("clients", value=None), "clients: expected a list"),
+    "client_count": (_drop_last_client, "clients: expected the config's 4 clients"),
     "client_int": (_put("clients", 0, value=5), "clients[0]: expected a JSON object"),
-    "client_id_moved": (_put("clients", 1, "client_id", value=2),
-                        "clients[1].client_id: expected the entry's position 1"),
     "alpha_non_numeric": (_put("clients", 1, "alpha_logits", value=[["a", "b"], [0, 0]]),
                           "clients[1].alpha_logits: expected a 2-D array"),
     "alpha_shape": (_put("clients", 1, "alpha_logits", value=[[0.0, 0.0]]),
                     "clients[1].alpha_logits: expected shape (2, 2)"),
-    "rng_str": (_put("clients", 1, "rng", value="x"), "clients[1].rng: expected a JSON object"),
     "local_model_int": (_put("clients", 1, "local_model", value=3),
                         "clients[1].local_model: expected a JSON object"),
+    "local_model_under_pfedmb": (_give_client_own_branches,
+                                 "clients[1].local_model: expected null under method 'pfedmb'"),
 }
 
 
 @pytest.mark.parametrize(
     "damage, located", list(MALFORMED.values()), ids=list(MALFORMED)
 )
-def test_malformed_checkpoint_raises_located_parse_error(
-    tmp_path, config_factory, damage, located
-):
-    server, clients, _ = fed.run_training(config_factory(rounds=1))
+def test_malformed_checkpoint_raises_located_parse_error(tmp_path, damage, located):
+    server, clients, _ = fed.run_training(MALFORMED_CONFIG)
     path = tmp_path / "ckpt.json"
-    fed.save_checkpoint(server, clients, path)
+    fed.save_checkpoint(server, clients, MALFORMED_CONFIG, path)
     path.write_text(json.dumps(damage(json.loads(path.read_text()))))
-    shards = [c.shard for c in clients]
-    tests = [c.test_shard for c in clients]
     with pytest.raises(ParseError) as err:
-        fed.load_checkpoint(path, shards, tests)
+        fed.load_checkpoint(path, MALFORMED_CONFIG)
     assert str(path) in str(err.value) and located in str(err.value)
 
 
 @pytest.fixture(scope="module")
 def saved_checkpoints(tmp_path_factory):
-    """method -> (checkpoint document, train shards, test shards), and a scratch path."""
+    """method -> (checkpoint document, config), and a scratch path."""
     path = tmp_path_factory.mktemp("checkpoint") / "ckpt.json"
     saved = {}
     for method in ("pfedmb", "local"):
         cfg = make_config(method=method, rounds=1)
         server, clients, _ = fed.run_training(cfg)
-        fed.save_checkpoint(server, clients, path)
-        saved[method] = (json.loads(path.read_text()), *_shards(cfg))
+        fed.save_checkpoint(server, clients, cfg, path)
+        saved[method] = (json.loads(path.read_text()), cfg)
     return saved, path
 
 
@@ -645,7 +693,7 @@ def saved_checkpoints(tmp_path_factory):
 @given(data=st.data())
 def test_any_value_at_any_checkpoint_key_is_loaded_or_located(saved_checkpoints, data):
     saved, path = saved_checkpoints
-    doc, shards, tests = saved[data.draw(st.sampled_from(sorted(saved)))]
+    doc, cfg = saved[data.draw(st.sampled_from(sorted(saved)))]
     doc = json.loads(json.dumps(doc))
     target, key = doc, ""
     if data.draw(st.booleans()):
@@ -655,6 +703,6 @@ def test_any_value_at_any_checkpoint_key_is_loaded_or_located(saved_checkpoints,
     target[name] = data.draw(JSON_VALUES)
     path.write_text(json.dumps(doc))  # non-finite floats become NaN/Infinity
     try:
-        fed.load_checkpoint(path, shards, tests)
+        fed.load_checkpoint(path, cfg)
     except PfedmbError as exc:
         assert str(path) in str(exc) and key + name in str(exc)
