@@ -12,6 +12,8 @@ repeated calls with the same spec are bit-identical.
 from __future__ import annotations
 
 import math
+import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -324,19 +326,41 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
     )
 
 
-# ------------------------------------------------------------------- CSV files
+# --------------------------------------------------------------- files on disk
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path all at once or not at all.
+
+    The text goes to a temporary file beside path, is fsynced, and is renamed
+    over path; if anything fails the temporary file is removed and whatever
+    was at path before stays as it was.  The file gets the permissions a
+    plain open() would give it (0o666 less the umask).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
 
 CSV_LABEL_COLUMN = "label"
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:
-    """Write `label,f1,...,fd` rows with full float precision."""
+    """Write `label,f1,...,fd` rows with full float precision, atomically."""
     lines = [
         ",".join([CSV_LABEL_COLUMN] + [f"f{j + 1}" for j in range(dataset.input_dim)])
     ]
     for label, row in zip(dataset.labels, dataset.features):
         lines.append(",".join([str(int(label))] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path) -> LabeledDataset:

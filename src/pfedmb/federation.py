@@ -251,7 +251,10 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
         client = clients[cid]
         update = client_local_learning(client, client.current_model(server), t, config)
         shard = client.shard
-        return update, nn.batch_loss(update.model, client.alpha, shard.features, shard.labels)
+        try:
+            return update, nn.batch_loss(update.model, client.alpha, shard.features, shard.labels)
+        except NumericError as exc:
+            raise NumericError(f"client {cid}, round {t}, train loss: {exc}") from None
 
     results = _map_clients(work, sampled, config.threads)
     updates = [r[0] for r in results]

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .data import LabeledDataset
+from .data import LabeledDataset, write_atomic
 from .errors import ConfigurationError, UsageError
 
 SCHEMA_VERSION = 1
@@ -31,28 +29,6 @@ def _fmt(x: float) -> str:
 
 def _round10(x: float) -> float:
     return float(_fmt(x))
-
-
-def write_atomic(path, text: str) -> None:
-    """Write text to path all at once or not at all.
-
-    The text goes to a temporary file beside path, is fsynced, and is renamed
-    over path; if anything fails the temporary file is removed and whatever
-    was at path before stays as it was.  The file gets the permissions a
-    plain open() would give it (0o666 less the umask).
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def config_fingerprint(config_dict: dict) -> str:

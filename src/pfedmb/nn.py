@@ -212,7 +212,6 @@ class ForwardCache:
     inputs: list        # input to each layer, (n, in_dim)
     preacts: list       # pre-activation of each layer, (n, out_dim)
     combined_weights: list
-    alpha_values: np.ndarray  # (num_layers, B)
 
 
 def combine_branches(layer: MultiBranchDense, alpha_l) -> tuple:
@@ -229,12 +228,20 @@ def combine_branches(layer: MultiBranchDense, alpha_l) -> tuple:
     return w, b
 
 
-def _check_compatible(net: Network, alpha: AlphaParams) -> None:
+def _trusted(cls, **fields):
+    """An instance of dataclass cls from fields known to be valid; skips __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _check_input(net: Network, alpha: AlphaParams, x: np.ndarray) -> None:
+    if x.shape[1] != net.in_dim:
+        raise ConfigurationError(f"input has {x.shape[1]} features, network expects {net.in_dim}")
     if alpha.num_layers != net.num_layers or alpha.num_branches != net.num_branches:
         raise ConfigurationError(
-            f"alpha for {alpha.num_layers} layers x {alpha.num_branches} branches "
-            f"does not fit a network with {net.num_layers} layers x "
-            f"{net.num_branches} branches"
+            f"alpha for {alpha.num_layers} layers x {alpha.num_branches} branches does not "
+            f"fit a network with {net.num_layers} layers x {net.num_branches} branches"
         )
 
 
@@ -245,26 +252,28 @@ def forward(net: Network, alpha: AlphaParams, x) -> tuple:
     identity after the last.
     """
     x = as_matrix(x)
-    if x.shape[1] != net.in_dim:
-        raise ConfigurationError(
-            f"input has {x.shape[1]} features, network expects {net.in_dim}"
-        )
-    _check_compatible(net, alpha)
-    avals = alpha.values()
-    inputs, preacts, ws = [], [], []
-    act = x
+    _check_input(net, alpha, x)
     # overflow is reported by the finiteness check, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, layer in enumerate(net.layers):
-            w, b = combine_branches(layer, avals[l])
-            z = act @ w.T + b
-            if not np.isfinite(z).all():
-                raise NumericError(f"non-finite activations in layer {l}")
-            inputs.append(act)
-            preacts.append(z)
-            ws.append(w)
-            act = np.maximum(z, 0.0) if l < net.num_layers - 1 else z
-    return act, ForwardCache(inputs, preacts, ws, avals)
+        return _forward(net, alpha.values(), x)
+
+
+def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
+    """forward on a checked x, under the caller's np.errstate."""
+    # the rows of avals come from a softmax: no simplex check as in combine_branches
+    inputs, preacts, ws = [], [], []
+    act = x
+    for l, layer in enumerate(net.layers):
+        w = np.einsum("b,boi->oi", avals[l], layer.weights)
+        z = act @ w.T
+        z += avals[l] @ layer.biases
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite activations in layer {l}")
+        inputs.append(act)
+        preacts.append(z)
+        ws.append(w)
+        act = np.maximum(z, 0.0) if l < net.num_layers - 1 else z
+    return act, ForwardCache(inputs, preacts, ws)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -279,15 +288,11 @@ def _validate_batch(net: Network, batch) -> tuple:
     if x.shape[0] == 0:
         raise UsageError("empty batch")
     if labels.shape != (x.shape[0],):
-        raise UsageError(
-            f"labels shape {labels.shape} does not match batch of {x.shape[0]}"
-        )
-    labels = labels.astype(np.int64)
+        raise UsageError(f"labels shape {labels.shape} does not match batch of {x.shape[0]}")
+    labels = labels.astype(np.int64, copy=False)
     if labels.min() < 0 or labels.max() >= net.num_classes:
-        raise UsageError(
-            f"labels must lie in [0, {net.num_classes}); "
-            f"got range [{labels.min()}, {labels.max()}]"
-        )
+        raise UsageError(f"labels must lie in [0, {net.num_classes}); "
+                         f"got range [{labels.min()}, {labels.max()}]")
     return x, labels
 
 
@@ -309,27 +314,28 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
     if wrt not in (WRT_W, WRT_ALPHA, WRT_BOTH):
         raise UsageError(f"wrt must be one of 'w', 'alpha', 'both'; got {wrt!r}")
     x, labels = _validate_batch(net, batch)
-    logits, cache = forward(net, alpha, x)
-    # non-finite gradients surface as non-finite activations on the next forward
+    _check_input(net, alpha, x)
+    want_w, want_alpha = wrt != WRT_ALPHA, wrt != WRT_W
+    v = softmax(alpha.logits)
+    avals = np.repeat(v, net.num_layers, axis=0) if alpha.shared else v
+    # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = _forward(net, avals, x)
         n = x.shape[0]
+        rows = np.arange(n)
         logp = _log_softmax(logits)
-        loss = float(-logp[np.arange(n), labels].mean())
+        loss = float(-logp[rows, labels].sum() / n)  # the bits of .mean(), without its overhead
         if not math.isfinite(loss):
             raise NumericError("non-finite loss")
 
-        want_w = wrt in (WRT_W, WRT_BOTH)
-        want_alpha = wrt in (WRT_ALPHA, WRT_BOTH)
-        d_weights = [np.zeros_like(layer.weights) for layer in net.layers]
-        d_biases = [np.zeros_like(layer.biases) for layer in net.layers]
-        d_alpha_values = np.zeros((net.num_layers, net.num_branches))
-
         # dL/dz at the output: (softmax - onehot) / n
         dz = np.exp(logp)
-        dz[np.arange(n), labels] -= 1.0
+        dz[rows, labels] -= 1.0
         dz /= n
 
-        avals = cache.alpha_values
+        d_weights = [None if want_w else np.zeros(layer.weights.shape) for layer in net.layers]
+        d_biases = [None if want_w else np.zeros(layer.biases.shape) for layer in net.layers]
+        d_alpha_values = np.zeros((net.num_layers, net.num_branches)) if want_alpha else None
         for l in reversed(range(net.num_layers)):
             layer = net.layers[l]
             dw_combined = dz.T @ cache.inputs[l]
@@ -340,32 +346,25 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
                 d_biases[l] = avals[l][:, None] * db_combined[None, :]
             if want_alpha:
                 # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
-                d_alpha_values[l] = (
-                    np.einsum("oi,boi->b", dw_combined, layer.weights)
-                    + layer.biases @ db_combined
-                )
+                d_alpha_values[l] = np.einsum("oi,boi->b", dw_combined, layer.weights)
+                d_alpha_values[l] += layer.biases @ db_combined
             if l > 0:
-                da = dz @ cache.combined_weights[l]
-                dz = da * (cache.preacts[l - 1] > 0.0)
+                dz = dz @ cache.combined_weights[l]
+                dz *= cache.preacts[l - 1] > 0.0
 
         if want_alpha:
-            d_alpha_logits = _alpha_values_grad_to_logits(alpha, d_alpha_values)
+            # chain rule through the softmax: v * (d - <v, d>)
+            if alpha.shared:
+                d_alpha_values = d_alpha_values.sum(axis=0, keepdims=True)
+            inner = (v * d_alpha_values).sum(axis=1, keepdims=True)
+            d_alpha_logits = v * (d_alpha_values - inner)
         else:
-            d_alpha_logits = np.zeros_like(alpha.logits)
+            d_alpha_logits = np.zeros(alpha.logits.shape)
     return loss, GradientBundle(d_weights, d_biases, d_alpha_logits)
 
 
-def _alpha_values_grad_to_logits(alpha: AlphaParams, d_values: np.ndarray) -> np.ndarray:
-    """Chain a gradient w.r.t. the simplex values through the softmax to the logits."""
-    if alpha.shared:
-        d_values = d_values.sum(axis=0, keepdims=True)
-    v = softmax(alpha.logits)
-    inner = (v * d_values).sum(axis=1, keepdims=True)
-    return v * (d_values - inner)
-
-
 def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
-    """Plain SGD update p - lr*g of one parameter array."""
+    """Plain SGD update p - lr*g of one parameter array, as one new C-ordered array."""
     if learning_rate < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {learning_rate}")
     g = np.asarray(grads, dtype=np.float64)
@@ -373,19 +372,17 @@ def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
         raise ConfigurationError(
             f"gradient shape {g.shape} does not match parameter shape {params.shape}"
         )
-    return params - learning_rate * g
+    out = np.multiply(learning_rate, g, out=np.empty(params.shape))
+    return np.subtract(params, out, out=out)
 
 
 def step_network(net: Network, grads: GradientBundle, learning_rate: float) -> Network:
-    """New network with every branch weight and bias stepped by plain SGD."""
-    layers = [
-        MultiBranchDense(
-            sgd_step(layer.weights, grads.d_weights[i], learning_rate),
-            sgd_step(layer.biases, grads.d_biases[i], learning_rate),
-        )
-        for i, layer in enumerate(net.layers)
-    ]
-    return Network(layers)
+    """New network with every branch stepped by plain SGD; sgd_step checks each shape."""
+    return _trusted(Network, layers=[
+        _trusted(MultiBranchDense, weights=sgd_step(layer.weights, d_w, learning_rate),
+                 biases=sgd_step(layer.biases, d_b, learning_rate))
+        for layer, d_w, d_b in zip(net.layers, grads.d_weights, grads.d_biases, strict=True)
+    ])
 
 
 def step_alpha(alpha: AlphaParams, grads: GradientBundle, learning_rate: float) -> AlphaParams:

@@ -185,29 +185,57 @@ def test_partition_stats_histograms(smoke_config, tmp_path):
     assert total == 3 * 30
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("lr_w", [1e30, 1e300])
-def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, threads):
-    """A diverging run exits 2 with one located error line, no numpy warning.
+def run_in_subprocess(config_path, threads):
+    """`pfedmb run` in a fresh interpreter; stderr is what a user sees.
 
-    Runs in a subprocess, so stderr is what a user sees: nothing between the
-    program and the terminal records or filters warnings.
+    Nothing between the program and the terminal records or filters warnings.
     """
-    _, raw = smoke_config
-    path = tmp_path / "diverge.json"
-    path.write_text(json.dumps(dict(raw, lr_w=lr_w)))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(path),
+    return subprocess.run(
+        [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(config_path),
          "--threads", str(threads)],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("lr_w", [1e30, 1e300])
+def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, threads):
+    """A diverging run exits 2 with one located error line, no numpy warning."""
+    _, raw = smoke_config
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(dict(raw, lr_w=lr_w)))
+    done = run_in_subprocess(path, threads)
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: client "), done.stderr
     assert "non-finite activations" in lines[0]
+    assert not (tmp_path / "out" / "final.json").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path, threads):
+    """With one step per phase the weight phase ends on the diverging step.
+
+    The branches it returns are first evaluated by the round's train loss on
+    the full shard, so that is where the overflow surfaces; the error must
+    still name the client and the round.
+    """
+    _, raw = smoke_config
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(dict(
+        raw, clients=4, lr_w=1e300, local_epochs=1, batch_size=1000,
+        data={"synthetic": {"num_classes": 4, "input_dim": 4,
+                            "noise_std": 0.5, "samples_per_class": 30}},
+        partition={"scheme": "paired_clusters", "num_pairs": 2, "classes_per_pair": 2},
+    )))
+    done = run_in_subprocess(path, threads)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0] == "error: client 0, round 0, train loss: non-finite activations in layer 1"
     assert not (tmp_path / "out" / "final.json").exists()
 
 

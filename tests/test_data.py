@@ -1,5 +1,7 @@
 """Synthetic task generation, partitioner properties, and CSV round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,21 @@ def test_csv_shape_and_round_trip(tmp_path):
     np.testing.assert_array_equal(back.labels, gen.labels)
     assert back.num_classes == gen.num_classes
 
+
+
+def test_failed_csv_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    out = tmp_path / "gen.csv"
+    save_csv(small_task(seed=1), out)
+    earlier = out.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch, pytest.raises(OSError, match="disk full"):
+        patch.setattr(os, "replace", fail)
+        save_csv(small_task(seed=2), out)
+    assert out.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["gen.csv"]
 
 def test_csv_labels_reindexed_densely(tmp_path):
     path = tmp_path / "sparse.csv"

@@ -1,0 +1,140 @@
+"""The per-step kernel, pinned bit for bit against the same math written inline.
+
+The oracle below uses numpy only, never pfedmb.nn: a change to the kernel that
+moves a single bit of a loss, a gradient or a stepped parameter fails here,
+not only in the golden result hashes.
+"""
+
+import numpy as np
+import pytest
+
+from pfedmb import nn
+
+# (branches, layer dims, shared mixing row, batch rows): the three bench shapes
+SHAPES = [
+    (5, (20, 32, 10), True, 40),
+    (4, (64, 128, 20), False, 64),
+    (8, (32, 64, 64, 64, 10), False, 512),
+]
+SHAPE_IDS = ["paired", "dirichlet", "deep"]
+
+
+def make_problem(branches, dims, shared, rows, seed=0):
+    rng = np.random.default_rng(seed)
+    weights = [rng.uniform(-1, 1, (branches, o, i)) / np.sqrt(i) for i, o in zip(dims, dims[1:])]
+    biases = [rng.normal(0.0, 0.1, (branches, o)) for o in dims[1:]]
+    logits = rng.normal(size=(1 if shared else len(weights), branches))
+    x = rng.normal(size=(rows, dims[0]))
+    y = rng.integers(0, dims[-1], size=rows)
+    return weights, biases, logits, x, y
+
+
+def oracle(weights, biases, logits, shared, x, y):
+    """Loss, weight, bias and logit gradients, inline: every group computed."""
+    num_layers = len(weights)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    v = e / e.sum(axis=1, keepdims=True)
+    mix = np.repeat(v, num_layers, axis=0) if shared and num_layers > 1 else v
+
+    acts, preacts, combined = [x], [], []
+    for l in range(num_layers):
+        w = np.einsum("b,boi->oi", mix[l], weights[l])
+        z = acts[-1] @ w.T + mix[l] @ biases[l]
+        combined.append(w)
+        preacts.append(z)
+        acts.append(np.maximum(z, 0.0) if l < num_layers - 1 else z)
+
+    n = x.shape[0]
+    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(n), y].mean())
+
+    dz = np.exp(logp)
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    d_w, d_b = [None] * num_layers, [None] * num_layers
+    d_mix = np.zeros((num_layers, v.shape[1]))
+    for l in reversed(range(num_layers)):
+        dw_c = dz.T @ acts[l]
+        db_c = dz.sum(axis=0)
+        d_w[l] = mix[l][:, None, None] * dw_c[None, :, :]
+        d_b[l] = mix[l][:, None] * db_c[None, :]
+        d_mix[l] = np.einsum("oi,boi->b", dw_c, weights[l]) + biases[l] @ db_c
+        if l > 0:
+            dz = (dz @ combined[l]) * (preacts[l - 1] > 0.0)
+    if shared:
+        d_mix = d_mix.sum(axis=0, keepdims=True)
+    d_logits = v * (d_mix - (v * d_mix).sum(axis=1, keepdims=True))
+    return loss, d_w, d_b, d_logits
+
+
+def as_nn(weights, biases, logits, shared):
+    net = nn.Network([nn.MultiBranchDense(w, b) for w, b in zip(weights, biases)])
+    return net, nn.AlphaParams(logits, len(weights), shared)
+
+
+@pytest.mark.parametrize("wrt", ["w", "alpha", "both"])
+@pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
+def test_loss_and_grads_equal_the_inline_oracle_bit_for_bit(branches, dims, shared, rows, wrt):
+    weights, biases, logits, x, y = make_problem(branches, dims, shared, rows)
+    loss, d_w, d_b, d_logits = oracle(weights, biases, logits, shared, x, y)
+    if wrt == "alpha":
+        d_w = [np.zeros_like(g) for g in d_w]
+        d_b = [np.zeros_like(g) for g in d_b]
+    if wrt == "w":
+        d_logits = np.zeros_like(d_logits)
+
+    net, alpha = as_nn(weights, biases, logits, shared)
+    got_loss, grads = nn.loss_and_grads(net, alpha, (x, y), wrt=wrt)
+    assert got_loss == loss
+    assert len(grads.d_weights) == len(grads.d_biases) == len(weights)
+    for l in range(len(weights)):
+        np.testing.assert_array_equal(grads.d_weights[l], d_w[l])
+        np.testing.assert_array_equal(grads.d_biases[l], d_b[l])
+    np.testing.assert_array_equal(grads.d_alpha_logits, d_logits)
+
+
+@pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
+def test_step_network_equals_the_inline_update_bit_for_bit(branches, dims, shared, rows):
+    weights, biases, logits, x, y = make_problem(branches, dims, shared, rows, seed=1)
+    _, d_w, d_b, _ = oracle(weights, biases, logits, shared, x, y)
+    net, alpha = as_nn(weights, biases, logits, shared)
+    _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
+    lr = 0.05
+    stepped = nn.step_network(net, grads, lr)
+    for l, layer in enumerate(stepped.layers):
+        # W - lr * (alpha_b * dW_combined), never (lr * alpha_b) * dW_combined
+        np.testing.assert_array_equal(layer.weights, weights[l] - lr * d_w[l])
+        np.testing.assert_array_equal(layer.biases, biases[l] - lr * d_b[l])
+        assert layer.weights.flags.c_contiguous and layer.biases.flags.c_contiguous
+
+
+@pytest.mark.parametrize("wrt", ["w", "alpha", "both"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_softmax_runs_once_per_loss_and_grads_call(monkeypatch, wrt, shared):
+    weights, biases, logits, x, y = make_problem(3, (4, 6, 5, 3), shared, 8)
+    net, alpha = as_nn(weights, biases, logits, shared)
+    calls = []
+    softmax = nn.softmax
+
+    def counting(z):
+        calls.append(z)
+        return softmax(z)
+
+    monkeypatch.setattr(nn, "softmax", counting)
+    for expected in (1, 2):
+        nn.loss_and_grads(net, alpha, (x, y), wrt=wrt)
+        assert len(calls) == expected
+
+
+def test_step_network_output_shares_no_memory_with_its_inputs():
+    weights, biases, logits, x, y = make_problem(*SHAPES[0])
+    net, alpha = as_nn(weights, biases, logits, True)
+    _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
+    stepped = nn.step_network(net, grads, 0.05)
+    for l, layer in enumerate(stepped.layers):
+        inputs = (net.layers[l].weights, net.layers[l].biases,
+                  grads.d_weights[l], grads.d_biases[l])
+        for out in (layer.weights, layer.biases):
+            assert not any(np.shares_memory(out, arr) for arr in inputs)
+    assert not np.shares_memory(stepped.layers[0].weights, stepped.layers[0].biases)
