@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
     field_violations,
 )
+from .nn import integral_labels
 
 MAX_PARTITION_ATTEMPTS = 100
 
@@ -43,19 +44,20 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ConfigurationError("features must be a nonempty (n, d) matrix")
         if not np.isfinite(self.features).all():
             raise ConfigurationError("features must be finite (no nan or inf)")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],) or not integral_labels(labels):
             raise ConfigurationError("labels must be one integer per sample")
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be >= 1")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
+        if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ConfigurationError(
                 f"labels must lie in [0, {self.num_classes})"
             )
+        self.labels = np.ascontiguousarray(labels, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import metrics, nn
 from .data import LabeledDataset, partition
-from .errors import ConfigurationError, NumericError, ParseError, PfedmbError, UsageError
+from .errors import ConfigurationError, NumericError, ParseError, UsageError
 
 # stream tags; distinct leading constants keep the generator keys disjoint
 INIT_STREAM = 101
@@ -73,7 +73,7 @@ class ClientState:
     shard: LabeledDataset            # local training data D_i
     test_shard: LabeledDataset
     alpha: nn.AlphaParams            # persists across rounds
-    local_model: nn.Network = None   # only the no-communication baseline uses this
+    local_model: nn.Network = None   # under `local`, the client's own copy of the branches
 
     @property
     def num_samples(self) -> int:
@@ -288,12 +288,14 @@ def setup_experiment(config):
     dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
     model = nn.init_network(dims, config.branches, seed=[config.seed, INIT_STREAM])
     server = ServerState(model=model)
+    local = STRATEGY_FOR_METHOD[config.method] is None
     clients = [
         ClientState(
             client_id=i,
             shard=dataset.subset(part.train[i]),
             test_shard=dataset.subset(part.test[i]),
             alpha=nn.uniform_alpha(len(dims) - 1, config.branches, config.shared_alpha),
+            local_model=model.copy() if local else None,
         )
         for i in range(config.clients)
     ]
@@ -307,9 +309,6 @@ def run_training(config):
     (client.current_model(server), client.alpha).
     """
     server, clients = setup_experiment(config)
-    if STRATEGY_FOR_METHOD[config.method] is None:
-        for client in clients:
-            client.local_model = server.model.copy()
     reports = [run_round(server, clients, config) for _ in range(config.rounds)]
     return server, clients, reports
 
@@ -351,53 +350,59 @@ def run_experiment(config):
 
 # ----------------------------------------------------------------- checkpoints
 
-def _model_doc(model: nn.Network) -> dict:
-    return {
-        "weights": [layer.weights.tolist() for layer in model.layers],
-        "biases": [layer.biases.tolist() for layer in model.layers],
-    }
-
-
 def _fingerprint(config) -> str:
     return metrics.config_fingerprint(config.semantic_dict())
+
+
+def checkpoint_arrays(server: ServerState, clients: list) -> dict:
+    """The run state's arrays, nested as the checkpoint document nests them.
+
+    A client's local_model is None, or its own branches under `local`.  The
+    arrays are the state's own, not copies.
+    """
+    def branches(model: nn.Network, prefix: str = "") -> dict:
+        return {f"{prefix}weights": [layer.weights for layer in model.layers],
+                f"{prefix}biases": [layer.biases for layer in model.layers]}
+
+    return {
+        **branches(server.model, "global_"),
+        "clients": [
+            {
+                "alpha_logits": c.alpha.logits,
+                "local_model": None if c.local_model is None else branches(c.local_model),
+            }
+            for c in clients
+        ],
+    }
 
 
 def save_checkpoint(server: ServerState, clients: list, config, path) -> None:
     """Single JSON document from which a run of config resumes bit-exactly.
 
-    It holds only what the config cannot rebuild: the round, the global
-    branches, and per client the mixing logits and, under `local`, the client's
-    own branches.  Shards, shapes and RNG keys regenerate from the config,
+    It holds only what the config cannot rebuild: the round and the arrays of
+    checkpoint_arrays.  Shards, shapes and RNG keys regenerate from the config,
     which the document names by its fingerprint.  Full float precision is kept
     via repr round-tripping.  The file is written beside path and renamed over
     it, so a write that fails leaves any earlier checkpoint at path as it was.
     """
-    global_model = _model_doc(server.model)
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config_fingerprint": _fingerprint(config),
         "round": server.round,
-        "global_weights": global_model["weights"],
-        "global_biases": global_model["biases"],
-        "clients": [
-            {
-                "alpha_logits": c.alpha.logits.tolist(),
-                "local_model": None if c.local_model is None else _model_doc(c.local_model),
-            }
-            for c in clients
-        ],
+        **checkpoint_arrays(server, clients),
     }
-    metrics.write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    text = json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)
+    metrics.write_atomic(path, text + "\n")
 
 
 def load_checkpoint(path, config):
     """Rebuild the (server, clients) of a run of config from its checkpoint.
 
-    setup_experiment(config) builds the fresh state; the file then overwrites
-    the round, the global branches, and each client's logits and own branches.
-    Every value is checked before it is used: a file written under another
-    config, or a malformed or misshapen value, raises ParseError naming the
-    path and the dotted key (clients[1].alpha_logits).
+    setup_experiment(config) builds the fresh state; the document must then
+    match its checkpoint_arrays key for key, and each array is copied into the
+    fresh one in place.  Every value is checked before it is used: a file
+    written under another config, or a malformed or misshapen value, raises
+    ParseError naming the path and the dotted key (clients[1].alpha_logits).
     """
     server, clients = setup_experiment(config)
     try:
@@ -405,98 +410,68 @@ def load_checkpoint(path, config):
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     try:
-        _restore_states(doc, config, server, clients)
-    except PfedmbError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        server.round = _checked_round(doc, config)
+        _restore(checkpoint_arrays(server, clients), doc, "")
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return server, clients
 
 
-class _Node:
-    """A value read from a checkpoint document and its dotted key."""
-
-    def __init__(self, value, key: str):
-        self.value, self.key = value, key
-
-    def error(self, problem: str) -> ParseError:
-        return ParseError(f"{self.key}: {problem}, got {reprlib.repr(self.value)}")
-
-    def __getitem__(self, name: str) -> "_Node":
-        if not isinstance(self.value, dict):
-            raise self.error("expected a JSON object")
-        key = f"{self.key}.{name}" if self.key else name
-        if name not in self.value:
-            raise ParseError(f"{key}: missing key {name!r}")
-        return _Node(self.value[name], key)
-
-    def items(self) -> list:
-        if not isinstance(self.value, list):
-            raise self.error("expected a list")
-        return [_Node(v, f"{self.key}[{i}]") for i, v in enumerate(self.value)]
-
-    def int(self) -> int:
-        if type(self.value) is not int or self.value < 0:
-            raise self.error("expected an int >= 0")
-        return self.value
-
-    def array(self, shape: tuple) -> np.ndarray:
-        """Nested lists of finite numbers in the given shape, as a float64 array."""
-        try:
-            cells = np.array(self.value, dtype=object)
-            if cells.ndim == len(shape) and all(type(v) in (int, float) for v in cells.flat):
-                values = cells.astype(np.float64)
-                if np.isfinite(values).all():
-                    if values.shape != shape:
-                        raise self.error(f"expected shape {shape}")
-                    return values
-        except (ValueError, OverflowError):
-            pass
-        raise self.error(f"expected a {len(shape)}-D array of finite numbers")
+def _located(key: str, value, problem: str) -> ParseError:
+    return ParseError(f"{key}: {problem}, got {reprlib.repr(value)}")
 
 
-def _read_network(weights: _Node, biases: _Node, like: nn.Network) -> nn.Network:
-    """The branches stored under weights and biases, in the shapes of like."""
-    w_layers, b_layers = weights.items(), biases.items()
-    for node, found in ((weights, w_layers), (biases, b_layers)):
-        if len(found) != like.num_layers:
-            raise node.error(f"expected {like.num_layers} layers")
-    return nn.Network([
-        nn.MultiBranchDense(w.array(layer.weights.shape), b.array(layer.biases.shape))
-        for w, b, layer in zip(w_layers, b_layers, like.layers)
-    ])
+def _member(doc: dict, name: str, key: str = ""):
+    if name not in doc:
+        raise ParseError(f"{key or name}: missing key {name!r}")
+    return doc[name]
 
 
-def _restore_states(doc, config, server: ServerState, clients: list) -> None:
-    """Overwrite the fresh state of config with what the document holds."""
+def _checked_round(doc, config) -> int:
+    """Check the document's header against config; return its round."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise _Node(doc.get("schema_version"), "schema_version").error(
-            f"unsupported checkpoint schema, expected {CHECKPOINT_SCHEMA_VERSION}"
-        )
-    root = _Node(doc, "")
-    stored, fingerprint = root["config_fingerprint"].value, _fingerprint(config)
+    version = doc.get("schema_version")
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise _located("schema_version", version,
+                       f"unsupported checkpoint schema, expected {CHECKPOINT_SCHEMA_VERSION}")
+    stored, fingerprint = _member(doc, "config_fingerprint"), _fingerprint(config)
     if stored != fingerprint:
         raise ParseError(
             f"config_fingerprint: written under config {stored!r}, "
             f"not under this config {fingerprint!r}"
         )
-    server.round = root["round"].int()
-    if server.round > config.rounds:
-        raise root["round"].error(f"expected at most the config's {config.rounds} rounds")
-    server.model = _read_network(root["global_weights"], root["global_biases"], server.model)
+    rounds = _member(doc, "round")
+    if type(rounds) is not int or not 0 <= rounds <= config.rounds:
+        raise _located("round", rounds, f"expected an int in [0, {config.rounds}]")
+    return rounds
 
-    entries = root["clients"].items()
-    if len(entries) != len(clients):
-        raise root["clients"].error(f"expected the config's {len(clients)} clients")
-    local_only = STRATEGY_FOR_METHOD[config.method] is None
-    for entry, client in zip(entries, clients):
-        shape = client.alpha.logits.shape
-        client.alpha = nn.AlphaParams(
-            entry["alpha_logits"].array(shape), client.alpha.num_layers, client.alpha.shared
-        )
-        local = entry["local_model"]
-        if local.value is not None:
-            client.local_model = _read_network(local["weights"], local["biases"], server.model)
-        if (client.local_model is None) == local_only:
-            expected = "its own branches" if local_only else "null"
-            raise local.error(f"expected {expected} under method {config.method!r}")
+
+def _restore(like, value, key: str) -> None:
+    """Check value at key against the layout like; copy its arrays into like's."""
+    if isinstance(like, dict):
+        if not isinstance(value, dict):
+            raise _located(key, value, "expected a JSON object")
+        for name, part in like.items():
+            inner = f"{key}.{name}" if key else name
+            _restore(part, _member(value, name, inner), inner)
+    elif isinstance(like, list):
+        if not isinstance(value, list) or len(value) != len(like):
+            raise _located(key, value, f"expected a list of {len(like)}")
+        for i, (part, item) in enumerate(zip(like, value)):
+            _restore(part, item, f"{key}[{i}]")
+    elif like is None:
+        if value is not None:
+            raise _located(key, value, "expected null")
+    else:  # an array: nested lists of finite numbers in like's shape
+        try:
+            cells = np.array(value, dtype=object)
+            numeric = all(type(v) in (int, float) for v in cells.flat)
+            values = cells.astype(np.float64) if cells.ndim == like.ndim and numeric else None
+        except (ValueError, OverflowError):
+            values = None
+        if values is None or not np.isfinite(values).all():
+            raise _located(key, value, f"expected a {like.ndim}-D array of finite numbers")
+        if values.shape != like.shape:
+            raise _located(key, value, f"expected shape {like.shape}")
+        like[...] = values

@@ -221,7 +221,8 @@ def combine_branches(layer: MultiBranchDense, alpha_l) -> tuple:
         raise ConfigurationError(
             f"mixing vector has {a.shape[0]} entries for {layer.num_branches} branches"
         )
-    if a.min() < -SIMPLEX_ATOL or abs(a.sum() - 1.0) > SIMPLEX_ATOL:
+    # written so that a NaN entry, which fails every comparison, fails the check
+    if not (a.min() >= -SIMPLEX_ATOL and abs(a.sum() - 1.0) <= SIMPLEX_ATOL):
         raise ConfigurationError("mixing vector is not on the probability simplex")
     w = np.einsum("b,boi->oi", a, layer.weights)
     b = a @ layer.biases
@@ -246,7 +247,7 @@ def _check_input(net: Network, alpha: AlphaParams, x: np.ndarray) -> None:
 
 
 def forward(net: Network, alpha: AlphaParams, x) -> tuple:
-    """Class logits for a batch, plus the cache consumed by loss_and_grads.
+    """Class logits for a batch, plus the per-layer ForwardCache of the pass.
 
     Evaluates each layer through its combined weights; ReLU between layers,
     identity after the last.
@@ -281,6 +282,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def integral_labels(labels: np.ndarray) -> bool:
+    """Whether every label is an integer: an integer dtype, or floats such as 1.0."""
+    if labels.dtype.kind in "biu":
+        return True
+    return labels.dtype.kind == "f" and bool((labels == np.round(labels)).all())
+
+
 def _validate_batch(net: Network, batch) -> tuple:
     x, labels = batch
     x = as_matrix(x)
@@ -289,11 +297,12 @@ def _validate_batch(net: Network, batch) -> tuple:
         raise UsageError("empty batch")
     if labels.shape != (x.shape[0],):
         raise UsageError(f"labels shape {labels.shape} does not match batch of {x.shape[0]}")
-    labels = labels.astype(np.int64, copy=False)
+    if not integral_labels(labels):
+        raise UsageError(f"labels must be integers, got non-integral {labels.dtype} values")
     if labels.min() < 0 or labels.max() >= net.num_classes:
         raise UsageError(f"labels must lie in [0, {net.num_classes}); "
                          f"got range [{labels.min()}, {labels.max()}]")
-    return x, labels
+    return x, labels.astype(np.int64, copy=False)
 
 
 def batch_loss(net: Network, alpha: AlphaParams, x, labels) -> float:

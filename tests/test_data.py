@@ -352,3 +352,12 @@ def test_dataset_rejects_non_finite_features(value):
     features[1, 0] = value
     with pytest.raises(ConfigurationError, match="finite"):
         LabeledDataset(features, [0, 1, 0], 2)
+
+
+def test_dataset_rejects_non_integer_labels():
+    for labels in ([0.5, 1.7, 0.0], [0.0, np.nan, 1.0], ["0", "1", "0"]):
+        with pytest.raises(ConfigurationError, match="one integer per sample"):
+            LabeledDataset(np.zeros((3, 2)), labels, 2)
+    # integral floats are still labels
+    dataset = LabeledDataset(np.zeros((3, 2)), [1.0, 0.0, 1.0], 2)
+    assert dataset.labels.dtype == np.int64 and dataset.labels.tolist() == [1, 0, 1]

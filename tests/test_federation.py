@@ -544,6 +544,45 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
             fed.run_round(part_server, part_clients, cfg)
 
 
+def _assert_no_shared_memory(server, clients):
+    layers = list(server.model.layers)
+    for c in clients:
+        layers += [] if c.local_model is None else c.local_model.layers
+    arrays = ([l.weights for l in layers] + [l.biases for l in layers]
+              + [c.alpha.logits for c in clients])
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("method, shared_alpha", [("local", False), ("pfedmb", True)])
+def test_checkpoint_restores_into_unshared_arrays(tmp_path, config_factory, method, shared_alpha):
+    cfg = config_factory(method=method, shared_alpha=shared_alpha, rounds=2)
+    server, clients, _ = fed.run_training(cfg)
+    path = tmp_path / "ckpt.json"
+    fed.save_checkpoint(server, clients, cfg, path)
+    resumed_server, resumed_clients = fed.load_checkpoint(path, cfg)
+    _assert_same_state(resumed_server, resumed_clients, server, clients)
+    _assert_no_shared_memory(resumed_server, resumed_clients)
+
+
+def test_local_setup_gives_each_client_its_own_branches(config_factory, tmp_path):
+    cfg = config_factory(method="local")
+    server, clients = fed.setup_experiment(cfg)
+    for client in clients:
+        for mine, initial in zip(client.local_model.layers, server.model.layers):
+            np.testing.assert_array_equal(mine.weights, initial.weights)
+            np.testing.assert_array_equal(mine.biases, initial.biases)
+    _assert_no_shared_memory(server, clients)
+    # and a local checkpoint needs every client's branches
+    path = tmp_path / "ckpt.json"
+    fed.save_checkpoint(server, clients, cfg, path)
+    doc = json.loads(path.read_text())
+    doc["clients"][2]["local_model"] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"clients\[2\]\.local_model: expected a JSON object"):
+        fed.load_checkpoint(path, cfg)
+
+
 @pytest.mark.parametrize("saved, resumed", [
     (dict(seed=17), dict(seed=3, lr_w=0.5)),
     (dict(seed=17), dict(seed=17, method="pfedmb_plain_agg")),
@@ -638,9 +677,8 @@ MALFORMED = {
         f"not under this config {_fingerprint(MALFORMED_CONFIG)!r}",
     ),
     "round_str": (_put("round", value="x"), "round: expected an int"),
-    "round_negative": (_put("round", value=-3), "round: expected an int >= 0"),
-    "round_past_config": (_put("round", value=2),
-                          "round: expected at most the config's 1 rounds"),
+    "round_negative": (_put("round", value=-3), "round: expected an int in [0, 1]"),
+    "round_past_config": (_put("round", value=2), "round: expected an int in [0, 1], got 2"),
     "nan_weight": (_put("global_weights", 0, 0, 0, 0, value=float("nan")),
                    "global_weights[0]: expected a 3-D array of finite numbers"),
     "ragged_weights": (_put("global_weights", 0, 0, value=[[1.0], [1.0, 2.0]]),
@@ -650,16 +688,16 @@ MALFORMED = {
     "bias_shape": (_put("global_biases", 0, value=[[0.0]]),
                    "global_biases[0]: expected shape (2, 8)"),
     "clients_null": (_put("clients", value=None), "clients: expected a list"),
-    "client_count": (_drop_last_client, "clients: expected the config's 4 clients"),
+    "client_count": (_drop_last_client, "clients: expected a list of 4"),
     "client_int": (_put("clients", 0, value=5), "clients[0]: expected a JSON object"),
     "alpha_non_numeric": (_put("clients", 1, "alpha_logits", value=[["a", "b"], [0, 0]]),
                           "clients[1].alpha_logits: expected a 2-D array"),
     "alpha_shape": (_put("clients", 1, "alpha_logits", value=[[0.0, 0.0]]),
                     "clients[1].alpha_logits: expected shape (2, 2)"),
     "local_model_int": (_put("clients", 1, "local_model", value=3),
-                        "clients[1].local_model: expected a JSON object"),
+                        "clients[1].local_model: expected null, got 3"),
     "local_model_under_pfedmb": (_give_client_own_branches,
-                                 "clients[1].local_model: expected null under method 'pfedmb'"),
+                                 "clients[1].local_model: expected null, got {"),
 }
 
 

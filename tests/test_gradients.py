@@ -99,6 +99,18 @@ def test_loss_and_grads_input_validation():
         loss_and_grads(net, alpha, (x, y), wrt="nonsense")
 
 
+def test_non_integer_labels_are_rejected_not_truncated():
+    net, alpha, x, y = random_problem(4)
+    x = x[:2]
+    for labels in ([0.5, 1.7], [np.nan, 1.0], ["0", "1"]):
+        with pytest.raises(UsageError, match="labels must be integers"):
+            loss_and_grads(net, alpha, (x, labels))
+    with pytest.raises(UsageError, match="labels must be integers"):
+        batch_loss(net, alpha, x, [0.9, 1.2])
+    # integral floats are still labels
+    assert batch_loss(net, alpha, x, [1.0, 0.0]) == batch_loss(net, alpha, x, [1, 0])
+
+
 def test_vertex_alpha_trains_only_the_active_branch():
     # with the mixing at a (numerical) vertex, other branches get zero gradient
     net, _, x, y = random_problem(10, branches=3)

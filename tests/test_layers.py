@@ -65,6 +65,9 @@ def test_combine_rejects_wrong_length_and_off_simplex():
         combine_branches(layer, [0.7, 0.7])
     with pytest.raises(ConfigurationError):
         combine_branches(layer, [1.5, -0.5])
+    for nan_mixing in ([np.nan, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ConfigurationError):
+            combine_branches(layer, nan_mixing)
 
 
 def test_identity_network_forward():
