@@ -1,8 +1,9 @@
 """Command-line harness: run, compare, gradcheck, partition-stats.
 
 Configuration comes from a JSON file plus flag overrides (flags win).  The
-results a config produces depend only on the config and seed; output paths and
-thread counts never change the emitted bytes.
+results a config produces depend only on the config and seed; output paths never
+change the emitted bytes, and --threads is accepted for existing configs but
+changes nothing (clients run one after another).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import federation, metrics, nn
-from .config import METHODS, OUTPUT_DIR_ENV, TOP_KEYS, parse_config
+from .config import METHODS, MINIMUMS, OUTPUT_DIR_ENV, TOP_KEYS, parse_config
 from .data import partition
 from .errors import PfedmbError, ValidationError
 
@@ -135,6 +136,8 @@ def cmd_gradcheck(args) -> int:
         branches = config.branches
         seed = config.seed
     else:
+        if seed < MINIMUMS["seed"]:  # the rule a config's seed is held to
+            raise ValidationError(f"seed: must be >= {MINIMUMS['seed']}, got {seed}")
         dims = GRADCHECK_DIMS
         branches = args.branches if args.branches is not None else GRADCHECK_BRANCHES
 

@@ -119,7 +119,7 @@ class ExperimentConfig:
         self.hidden_dims = tuple(self.hidden_dims)
 
     def semantic_dict(self) -> dict:
-        """Everything that determines results; excludes output_dir and threads."""
+        """Everything that determines results; excludes output_dir and the no-op threads."""
         semantic = {
             f.name: getattr(self, f.name)
             for f in fields(self)

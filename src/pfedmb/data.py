@@ -393,6 +393,8 @@ def load_csv(path) -> LabeledDataset:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         if not all(map(math.isfinite, [label, *row])):
             raise ParseError(f"{path}: line {lineno}: non-finite value (nan or inf)")
+        if not label.is_integer():
+            raise ParseError(f"{path}: line {lineno}: label {fields[0].strip()} is not an integer")
         raw_labels.append(label)
         rows.append(row)
     if not rows:

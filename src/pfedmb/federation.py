@@ -13,8 +13,8 @@ trains its own model every round and nothing is aggregated.
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
-Client work therefore never depends on scheduling, and a round may run its
-clients on any number of threads with bit-identical results.
+A round runs its sampled clients one after another in canonical (ascending
+id) order; config.threads is accepted for existing configs but changes nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import reprlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -230,13 +229,6 @@ def aggregate(
     return nn.Network(layers)
 
 
-def _map_clients(work, ids, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, ids))
-    return [work(i) for i in ids]
-
-
 def run_round(server: ServerState, clients: list, config) -> RoundReport:
     """One communication round of config.method; advances the server in place."""
     started = time.perf_counter()
@@ -247,21 +239,19 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
     else:
         sampled = sample_clients(config.seed, len(clients), config.sample_size, t)
 
-    def work(cid):
+    updates, losses = [], []
+    for cid in sampled:
         client = clients[cid]
         update = client_local_learning(client, client.current_model(server), t, config)
-        shard = client.shard
+        if strategy is None:
+            client.local_model = update.model
         try:
-            return update, nn.batch_loss(update.model, client.alpha, shard.features, shard.labels)
+            losses.append(nn.batch_loss(update.model, client.alpha,
+                                        client.shard.features, client.shard.labels))
         except NumericError as exc:
             raise NumericError(f"client {cid}, round {t}, train loss: {exc}") from None
-
-    results = _map_clients(work, sampled, config.threads)
-    updates = [r[0] for r in results]
-    if strategy is None:
-        for update in updates:
-            clients[update.client_id].local_model = update.model
-    else:
+        updates.append(update)
+    if strategy is not None:
         server.model = aggregate(updates, strategy, server.model)
     server.round = t + 1
 
@@ -272,7 +262,7 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
     return RoundReport(
         round_index=t,
         sampled=sampled,
-        train_losses=[r[1] for r in results],
+        train_losses=losses,
         test_accuracies=accuracies,
         alpha_values=np.stack([c.alpha.values() for c in clients]),
         duration_seconds=time.perf_counter() - started,

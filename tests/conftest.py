@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from pfedmb.config import ExperimentConfig
+
+# every property test draws the same examples on every run, keeps no example
+# database in the checkout and has no per-example deadline
+settings.register_profile("pfedmb", derandomize=True, database=None, deadline=None)
+settings.load_profile("pfedmb")
 
 
 def make_config(**overrides):

@@ -131,6 +131,12 @@ def test_gradcheck_single_branch_skips_mixing_group(capsys):
     assert "skipped" in out
 
 
+def test_gradcheck_rejects_a_negative_seed(capsys):
+    """Without --config the seed is held to the config rule, not left to numpy."""
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+
+
 def test_gradcheck_uses_config_network_shape(smoke_config, capsys):
     path, _ = smoke_config
     assert main(["gradcheck", "--config", str(path)]) == 0

@@ -318,6 +318,19 @@ def test_csv_labels_reindexed_densely(tmp_path):
     assert ds.num_classes == 3
 
 
+def test_csv_rejects_non_integer_labels(tmp_path):
+    path = tmp_path / "frac.csv"
+    path.write_text("label,f1\n0.5,0.0\n1.7,1.0\n0.5,2.0\n1.7,3.0\n")
+    with pytest.raises(ParseError, match=r"frac\.csv: line 2: label 0\.5 is not an integer"):
+        load_csv(path)
+
+    # integral spellings still load and are re-indexed as before
+    path.write_text("label,f1\n1.0,0.0\n-3,1.0\n1.0,2.0\n")
+    ds = load_csv(path)
+    np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+    assert ds.num_classes == 2
+
+
 def test_csv_errors_name_the_line(tmp_path):
     bad_value = tmp_path / "bad.csv"
     bad_value.write_text("label,f1,f2\n0,1.0,2.0\n1,oops,3.0\n")
