@@ -27,7 +27,7 @@ print("alpha = (1, 0) returns branch 0 exactly")
 
 # Mixing the outputs of the branches gives the same logits as mixing first.
 alpha = AlphaParams(rng.normal(size=(1, 2)), num_layers=1)
-mixed_first, _ = forward(net, alpha, x)
+mixed_first = forward(net, alpha, x)
 a = alpha.values()[0]
 mixed_after = sum(
     a[b] * (x @ layer.weights[b].T + layer.biases[b]) for b in range(2)

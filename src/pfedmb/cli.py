@@ -110,6 +110,8 @@ def cmd_compare(args) -> int:
         configs.append(parse_config(args.config, overrides))
 
     out = Path(configs[0].output_dir)
+    # a run that fails partway must not leave an earlier table beside its results
+    (out / "compare.csv").unlink(missing_ok=True)
     accuracies = []
     for cfg in configs:
         result, _, _, _ = federation.run_experiment(cfg)
@@ -206,6 +208,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

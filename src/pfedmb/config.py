@@ -156,7 +156,8 @@ TOP_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"participation
 def parse_config(path=None, overrides=None) -> ExperimentConfig:
     """Resolve a JSON config file plus flag overrides into an ExperimentConfig.
 
-    Overrides use the same keys as the file and win over it.  Raises
+    Overrides use the same keys as the file and win over it; participation or
+    sample_size among them replaces both spellings in the file.  Raises
     ValidationError listing every violation, or ParseError for unreadable JSON.
     """
     raw = {}
@@ -170,8 +171,11 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
             raise ParseError(f"{p}: line {exc.lineno}: {exc.msg}") from None
         if not isinstance(raw, dict):
             raise ParseError(f"{p}: top level must be a JSON object")
-    if overrides:
-        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    spellings = {"participation", "sample_size"}  # the two spellings of S
+    if overrides.keys() & spellings:  # an override of either replaces the file's
+        raw = {k: v for k, v in raw.items() if k not in spellings}
+    raw = {**raw, **overrides}
 
     problems = [f"{key}: unknown key" for key in sorted(set(raw) - TOP_KEYS)]
     # MISSING makes ExperimentConfig report a required field as missing

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def evaluate_client(net: nn.Network, alpha: nn.AlphaParams, shard: LabeledDatase
         raise ConfigurationError(
             f"shard has {shard.num_classes} classes, network outputs {net.num_classes}"
         )
-    logits, _ = nn.forward(net, alpha, shard.features)
+    logits = nn.forward(net, alpha, shard.features)
     return float((logits.argmax(axis=1) == shard.labels).mean())
 
 
@@ -110,29 +111,29 @@ class ExperimentResult:
 def emit_results(result: ExperimentResult, output_dir) -> list:
     """Write rounds.csv, alpha_trajectory.csv, then final.json; returns the paths.
 
-    Each file is written atomically and final.json comes last, so a directory
-    holding a new final.json holds the other two files of the same result.
+    Each file is written atomically and final.json comes last.  Until it is in
+    place the earlier rounds.csv and alpha_trajectory.csv are kept aside, and a
+    failed write puts them back, so a final.json always sits next to the other
+    two files of its own result.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rounds_path = out / "rounds.csv"
-    lines = ["round,method,mean_test_acc,mean_train_loss"]
+    rounds = ["round,method,mean_test_acc,mean_train_loss"]
     for t, (acc, loss) in enumerate(
         zip(result.per_round_mean_test_accuracy, result.per_round_mean_train_loss)
     ):
-        lines.append(f"{t},{result.method},{_fmt(acc)},{_fmt(loss)}")
-    write_atomic(rounds_path, "\n".join(lines) + "\n")
+        rounds.append(f"{t},{result.method},{_fmt(acc)},{_fmt(loss)}")
 
     traj_path = out / "alpha_trajectory.csv"
-    lines = ["round,client,layer,branch,alpha"]
+    traj = ["round,client,layer,branch,alpha"]
     for t, snapshot in enumerate(result.alpha_trajectory):
         arr = np.asarray(snapshot)
         for i in range(arr.shape[0]):
             for l in range(arr.shape[1]):
                 for b in range(arr.shape[2]):
-                    lines.append(f"{t},{i},{l},{b},{_fmt(arr[i, l, b])}")
-    write_atomic(traj_path, "\n".join(lines) + "\n")
+                    traj.append(f"{t},{i},{l},{b},{_fmt(arr[i, l, b])}")
 
     final_path = out / "final.json"
     doc = {
@@ -156,5 +157,17 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
             for a in result.final_alpha
         ],
     }
-    write_atomic(final_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    kept = [(p, p.with_name(f".{p.name}.kept")) for p in (rounds_path, traj_path) if p.exists()]
+    for path, aside in kept:
+        os.replace(path, aside)
+    try:
+        write_atomic(rounds_path, "\n".join(rounds) + "\n")
+        write_atomic(traj_path, "\n".join(traj) + "\n")
+        write_atomic(final_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    except BaseException:
+        for path, aside in kept:
+            os.replace(aside, path)
+        raise
+    for _, aside in kept:
+        aside.unlink()
     return [rounds_path, final_path, traj_path]

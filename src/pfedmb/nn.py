@@ -13,7 +13,9 @@ the mixing weights are therefore reported with respect to the logits (softmax
 Jacobian applied to the raw alpha gradient), and finite-difference checks
 perturb logits, not alpha.
 
-Everything is float64.  No operation mutates its inputs.
+forward, batch_loss and loss_and_grads check a batch once and share one forward
+pass and one cross entropy.  Everything is float64.  No operation mutates its
+inputs.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ WRT_W = "w"
 WRT_ALPHA = "alpha"
 WRT_BOTH = "both"
 
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ConfigurationError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return arr
+_UNLABELED = object()  # forward's batches carry no labels; None is a bad label array
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -205,13 +201,8 @@ class GradientBundle:
     d_alpha_logits: np.ndarray
 
 
-@dataclass
-class ForwardCache:
-    """Intermediate values from forward needed by the backward pass."""
-
-    inputs: list        # input to each layer, (n, in_dim)
-    preacts: list       # pre-activation of each layer, (n, out_dim)
-    combined_weights: list
+def _combine(layer: MultiBranchDense, a: np.ndarray) -> tuple:
+    return np.einsum("b,boi->oi", a, layer.weights), a @ layer.biases
 
 
 def combine_branches(layer: MultiBranchDense, alpha_l) -> tuple:
@@ -224,9 +215,7 @@ def combine_branches(layer: MultiBranchDense, alpha_l) -> tuple:
     # written so that a NaN entry, which fails every comparison, fails the check
     if not (a.min() >= -SIMPLEX_ATOL and abs(a.sum() - 1.0) <= SIMPLEX_ATOL):
         raise ConfigurationError("mixing vector is not on the probability simplex")
-    w = np.einsum("b,boi->oi", a, layer.weights)
-    b = a @ layer.biases
-    return w, b
+    return _combine(layer, a)
 
 
 def _trusted(cls, **fields):
@@ -236,52 +225,6 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _check_input(net: Network, alpha: AlphaParams, x: np.ndarray) -> None:
-    if x.shape[1] != net.in_dim:
-        raise ConfigurationError(f"input has {x.shape[1]} features, network expects {net.in_dim}")
-    if alpha.num_layers != net.num_layers or alpha.num_branches != net.num_branches:
-        raise ConfigurationError(
-            f"alpha for {alpha.num_layers} layers x {alpha.num_branches} branches does not "
-            f"fit a network with {net.num_layers} layers x {net.num_branches} branches"
-        )
-
-
-def forward(net: Network, alpha: AlphaParams, x) -> tuple:
-    """Class logits for a batch, plus the per-layer ForwardCache of the pass.
-
-    Evaluates each layer through its combined weights; ReLU between layers,
-    identity after the last.
-    """
-    x = as_matrix(x)
-    _check_input(net, alpha, x)
-    # overflow is reported by the finiteness check, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward(net, alpha.values(), x)
-
-
-def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
-    """forward on a checked x, under the caller's np.errstate."""
-    # the rows of avals come from a softmax: no simplex check as in combine_branches
-    inputs, preacts, ws = [], [], []
-    act = x
-    for l, layer in enumerate(net.layers):
-        w = np.einsum("b,boi->oi", avals[l], layer.weights)
-        z = act @ w.T
-        z += avals[l] @ layer.biases
-        if not np.isfinite(z).all():
-            raise NumericError(f"non-finite activations in layer {l}")
-        inputs.append(act)
-        preacts.append(z)
-        ws.append(w)
-        act = np.maximum(z, 0.0) if l < net.num_layers - 1 else z
-    return act, ForwardCache(inputs, preacts, ws)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def integral_labels(labels: np.ndarray) -> bool:
     """Whether every label is an integer: an integer dtype, or floats such as 1.0."""
     if labels.dtype.kind in "biu":
@@ -289,28 +232,76 @@ def integral_labels(labels: np.ndarray) -> bool:
     return labels.dtype.kind == "f" and bool((labels == np.round(labels)).all())
 
 
-def _validate_batch(net: Network, batch) -> tuple:
-    x, labels = batch
-    x = as_matrix(x)
-    labels = np.asarray(labels)
-    if x.shape[0] == 0:
-        raise UsageError("empty batch")
-    if labels.shape != (x.shape[0],):
-        raise UsageError(f"labels shape {labels.shape} does not match batch of {x.shape[0]}")
-    if not integral_labels(labels):
-        raise UsageError(f"labels must be integers, got non-integral {labels.dtype} values")
-    if labels.min() < 0 or labels.max() >= net.num_classes:
-        raise UsageError(f"labels must lie in [0, {net.num_classes}); "
-                         f"got range [{labels.min()}, {labels.max()}]")
-    return x, labels.astype(np.int64, copy=False)
+def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED) -> tuple:
+    """(x as 2-D float64, labels as int64) after checking that both fit net and alpha."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ConfigurationError(f"expected a 2-D matrix, got ndim={x.ndim}")
+    if labels is not _UNLABELED:
+        labels = np.asarray(labels)
+        if x.shape[0] == 0:
+            raise UsageError("empty batch")
+        if labels.shape != (x.shape[0],):
+            raise UsageError(f"labels shape {labels.shape} does not match batch of {x.shape[0]}")
+        if not integral_labels(labels):
+            raise UsageError(f"labels must be integers, got non-integral {labels.dtype} values")
+        if labels.min() < 0 or labels.max() >= net.num_classes:
+            raise UsageError(f"labels must lie in [0, {net.num_classes}); "
+                             f"got range [{labels.min()}, {labels.max()}]")
+        labels = labels.astype(np.int64, copy=False)
+    if x.shape[1] != net.in_dim:
+        raise ConfigurationError(f"input has {x.shape[1]} features, network expects {net.in_dim}")
+    if alpha.num_layers != net.num_layers or alpha.num_branches != net.num_branches:
+        raise ConfigurationError(
+            f"alpha for {alpha.num_layers} layers x {alpha.num_branches} branches does not "
+            f"fit a network with {net.num_layers} layers x {net.num_branches} branches"
+        )
+    return x, labels
+
+
+def forward(net: Network, alpha: AlphaParams, x) -> np.ndarray:
+    """Class logits for a batch, shape (n, num_classes).
+
+    Evaluates each layer through its combined weights; ReLU between layers,
+    identity after the last.
+    """
+    x, _ = _check_batch(net, alpha, x)
+    # overflow is reported by the finiteness check, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward(net, alpha.values(), x)[0][-1]
+
+
+def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
+    """([x, *layer outputs], combined weights) of a checked x, under the caller's np.errstate."""
+    # the rows of avals come from a softmax: no simplex check as in combine_branches
+    acts, ws = [x], []
+    for l, layer in enumerate(net.layers):
+        w, b = _combine(layer, avals[l])
+        z = acts[-1] @ w.T
+        z += b
+        if not np.isfinite(z).all():
+            raise NumericError(f"non-finite activations in layer {l}")
+        ws.append(w)
+        acts.append(np.maximum(z, 0.0) if l < net.num_layers - 1 else z)
+    return acts, ws
+
+
+def _nll(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """(mean cross entropy, log-softmax) of the logits, under the caller's np.errstate."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = logits.shape[0]
+    loss = float(-logp[np.arange(n), labels].sum() / n)  # the bits of .mean(), without its overhead
+    if not math.isfinite(loss):
+        raise NumericError("non-finite loss")
+    return loss, logp
 
 
 def batch_loss(net: Network, alpha: AlphaParams, x, labels) -> float:
-    """Mean softmax cross entropy of the batch, no gradients."""
-    x, labels = _validate_batch(net, (x, labels))
-    logits, _ = forward(net, alpha, x)
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(x.shape[0]), labels].mean())
+    """Mean softmax cross entropy of the batch, no gradients; raises NumericError if non-finite."""
+    x, labels = _check_batch(net, alpha, x, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _nll(_forward(net, alpha.values(), x)[0][-1], labels)[0]
 
 
 def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH):
@@ -322,32 +313,26 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
     """
     if wrt not in (WRT_W, WRT_ALPHA, WRT_BOTH):
         raise UsageError(f"wrt must be one of 'w', 'alpha', 'both'; got {wrt!r}")
-    x, labels = _validate_batch(net, batch)
-    _check_input(net, alpha, x)
+    x, labels = _check_batch(net, alpha, *batch)
     want_w, want_alpha = wrt != WRT_ALPHA, wrt != WRT_W
-    v = softmax(alpha.logits)
-    avals = np.repeat(v, net.num_layers, axis=0) if alpha.shared else v
+    avals = alpha.values()
+    v = avals[:1] if alpha.shared else avals
     # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, cache = _forward(net, avals, x)
-        n = x.shape[0]
-        rows = np.arange(n)
-        logp = _log_softmax(logits)
-        loss = float(-logp[rows, labels].sum() / n)  # the bits of .mean(), without its overhead
-        if not math.isfinite(loss):
-            raise NumericError("non-finite loss")
+        acts, ws = _forward(net, avals, x)
+        loss, logp = _nll(acts[-1], labels)
 
         # dL/dz at the output: (softmax - onehot) / n
         dz = np.exp(logp)
-        dz[rows, labels] -= 1.0
-        dz /= n
+        dz[np.arange(x.shape[0]), labels] -= 1.0
+        dz /= x.shape[0]
 
         d_weights = [None if want_w else np.zeros(layer.weights.shape) for layer in net.layers]
         d_biases = [None if want_w else np.zeros(layer.biases.shape) for layer in net.layers]
         d_alpha_values = np.zeros((net.num_layers, net.num_branches)) if want_alpha else None
         for l in reversed(range(net.num_layers)):
             layer = net.layers[l]
-            dw_combined = dz.T @ cache.inputs[l]
+            dw_combined = dz.T @ acts[l]
             db_combined = dz.sum(axis=0)
             if want_w:
                 # z depends on branch b only through alpha_b * (W_b, b_b)
@@ -358,8 +343,8 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
                 d_alpha_values[l] = np.einsum("oi,boi->b", dw_combined, layer.weights)
                 d_alpha_values[l] += layer.biases @ db_combined
             if l > 0:
-                dz = dz @ cache.combined_weights[l]
-                dz *= cache.preacts[l - 1] > 0.0
+                dz = dz @ ws[l]
+                dz *= acts[l] > 0.0  # relu(z) > 0 exactly where z > 0
 
         if want_alpha:
             # chain rule through the softmax: v * (d - <v, d>)
@@ -433,7 +418,7 @@ def gradient_check(
     """
     if not 0.0 < h <= 1e-2:
         raise ConfigurationError(f"h must be in (0, 1e-2], got {h}")
-    x, labels = _validate_batch(net, batch)
+    x, labels = _check_batch(net, alpha, *batch)
     if grads is None:
         _, grads = loss_and_grads(net, alpha, (x, labels), wrt=WRT_BOTH)
 

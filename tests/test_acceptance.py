@@ -175,7 +175,7 @@ def test_criterion_4_superposition_equivalence():
         alpha = nn.AlphaParams(rng.normal(size=(net.num_layers, branches)), net.num_layers)
         x = rng.normal(size=(int(rng.integers(1, 10)), dims[0]))
 
-        combined, _ = nn.forward(net, alpha, x)
+        combined = nn.forward(net, alpha, x)
         avals = alpha.values()
         act = x
         for l, layer in enumerate(net.layers):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from pfedmb import federation, metrics
 from pfedmb.cli import main
+from pfedmb.errors import NumericError
 
 
 @pytest.fixture
@@ -178,6 +181,59 @@ def test_compare_rejects_a_repeated_method(smoke_config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: methods: " in err and "pfedmb" in err
     assert not out.exists()
+
+
+def test_failed_rerun_leaves_the_earlier_result_whole(smoke_config, tmp_path, monkeypatch,
+                                                      capsys):
+    path, _ = smoke_config
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    write, calls = metrics.write_atomic, []
+
+    def disk_full_on_the_second_file(target, text):
+        calls.append(target)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(target, text)
+
+    monkeypatch.setattr(metrics, "write_atomic", disk_full_on_the_second_file)
+    assert main(["run", "--config", str(path), "--rounds", "3"]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+    # the new rounds.csv is taken back: final.json still sits beside its own result
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+def test_failed_compare_leaves_no_earlier_table(smoke_config, tmp_path, monkeypatch, capsys):
+    path, _ = smoke_config
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", str(path), "--methods", "pfedmb,fedavg", "--out", str(out)]
+    assert main(argv) == 0
+    run = federation.run_experiment
+
+    def fedavg_diverges(config):
+        if config.method == "fedavg":
+            raise NumericError("client 0, round 0: non-finite loss")
+        return run(config)
+
+    monkeypatch.setattr(federation, "run_experiment", fedavg_diverges)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: client 0")
+    assert (out / "pfedmb" / "final.json").exists()
+    assert not (out / "compare.csv").exists()
+
+
+def test_a_config_too_large_to_allocate_exits_2_with_one_error(smoke_config, tmp_path, capsys):
+    _, raw = smoke_config
+    path = tmp_path / "huge.json"
+    # weights of shape (2, 10**16, 4) need 568 PiB, more than any address space
+    # holds, so numpy refuses them before allocating anything
+    path.write_text(json.dumps(dict(raw, hidden_dims=[10**16])))
+    assert main(["run", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), lines
+    assert "shape (2, 10000000000000000, 4)" in lines[0]
+    assert not (tmp_path / "out" / "final.json").exists()
 
 
 def test_partition_stats_histograms(smoke_config, tmp_path):

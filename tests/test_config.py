@@ -109,6 +109,19 @@ def test_participation_and_sample_size_are_exclusive(tmp_path):
         parse_config(write_config(tmp_path, valid_raw(participation=1.5)))
 
 
+def test_an_override_of_either_spelling_replaces_the_files(tmp_path):
+    raw = valid_raw(clients=4)
+    del raw["participation"]
+    raw["sample_size"] = 2
+    path = write_config(tmp_path, raw)
+    # what `--participation 1.0` passes, over a file that gives sample_size
+    assert parse_config(path, {"participation": 1.0}).sample_size == 4
+    assert parse_config(write_config(tmp_path, valid_raw(participation=0.5), "p.json"),
+                        {"sample_size": 3}).sample_size == 3
+    with pytest.raises(ValidationError, match="not both"):
+        parse_config(path, {"participation": 1.0, "sample_size": 2})
+
+
 def test_participation_fraction_rounds_to_sample_size(tmp_path):
     cfg = parse_config(write_config(tmp_path, valid_raw(clients=50, participation=0.2)))
     assert cfg.sample_size == 10

@@ -21,7 +21,8 @@ def test_demo_runs(demo, tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        # -W error: a warning fails the demo, as filterwarnings fails a test in-process
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

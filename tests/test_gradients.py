@@ -111,6 +111,14 @@ def test_non_integer_labels_are_rejected_not_truncated():
     assert batch_loss(net, alpha, x, [1.0, 0.0]) == batch_loss(net, alpha, x, [1, 0])
 
 
+def test_missing_labels_are_rejected():
+    net, alpha, x, _ = random_problem(4)
+    with pytest.raises(UsageError, match="labels shape"):
+        batch_loss(net, alpha, x, None)
+    with pytest.raises(UsageError, match="labels shape"):
+        loss_and_grads(net, alpha, (x, None))
+
+
 def test_vertex_alpha_trains_only_the_active_branch():
     # with the mixing at a (numerical) vertex, other branches get zero gradient
     net, _, x, y = random_problem(10, branches=3)

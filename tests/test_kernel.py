@@ -5,10 +5,13 @@ moves a single bit of a loss, a gradient or a stepped parameter fails here,
 not only in the golden result hashes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pfedmb import nn
+from pfedmb.errors import NumericError
 
 # (branches, layer dims, shared mixing row, batch rows): the three bench shapes
 SHAPES = [
@@ -30,7 +33,7 @@ def make_problem(branches, dims, shared, rows, seed=0):
 
 
 def oracle(weights, biases, logits, shared, x, y):
-    """Loss, weight, bias and logit gradients, inline: every group computed."""
+    """Logits, loss, weight, bias and logit gradients, inline: every group computed."""
     num_layers = len(weights)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     v = e / e.sum(axis=1, keepdims=True)
@@ -65,7 +68,7 @@ def oracle(weights, biases, logits, shared, x, y):
     if shared:
         d_mix = d_mix.sum(axis=0, keepdims=True)
     d_logits = v * (d_mix - (v * d_mix).sum(axis=1, keepdims=True))
-    return loss, d_w, d_b, d_logits
+    return acts[-1], loss, d_w, d_b, d_logits
 
 
 def as_nn(weights, biases, logits, shared):
@@ -77,7 +80,7 @@ def as_nn(weights, biases, logits, shared):
 @pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
 def test_loss_and_grads_equal_the_inline_oracle_bit_for_bit(branches, dims, shared, rows, wrt):
     weights, biases, logits, x, y = make_problem(branches, dims, shared, rows)
-    loss, d_w, d_b, d_logits = oracle(weights, biases, logits, shared, x, y)
+    out, loss, d_w, d_b, d_logits = oracle(weights, biases, logits, shared, x, y)
     if wrt == "alpha":
         d_w = [np.zeros_like(g) for g in d_w]
         d_b = [np.zeros_like(g) for g in d_b]
@@ -92,12 +95,15 @@ def test_loss_and_grads_equal_the_inline_oracle_bit_for_bit(branches, dims, shar
         np.testing.assert_array_equal(grads.d_weights[l], d_w[l])
         np.testing.assert_array_equal(grads.d_biases[l], d_b[l])
     np.testing.assert_array_equal(grads.d_alpha_logits, d_logits)
+    # the same forward pass and loss serve forward and batch_loss
+    np.testing.assert_array_equal(nn.forward(net, alpha, x), out)
+    assert nn.batch_loss(net, alpha, x, y) == loss
 
 
 @pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
 def test_step_network_equals_the_inline_update_bit_for_bit(branches, dims, shared, rows):
     weights, biases, logits, x, y = make_problem(branches, dims, shared, rows, seed=1)
-    _, d_w, d_b, _ = oracle(weights, biases, logits, shared, x, y)
+    _, _, d_w, d_b, _ = oracle(weights, biases, logits, shared, x, y)
     net, alpha = as_nn(weights, biases, logits, shared)
     _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
     lr = 0.05
@@ -138,3 +144,16 @@ def test_step_network_output_shares_no_memory_with_its_inputs():
         for out in (layer.weights, layer.biases):
             assert not any(np.shares_memory(out, arr) for arr in inputs)
     assert not np.shares_memory(stepped.layers[0].weights, stepped.layers[0].biases)
+
+
+def test_an_overflowing_loss_raises_in_batch_loss_as_in_loss_and_grads():
+    # finite logits (1e308, -1e308): their spread overflows in the log-softmax
+    net = nn.Network([nn.MultiBranchDense(np.zeros((1, 2, 1)), [[1e308, -1e308]])])
+    alpha = nn.uniform_alpha(1, 1)
+    x, y = np.ones((1, 1)), np.array([1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loss in (lambda: nn.batch_loss(net, alpha, x, y),
+                     lambda: nn.loss_and_grads(net, alpha, (x, y))):
+            with pytest.raises(NumericError, match="non-finite loss"):
+                loss()

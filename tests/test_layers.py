@@ -74,7 +74,7 @@ def test_identity_network_forward():
     layer = MultiBranchDense(np.eye(3)[None, :, :], np.zeros((1, 3)))
     net = Network([layer])
     x = np.random.default_rng(1).normal(size=(5, 3))
-    logits, _ = forward(net, uniform_alpha(1, 1), x)
+    logits = forward(net, uniform_alpha(1, 1), x)
     np.testing.assert_array_equal(logits, x)
 
 
@@ -93,8 +93,8 @@ def test_forward_at_vertex_matches_single_branch_network():
                 for layer in net.layers
             ]
         )
-        got, _ = forward(net, vertex, x)
-        want, _ = forward(single, uniform_alpha(net.num_layers, 1), x)
+        got = forward(net, vertex, x)
+        want = forward(single, uniform_alpha(net.num_layers, 1), x)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_superposition_equivalence_on_random_nets():
             rng.normal(size=(net.num_layers, net.num_branches)), net.num_layers
         )
         x = rng.normal(size=(int(rng.integers(1, 9)), net.in_dim))
-        got, _ = forward(net, alpha, x)
+        got = forward(net, alpha, x)
         want = branchwise_forward(net, alpha.values(), x)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

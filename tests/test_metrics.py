@@ -52,7 +52,7 @@ def test_accuracy_matches_per_sample_hand_count():
 
     correct = 0
     for i in range(30):
-        logits, _ = nn.forward(net, alpha, shard.features[i : i + 1])
+        logits = nn.forward(net, alpha, shard.features[i : i + 1])
         correct += int(np.argmax(logits[0]) == shard.labels[i])
     assert got == pytest.approx(correct / 30, abs=1e-12)
 
