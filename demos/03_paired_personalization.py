@@ -27,7 +27,7 @@ config = ExperimentConfig(
     output_dir="unused",
 )
 
-result, server, clients, _ = run_experiment(config)
+result, server, clients = run_experiment(config)
 
 print(f"mean test accuracy after fine-tuning: {result.final_mean_accuracy:.3f}\n")
 print("final branch mixtures (rows = clients; paired rows should match):")

@@ -40,7 +40,7 @@ for method in ("local", "fedavg", "pfedmb_plain_agg", "pfedmb"):
     cfg = dataclasses.replace(
         base, method=method, branches=1 if method == "fedavg" else base.branches
     )
-    result, _, _, _ = run_experiment(cfg)
+    result, _, _ = run_experiment(cfg)
     note = ""
     if method in ("pfedmb", "pfedmb_plain_agg"):
         note = f"reached 95% of final at round {rounds_to_95(result.per_round_mean_test_accuracy)}"

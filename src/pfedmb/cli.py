@@ -84,7 +84,7 @@ def _overrides(args) -> dict:
 
 def cmd_run(args) -> int:
     config = parse_config(args.config, _overrides(args))
-    result, _, _, _ = federation.run_experiment(config)
+    result, _, _ = federation.run_experiment(config)
     paths = metrics.emit_results(result, config.output_dir)
     print(f"method={config.method} final_mean_test_acc={result.final_mean_accuracy:.4f}")
     for p in paths:
@@ -114,7 +114,7 @@ def cmd_compare(args) -> int:
     (out / "compare.csv").unlink(missing_ok=True)
     accuracies = []
     for cfg in configs:
-        result, _, _, _ = federation.run_experiment(cfg)
+        result, _, _ = federation.run_experiment(cfg)
         metrics.emit_results(result, out / cfg.method)
         accuracies.append(result.final_mean_accuracy)
 

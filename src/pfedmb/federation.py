@@ -315,14 +315,16 @@ def fine_tune(client: ClientState, global_model: nn.Network, config) -> nn.Netwo
 def run_experiment(config):
     """End-to-end run of the configured method, fine-tuning included.
 
-    Returns (ExperimentResult, server, clients, personalized models).
+    Returns (ExperimentResult, server, clients).  Each client's personalized
+    network is evaluated and dropped before the next is fine-tuned; a caller who
+    wants the networks runs run_training, then fine_tune per client, as this does.
     """
     server, clients, reports = run_training(config)
-    personalized, accuracies = [], []
+    accuracies = []
     for client in clients:
         model = fine_tune(client, client.current_model(server), config)
-        personalized.append(model)
         accuracies.append(metrics.evaluate_client(model, client.alpha, client.test_shard))
+        del model  # one fine-tuned network alive at a time
 
     semantic = config.semantic_dict()
     result = metrics.ExperimentResult(
@@ -335,7 +337,7 @@ def run_experiment(config):
         config_fingerprint=metrics.config_fingerprint(semantic),
         config=semantic,
     )
-    return result, server, clients, personalized
+    return result, server, clients
 
 
 # ----------------------------------------------------------------- checkpoints

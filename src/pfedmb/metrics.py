@@ -111,10 +111,12 @@ class ExperimentResult:
 def emit_results(result: ExperimentResult, output_dir) -> list:
     """Write rounds.csv, alpha_trajectory.csv, then final.json; returns the paths.
 
-    Each file is written atomically and final.json comes last.  Until it is in
-    place the earlier rounds.csv and alpha_trajectory.csv are kept aside, and a
-    failed write puts them back, so a final.json always sits next to the other
-    two files of its own result.
+    Each file is written atomically.  The earlier final.json is moved aside
+    first and the earlier CSVs after it, each to .<name>.kept, and the new
+    final.json comes last; so even a process killed at any point leaves either
+    no final.json or one next to the other two files of its own result.  A
+    raised error drops this call's new files and puts the kept ones back,
+    final.json last.  Kept files that a killed call left are deleted first.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,17 +159,22 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
             for a in result.final_alpha
         ],
     }
-    kept = [(p, p.with_name(f".{p.name}.kept")) for p in (rounds_path, traj_path) if p.exists()]
-    for path, aside in kept:
-        os.replace(path, aside)
+    aside = {p: p.with_name(f".{p.name}.kept") for p in (final_path, rounds_path, traj_path)}
+    for stale in aside.values():
+        stale.unlink(missing_ok=True)
+    kept = [path for path in aside if path.exists()]
+    for path in kept:
+        os.replace(path, aside[path])
     try:
         write_atomic(rounds_path, "\n".join(rounds) + "\n")
         write_atomic(traj_path, "\n".join(traj) + "\n")
         write_atomic(final_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     except BaseException:
-        for path, aside in kept:
-            os.replace(aside, path)
+        for path in reversed(aside):
+            path.unlink(missing_ok=True)
+            if path in kept:
+                os.rename(aside[path], path)
         raise
-    for _, aside in kept:
-        aside.unlink()
+    for path in kept:
+        aside[path].unlink()
     return [rounds_path, final_path, traj_path]

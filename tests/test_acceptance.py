@@ -76,7 +76,7 @@ def paired_runs():
     results = {}
     for seed in SEEDS:
         for method in ("pfedmb", "pfedmb_plain_agg", "fedavg"):
-            result, _, _, _ = run_experiment(paired_config(method, seed))
+            result, _, _ = run_experiment(paired_config(method, seed))
             results[(method, seed)] = result
     return results, time.perf_counter() - started
 

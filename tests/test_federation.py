@@ -1,8 +1,10 @@
 """Protocol mechanics: sampling, two-phase local learning, aggregation, rounds."""
 
 import dataclasses
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -357,12 +359,35 @@ def test_b1_training_equals_fedavg_baseline_bitwise(config_factory):
         np.testing.assert_array_equal(a.alpha.logits, b.alpha.logits)
 
 
-def test_partial_participation_experiment_end_to_end(config_factory):
+def run_keeping_fine_tuned(monkeypatch, config):
+    """run_experiment's (result, server, clients) plus the network that each
+    fine_tune call returned, in call order."""
+    networks = []
+    fine_tune = fed.fine_tune
+
+    def spy(client, model, cfg):
+        networks.append(fine_tune(client, model, cfg))
+        return networks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fed, "fine_tune", spy)
+        return (*fed.run_experiment(config), networks)
+
+
+def assert_same_networks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for la, lb in zip(a.layers, b.layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.biases, lb.biases)
+
+
+def test_partial_participation_experiment_end_to_end(config_factory, monkeypatch):
     cfg = config_factory(
         clients=6, sample_size=2, rounds=4, seed=21,
         partition={"scheme": "dirichlet", "beta": 0.6},
     )
-    result, server, clients, personalized = fed.run_experiment(cfg)
+    result, server, clients, personalized = run_keeping_fine_tuned(monkeypatch, cfg)
     assert len(result.per_round_mean_test_accuracy) == 4
     assert len(result.final_client_accuracies) == 6
     assert len(personalized) == 6
@@ -370,9 +395,30 @@ def test_partial_participation_experiment_end_to_end(config_factory):
     # trajectory snapshots cover every client every round
     assert all(snap.shape == (6, 2, 2) for snap in result.alpha_trajectory)
 
-    replay, _, _, _ = fed.run_experiment(cfg)
+    replay, _, _, again = run_keeping_fine_tuned(monkeypatch, cfg)
     assert replay.final_client_accuracies == result.final_client_accuracies
     assert replay.config_fingerprint == result.config_fingerprint
+    assert_same_networks(again, personalized)
+
+
+def test_experiment_holds_one_fine_tuned_network_at_a_time(config_factory, monkeypatch):
+    cfg = config_factory(sample_size=2, rounds=1)
+    refs = []
+    fine_tune = fed.fine_tune
+
+    def spy(client, model, config):
+        gc.collect()
+        assert [i for i, ref in enumerate(refs) if ref() is not None] == []
+        network = fine_tune(client, model, config)
+        refs.append(weakref.ref(network))
+        return network
+
+    monkeypatch.setattr(fed, "fine_tune", spy)
+    result = fed.run_experiment(cfg)
+    gc.collect()
+    assert len(refs) == cfg.clients
+    assert [i for i, ref in enumerate(refs) if ref() is not None] == []
+    assert len(result[0].final_client_accuracies) == cfg.clients
 
 
 def test_training_t0_returns_initial_state(config_factory):
@@ -387,7 +433,7 @@ def test_training_t0_returns_initial_state(config_factory):
 
 # -------------------------------------------------------- baselines & fine-tune
 
-def test_fedavg_single_client_equals_local_only():
+def test_fedavg_single_client_equals_local_only(monkeypatch):
     # power-of-two shard size keeps single-update aggregation exact
     data = {"synthetic": {"num_classes": 2, "input_dim": 3,
                           "noise_std": 0.6, "samples_per_class": 48}}
@@ -396,16 +442,14 @@ def test_fedavg_single_client_equals_local_only():
 
     common = dict(clients=1, sample_size=1, branches=1, rounds=2,
                   data=data, partition=part, seed=3)
-    r_fa, s_fa, cl_fa, p_fa = fed.run_experiment(
-        make_config(method="fedavg", **common)
+    r_fa, s_fa, cl_fa, p_fa = run_keeping_fine_tuned(
+        monkeypatch, make_config(method="fedavg", **common)
     )
-    r_lo, s_lo, cl_lo, p_lo = fed.run_experiment(
-        make_config(method="local", **common)
+    r_lo, s_lo, cl_lo, p_lo = run_keeping_fine_tuned(
+        monkeypatch, make_config(method="local", **common)
     )
     assert cl_fa[0].num_samples == 64
-    for la, lb in zip(p_fa[0].layers, p_lo[0].layers):
-        np.testing.assert_array_equal(la.weights, lb.weights)
-        np.testing.assert_array_equal(la.biases, lb.biases)
+    assert_same_networks(p_fa, p_lo)
     assert r_fa.final_client_accuracies == r_lo.final_client_accuracies
 
 
@@ -451,17 +495,16 @@ def test_local_only_clients_are_isolated(config_factory):
     )
 
 
-def test_zero_rounds_plus_fine_tune_is_pure_local_training(config_factory):
+def test_zero_rounds_plus_fine_tune_is_pure_local_training(config_factory, monkeypatch):
     cfg = config_factory(method="local", rounds=0, local_epochs=4)
-    result, server, clients, personalized = fed.run_experiment(cfg)
+    result, server, clients, personalized = run_keeping_fine_tuned(monkeypatch, cfg)
     assert result.per_round_mean_test_accuracy == []
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
-    for i, fresh in enumerate(fresh_clients):
-        update = fed.client_local_learning(fresh, fresh_server.model, 0, cfg)
-        for got, want in zip(personalized[i].layers, update.model.layers):
-            np.testing.assert_array_equal(got.weights, want.weights)
-            np.testing.assert_array_equal(got.biases, want.biases)
+    assert_same_networks(personalized, [
+        fed.client_local_learning(fresh, fresh_server.model, 0, cfg).model
+        for fresh in fresh_clients
+    ])
 
 
 def test_fine_tune_zero_rates_is_identity(config_factory):

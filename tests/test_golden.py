@@ -85,3 +85,53 @@ def test_compare_table_matches_golden(tmp_path):
     argv = ["compare", "--config", str(path), "--out", str(out), "--methods", COMPARE_METHODS]
     assert cli.main(argv) == 0
     assert hashlib.sha256((out / "compare.csv").read_bytes()).hexdigest() == COMPARE_GOLDEN
+
+
+# The three benchmark workload configs at seed 3, frozen here so that a change
+# to the benchmark never moves these pins.  Their hash is the benchmark's:
+# sha256 of the three result files concatenated, with no names between them.
+BENCH_SHAPES = {
+    "paired_paper": {
+        "method": "pfedmb", "clients": 10, "participation": 1.0, "rounds": 50,
+        "local_epochs": 5, "batch_size": 64, "branches": 5, "lr_alpha": 1.0,
+        "lr_w": 0.05, "shared_alpha": True, "hidden_dims": [32],
+        "data": {"synthetic": {"num_classes": 10, "input_dim": 20, "noise_std": 0.7,
+                               "samples_per_class": 60}},
+        "partition": {"scheme": "paired_clusters", "num_pairs": 5, "classes_per_pair": 2},
+        "threads": 1, "seed": 3,
+    },
+    "dirichlet_ragged": {
+        "method": "pfedmb", "clients": 50, "sample_size": 25, "rounds": 5,
+        "local_epochs": 5, "batch_size": 64, "branches": 4, "lr_alpha": 1.0,
+        "lr_w": 0.05, "shared_alpha": False, "hidden_dims": [128],
+        "data": {"synthetic": {"num_classes": 20, "input_dim": 64, "class_mean_scale": 2.0,
+                               "noise_std": 0.7, "samples_per_class": 400}},
+        "partition": {"scheme": "dirichlet", "beta": 0.5},
+        "threads": 1, "seed": 3,
+    },
+    "deep_server": {
+        "method": "pfedmb_plain_agg", "clients": 100, "participation": 1.0, "rounds": 5,
+        "local_epochs": 1, "batch_size": 512, "branches": 8, "lr_alpha": 1.0,
+        "lr_w": 0.5, "shared_alpha": False, "hidden_dims": [64, 64, 64],
+        "data": {"synthetic": {"num_classes": 10, "input_dim": 32, "noise_std": 0.7,
+                               "samples_per_class": 600}},
+        "partition": {"scheme": "random_k_classes", "k": 3},
+        "threads": 1, "seed": 3,
+    },
+}
+
+BENCH_GOLDEN = {
+    "paired_paper": "cf657624b76315821474fc76b1c40a67e566e64f6ac9b2d72948e513aab215ee",
+    "dirichlet_ragged": "b7f6afe44a2f710200ab37a5fc441e67f6b6b66169a0ec2a34b1f2f31f26b881",
+    "deep_server": "684cf2461b3ecb75cae58164503a20abdf3f61d1747e783f8180c3bd72f79d9f",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+def test_bench_shape_result_bytes_match_golden(shape, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BENCH_SHAPES[shape]))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    blob = b"".join((out / name).read_bytes() for name in RESULT_FILES)
+    assert hashlib.sha256(blob).hexdigest() == BENCH_GOLDEN[shape]

@@ -1,6 +1,7 @@
 """Accuracy evaluation, mixing-weight similarity, and result-file emission."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -200,6 +201,66 @@ def test_failed_emission_keeps_the_earlier_final_json(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "alpha_trajectory.csv", "final.json", "rounds.csv"
     ]
+
+
+RESULT_FILES = ("rounds.csv", "final.json", "alpha_trajectory.csv")
+KILLED = 9
+
+
+def emit_then_die(result, out, kill_at):
+    """emit_results, with the process killed right after its kill_at-th os.replace."""
+    replace, calls = os.replace, []
+
+    def replace_then_die(src, dst):
+        replace(src, dst)
+        calls.append(dst)
+        if len(calls) == kill_at:
+            os._exit(KILLED)
+
+    os.replace = replace_then_die
+    emit_results(result, out)
+
+
+def emit_killed_at(result, out, kill_at):
+    """Run emit_then_die in a child process; returns whether the kill happened."""
+    proc = multiprocessing.get_context("spawn").Process(
+        target=emit_then_die, args=(result, out, kill_at))
+    proc.start()
+    proc.join(timeout=60)
+    assert proc.exitcode in (0, KILLED)
+    return proc.exitcode == KILLED
+
+
+def files_of(directory):
+    """The bytes of each result file, None for one that is missing."""
+    paths = {name: directory / name for name in RESULT_FILES}
+    return {name: p.read_bytes() if p.exists() else None for name, p in paths.items()}
+
+
+def test_a_kill_at_any_rename_leaves_no_final_json_beside_another_result(tmp_path):
+    earlier, later = sample_result(rounds=1), sample_result(rounds=3)
+    emit_results(earlier, tmp_path / "earlier")
+    emit_results(later, tmp_path / "later")
+    results = [files_of(tmp_path / "earlier"), files_of(tmp_path / "later")]
+    out = tmp_path / "out"
+    kills = 0
+    while True:
+        emit_results(earlier, out)
+        if not emit_killed_at(later, out, kills + 1):
+            break
+        kills += 1
+        if (out / "final.json").exists():
+            assert files_of(out) in results, f"killed after rename {kills}"
+    assert kills >= 6   # three files kept aside, three written
+    assert files_of(out) == results[1]
+
+
+def test_the_next_emission_deletes_the_files_a_killed_one_kept(tmp_path):
+    emit_results(sample_result(rounds=1), tmp_path)
+    assert emit_killed_at(sample_result(rounds=2), tmp_path, kill_at=2)
+    assert list(tmp_path.glob(".*.kept"))
+    emit_results(sample_result(rounds=3), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RESULT_FILES)
 
 
 def test_emitted_files_get_the_permissions_of_a_plain_write(tmp_path):
