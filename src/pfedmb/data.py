@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -336,9 +337,15 @@ def write_atomic(path, text: str) -> None:
     The text goes to a temporary file beside path, is fsynced, and is renamed
     over path; if anything fails the temporary file is removed and whatever
     was at path before stays as it was.  The file gets the permissions a
-    plain open() would give it (0o666 less the umask).
+    plain open() would give it (0o666 less the umask).  A path has one writer
+    at a time: a temporary file of path's exact form (.<name>.<32 hex>.tmp)
+    can only be one that a killed writer left, and is deleted first.
     """
     path = Path(path)
+    stale = re.compile(re.escape(f".{path.name}.") + r"[0-9a-f]{32}\.tmp")
+    for name in os.listdir(path.parent):
+        if stale.fullmatch(name):
+            (path.parent / name).unlink(missing_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import reprlib
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -108,7 +107,6 @@ class RoundReport:
     train_losses: list        # aligned with sampled, loss on the full shard
     test_accuracies: list     # every client, personalized (current_model, own alpha)
     alpha_values: np.ndarray  # (N, num_layers, B) snapshot after the round
-    duration_seconds: float
 
     @property
     def mean_test_accuracy(self) -> float:
@@ -231,7 +229,6 @@ def aggregate(
 
 def run_round(server: ServerState, clients: list, config) -> RoundReport:
     """One communication round of config.method; advances the server in place."""
-    started = time.perf_counter()
     t = server.round
     strategy = STRATEGY_FOR_METHOD[config.method]
     if strategy is None:
@@ -265,7 +262,6 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
         train_losses=losses,
         test_accuracies=accuracies,
         alpha_values=np.stack([c.alpha.values() for c in clients]),
-        duration_seconds=time.perf_counter() - started,
     )
 
 

@@ -14,8 +14,8 @@ Jacobian applied to the raw alpha gradient), and finite-difference checks
 perturb logits, not alpha.
 
 forward, batch_loss and loss_and_grads check a batch once and share one forward
-pass and one cross entropy.  Everything is float64.  No operation mutates its
-inputs.
+pass and one cross entropy; loss_and_grads computes only the gradient group it
+is asked for.  Everything is float64.  No operation mutates its inputs.
 """
 
 from __future__ import annotations
@@ -193,12 +193,13 @@ class GradientBundle:
 
     d_weights / d_biases: one array per layer, same shapes as the layer's
     branch parameters.  d_alpha_logits: same shape as AlphaParams.logits
-    (already summed over layers when the logits are shared).
+    (already summed over layers when the logits are shared).  A group that
+    loss_and_grads was not asked for is None.
     """
 
-    d_weights: list
-    d_biases: list
-    d_alpha_logits: np.ndarray
+    d_weights: list | None
+    d_biases: list | None
+    d_alpha_logits: np.ndarray | None
 
 
 def _combine(layer: MultiBranchDense, a: np.ndarray) -> tuple:
@@ -308,8 +309,8 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
     """Mean cross entropy plus exact reverse-mode gradients.
 
     wrt selects the parameter group(s): "w" (branch weights and biases),
-    "alpha" (mixing logits), or "both".  The non-requested group comes back
-    zero-filled so the bundle shape never depends on wrt.
+    "alpha" (mixing logits), or "both".  A group not requested is neither
+    computed nor allocated: it comes back as None.
     """
     if wrt not in (WRT_W, WRT_ALPHA, WRT_BOTH):
         raise UsageError(f"wrt must be one of 'w', 'alpha', 'both'; got {wrt!r}")
@@ -327,9 +328,10 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
         dz[np.arange(x.shape[0]), labels] -= 1.0
         dz /= x.shape[0]
 
-        d_weights = [None if want_w else np.zeros(layer.weights.shape) for layer in net.layers]
-        d_biases = [None if want_w else np.zeros(layer.biases.shape) for layer in net.layers]
+        d_weights = [None] * net.num_layers if want_w else None
+        d_biases = [None] * net.num_layers if want_w else None
         d_alpha_values = np.zeros((net.num_layers, net.num_branches)) if want_alpha else None
+        d_alpha_logits = None
         for l in reversed(range(net.num_layers)):
             layer = net.layers[l]
             dw_combined = dz.T @ acts[l]
@@ -352,8 +354,6 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
                 d_alpha_values = d_alpha_values.sum(axis=0, keepdims=True)
             inner = (v * d_alpha_values).sum(axis=1, keepdims=True)
             d_alpha_logits = v * (d_alpha_values - inner)
-        else:
-            d_alpha_logits = np.zeros(alpha.logits.shape)
     return loss, GradientBundle(d_weights, d_biases, d_alpha_logits)
 
 
@@ -372,6 +372,8 @@ def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
 
 def step_network(net: Network, grads: GradientBundle, learning_rate: float) -> Network:
     """New network with every branch stepped by plain SGD; sgd_step checks each shape."""
+    if grads.d_weights is None or grads.d_biases is None:
+        raise UsageError("gradient bundle has no branch gradients (computed with wrt='alpha')")
     return _trusted(Network, layers=[
         _trusted(MultiBranchDense, weights=sgd_step(layer.weights, d_w, learning_rate),
                  biases=sgd_step(layer.biases, d_b, learning_rate))
@@ -381,6 +383,8 @@ def step_network(net: Network, grads: GradientBundle, learning_rate: float) -> N
 
 def step_alpha(alpha: AlphaParams, grads: GradientBundle, learning_rate: float) -> AlphaParams:
     """New mixing logits stepped by plain SGD."""
+    if grads.d_alpha_logits is None:
+        raise UsageError("gradient bundle has no mixing gradients (computed with wrt='w')")
     logits = sgd_step(alpha.logits, grads.d_alpha_logits, learning_rate)
     return AlphaParams(logits, alpha.num_layers, alpha.shared)
 
@@ -421,6 +425,8 @@ def gradient_check(
     x, labels = _check_batch(net, alpha, *batch)
     if grads is None:
         _, grads = loss_and_grads(net, alpha, (x, labels), wrt=WRT_BOTH)
+    elif grads.d_weights is None or grads.d_biases is None or grads.d_alpha_logits is None:
+        raise UsageError("gradient_check needs both gradient groups (computed with wrt='both')")
 
     net = net.copy()
     alpha = alpha.copy()

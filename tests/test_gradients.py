@@ -81,12 +81,11 @@ def test_gradients_match_finite_differences(shared):
 def test_wrt_selects_parameter_group():
     net, alpha, x, y = random_problem(3)
     _, gw = loss_and_grads(net, alpha, (x, y), wrt="w")
-    assert np.all(gw.d_alpha_logits == 0.0)
+    assert gw.d_alpha_logits is None
     assert any(np.any(d != 0.0) for d in gw.d_weights)
     _, ga = loss_and_grads(net, alpha, (x, y), wrt="alpha")
     assert np.any(ga.d_alpha_logits != 0.0)
-    assert all(np.all(d == 0.0) for d in ga.d_weights)
-    assert all(np.all(d == 0.0) for d in ga.d_biases)
+    assert ga.d_weights is None and ga.d_biases is None
 
 
 def test_loss_and_grads_input_validation():
@@ -203,6 +202,14 @@ def test_gradient_check_flags_corrupted_gradient():
     report = gradient_check(net, alpha, (x, y), grads=g)
     assert report.w_error >= 0.1
     assert not report.passed
+
+
+@pytest.mark.parametrize("wrt", ["w", "alpha"])
+def test_gradient_check_refuses_a_bundle_with_one_group(wrt):
+    net, alpha, x, y = random_problem(8)
+    _, g = loss_and_grads(net, alpha, (x, y), wrt=wrt)
+    with pytest.raises(UsageError, match="both gradient groups"):
+        gradient_check(net, alpha, (x, y), grads=g)
 
 
 def test_gradient_check_rejects_bad_h():

@@ -5,13 +5,14 @@ moves a single bit of a loss, a gradient or a stepped parameter fails here,
 not only in the golden result hashes.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from pfedmb import nn
-from pfedmb.errors import NumericError
+from pfedmb.errors import NumericError, UsageError
 
 # (branches, layer dims, shared mixing row, batch rows): the three bench shapes
 SHAPES = [
@@ -81,20 +82,22 @@ def as_nn(weights, biases, logits, shared):
 def test_loss_and_grads_equal_the_inline_oracle_bit_for_bit(branches, dims, shared, rows, wrt):
     weights, biases, logits, x, y = make_problem(branches, dims, shared, rows)
     out, loss, d_w, d_b, d_logits = oracle(weights, biases, logits, shared, x, y)
-    if wrt == "alpha":
-        d_w = [np.zeros_like(g) for g in d_w]
-        d_b = [np.zeros_like(g) for g in d_b]
-    if wrt == "w":
-        d_logits = np.zeros_like(d_logits)
 
     net, alpha = as_nn(weights, biases, logits, shared)
     got_loss, grads = nn.loss_and_grads(net, alpha, (x, y), wrt=wrt)
     assert got_loss == loss
-    assert len(grads.d_weights) == len(grads.d_biases) == len(weights)
-    for l in range(len(weights)):
-        np.testing.assert_array_equal(grads.d_weights[l], d_w[l])
-        np.testing.assert_array_equal(grads.d_biases[l], d_b[l])
-    np.testing.assert_array_equal(grads.d_alpha_logits, d_logits)
+    # every requested group equals the oracle's; a group not requested is None
+    if wrt == "alpha":
+        assert grads.d_weights is None and grads.d_biases is None
+    else:
+        assert len(grads.d_weights) == len(grads.d_biases) == len(weights)
+        for l in range(len(weights)):
+            np.testing.assert_array_equal(grads.d_weights[l], d_w[l])
+            np.testing.assert_array_equal(grads.d_biases[l], d_b[l])
+    if wrt == "w":
+        assert grads.d_alpha_logits is None
+    else:
+        np.testing.assert_array_equal(grads.d_alpha_logits, d_logits)
     # the same forward pass and loss serve forward and batch_loss
     np.testing.assert_array_equal(nn.forward(net, alpha, x), out)
     assert nn.batch_loss(net, alpha, x, y) == loss
@@ -144,6 +147,33 @@ def test_step_network_output_shares_no_memory_with_its_inputs():
         for out in (layer.weights, layer.biases):
             assert not any(np.shares_memory(out, arr) for arr in inputs)
     assert not np.shares_memory(stepped.layers[0].weights, stepped.layers[0].biases)
+
+
+def test_the_mixing_phase_allocates_no_branch_gradients():
+    branches, dims, shared, _ = SHAPES[2]
+    weights, biases, logits, x, y = make_problem(branches, dims, shared, 40)
+    net, alpha = as_nn(weights, biases, logits, shared)
+    branch_bytes = sum(w.nbytes for w in weights)
+    assert branch_bytes == 696_320
+    tracemalloc.start()
+    try:
+        nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a B-fold weight gradient alone would be branch_bytes
+    assert peak < branch_bytes / 2
+
+
+def test_a_step_refuses_a_bundle_without_its_gradient_group():
+    weights, biases, logits, x, y = make_problem(*SHAPES[0])
+    net, alpha = as_nn(weights, biases, logits, True)
+    _, mixing = nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
+    _, branch = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
+    with pytest.raises(UsageError, match="no branch gradients"):
+        nn.step_network(net, mixing, 0.05)
+    with pytest.raises(UsageError, match="no mixing gradients"):
+        nn.step_alpha(alpha, branch, 0.05)
 
 
 def test_an_overflowing_loss_raises_in_batch_loss_as_in_loss_and_grads():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pfedmb import nn
-from pfedmb.data import LabeledDataset
+from pfedmb.data import LabeledDataset, write_atomic
 from pfedmb.errors import ConfigurationError, UsageError
 from pfedmb.metrics import (
     ExperimentResult,
@@ -207,24 +207,25 @@ RESULT_FILES = ("rounds.csv", "final.json", "alpha_trajectory.csv")
 KILLED = 9
 
 
-def emit_then_die(result, out, kill_at):
-    """emit_results, with the process killed right after its kill_at-th os.replace."""
-    replace, calls = os.replace, []
+def call_then_die(os_name, kill_at, target, *args):
+    """target(*args), with the process killed right after its kill_at-th call of os.<os_name>."""
+    real, calls = getattr(os, os_name), []
 
-    def replace_then_die(src, dst):
-        replace(src, dst)
-        calls.append(dst)
+    def call_and_count(*a):
+        out = real(*a)
+        calls.append(a)
         if len(calls) == kill_at:
             os._exit(KILLED)
+        return out
 
-    os.replace = replace_then_die
-    emit_results(result, out)
+    setattr(os, os_name, call_and_count)
+    target(*args)
 
 
-def emit_killed_at(result, out, kill_at):
-    """Run emit_then_die in a child process; returns whether the kill happened."""
+def killed_at(os_name, kill_at, target, *args):
+    """Run call_then_die in a spawned child; returns whether the kill happened."""
     proc = multiprocessing.get_context("spawn").Process(
-        target=emit_then_die, args=(result, out, kill_at))
+        target=call_then_die, args=(os_name, kill_at, target, *args))
     proc.start()
     proc.join(timeout=60)
     assert proc.exitcode in (0, KILLED)
@@ -246,7 +247,7 @@ def test_a_kill_at_any_rename_leaves_no_final_json_beside_another_result(tmp_pat
     kills = 0
     while True:
         emit_results(earlier, out)
-        if not emit_killed_at(later, out, kills + 1):
+        if not killed_at("replace", kills + 1, emit_results, later, out):
             break
         kills += 1
         if (out / "final.json").exists():
@@ -257,10 +258,28 @@ def test_a_kill_at_any_rename_leaves_no_final_json_beside_another_result(tmp_pat
 
 def test_the_next_emission_deletes_the_files_a_killed_one_kept(tmp_path):
     emit_results(sample_result(rounds=1), tmp_path)
-    assert emit_killed_at(sample_result(rounds=2), tmp_path, kill_at=2)
+    assert killed_at("replace", 2, emit_results, sample_result(rounds=2), tmp_path)
     assert list(tmp_path.glob(".*.kept"))
     emit_results(sample_result(rounds=3), tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(RESULT_FILES)
+
+
+def test_the_next_write_deletes_the_temporary_file_a_killed_one_left(tmp_path):
+    path = tmp_path / "rounds.csv"
+    assert killed_at("fsync", 1, write_atomic, path, "earlier\n")
+    assert len(list(tmp_path.glob(".rounds.csv.*.tmp"))) == 1
+    write_atomic(path, "later\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["rounds.csv"]
+    assert path.read_text() == "later\n"
+
+
+def test_write_atomic_deletes_only_temporary_files_of_its_own_path(tmp_path):
+    others = [".final.json.kept", f".final.json.{'0' * 32}.tmp", f".rounds.csv.{'A' * 32}.tmp",
+              f".rounds.csv.{'0' * 31}.tmp", ".rounds.csv.tmp"]
+    for name in others + [f".rounds.csv.{'a1' * 16}.tmp"]:
+        (tmp_path / name).write_text("")
+    write_atomic(tmp_path / "rounds.csv", "x\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(others + ["rounds.csv"])
 
 
 def test_emitted_files_get_the_permissions_of_a_plain_write(tmp_path):
