@@ -19,7 +19,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     partition,
-    save_csv,
 )
 from .errors import (
     ConfigurationError,
@@ -52,7 +51,6 @@ from .metrics import (
     alpha_similarity,
     emit_results,
     evaluate_client,
-    mean_accuracy,
 )
 from .nn import (
     AlphaParams,

@@ -118,7 +118,6 @@ def cmd_compare(args) -> int:
         metrics.emit_results(result, out / cfg.method)
         accuracies.append(result.final_mean_accuracy)
 
-    out.mkdir(parents=True, exist_ok=True)
     table = out / "compare.csv"
     metrics.write_atomic(
         table, ",".join(methods) + "\n" + ",".join(f"{a:.10g}" for a in accuracies) + "\n"
@@ -135,19 +134,22 @@ def cmd_gradcheck(args) -> int:
         config = parse_config(args.config, _overrides(args))
         dataset = config.make_dataset()
         dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
-        branches = config.branches
-        seed = config.seed
+        branches, seed, shared = config.branches, config.seed, config.shared_alpha
     else:
-        if seed < MINIMUMS["seed"]:  # the rule a config's seed is held to
-            raise ValidationError(f"seed: must be >= {MINIMUMS['seed']}, got {seed}")
         dims = GRADCHECK_DIMS
         branches = args.branches if args.branches is not None else GRADCHECK_BRANCHES
+        shared = bool(args.shared_alpha)
+        # the rules a config's branches and seed are held to
+        problems = [f"{key}: must be >= {MINIMUMS[key]}, got {value}"
+                    for key, value in (("branches", branches), ("seed", seed))
+                    if value < MINIMUMS[key]]
+        if problems:
+            raise ValidationError(problems)
 
     rng = np.random.default_rng(seed)
     net = nn.init_network(dims, branches, seed=[seed, federation.INIT_STREAM])
-    alpha = nn.AlphaParams(
-        rng.normal(size=(len(dims) - 1, branches)), len(dims) - 1
-    )
+    layers = len(dims) - 1
+    alpha = nn.AlphaParams(rng.normal(size=(1 if shared else layers, branches)), layers, shared)
     x = rng.normal(size=(GRADCHECK_BATCH, dims[0]))
     y = rng.integers(0, dims[-1], size=GRADCHECK_BATCH)
 

@@ -205,23 +205,15 @@ class Partition:
     val: list
     test: list
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.train)
-
 
 def apportion(total: int, weights) -> np.ndarray:
     """Integer counts proportional to weights, summing exactly to total.
 
-    Largest-remainder rounding; ties broken toward the lowest index.
+    Largest-remainder rounding; ties broken toward the lowest index.  The
+    weights must sum to more than 0; partition passes no other rows.
     """
     w = np.asarray(weights, dtype=np.float64)
-    s = w.sum()
-    if total > 0 and s <= 0:
-        raise ConfigurationError("cannot apportion over all-zero weights")
-    if total == 0:
-        return np.zeros(len(w), dtype=np.int64)
-    quotas = total * w / s
+    quotas = total * w / w.sum()
     counts = np.floor(quotas).astype(np.int64)
     frac = quotas - counts
     leftover = total - counts.sum()
@@ -360,16 +352,6 @@ def write_atomic(path, text: str) -> None:
 
 
 CSV_LABEL_COLUMN = "label"
-
-
-def save_csv(dataset: LabeledDataset, path) -> None:
-    """Write `label,f1,...,fd` rows with full float precision, atomically."""
-    lines = [
-        ",".join([CSV_LABEL_COLUMN] + [f"f{j + 1}" for j in range(dataset.input_dim)])
-    ]
-    for label, row in zip(dataset.labels, dataset.features):
-        lines.append(",".join([str(int(label))] + [repr(float(v)) for v in row]))
-    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path) -> LabeledDataset:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics, nn
 from .data import LabeledDataset, partition
-from .errors import ConfigurationError, NumericError, ParseError, UsageError
+from .errors import NumericError, ParseError, UsageError
 
 # stream tags; distinct leading constants keep the generator keys disjoint
 INIT_STREAM = 101
@@ -94,7 +94,6 @@ class ServerState:
 class ClientUpdate:
     """What a sampled client returns: new branch parameters and mixing weights."""
 
-    client_id: int
     num_samples: int
     model: nn.Network
     alpha_values: np.ndarray  # (num_layers, B) simplex rows
@@ -118,11 +117,10 @@ class RoundReport:
 
 
 def sample_clients(seed: int, num_clients: int, sample_size: int, round_index: int):
-    """S distinct client ids, uniform without replacement, keyed by (seed, round)."""
-    if not 1 <= sample_size <= num_clients:
-        raise ConfigurationError(
-            f"sample size {sample_size} must lie in [1, {num_clients}]"
-        )
+    """S distinct client ids, uniform without replacement, keyed by (seed, round).
+
+    The caller holds 1 <= sample_size <= num_clients, as ExperimentConfig does.
+    """
     rng = _rng(seed, SAMPLE_STREAM, round_index)
     ids = rng.choice(num_clients, size=sample_size, replace=False)
     return [int(i) for i in np.sort(ids)]
@@ -170,7 +168,7 @@ def client_local_learning(
                     model = nn.step_network(model, grads, lr)
 
     client.alpha = alpha
-    return ClientUpdate(client.client_id, n, model, alpha.values())
+    return ClientUpdate(n, model, alpha.values())
 
 
 def aggregate(
@@ -187,18 +185,7 @@ def aggregate(
     """
     if not updates:
         raise UsageError("cannot aggregate an empty update list")
-    num_layers = previous_global.num_layers
     num_branches = previous_global.num_branches
-    for u in updates:
-        if (
-            u.model.num_layers != num_layers
-            or u.model.num_branches != num_branches
-            or u.alpha_values.shape != (num_layers, num_branches)
-        ):
-            raise ConfigurationError(
-                f"update from client {u.client_id} does not match the global shapes"
-            )
-
     total = float(sum(u.num_samples for u in updates))
     floor = 1e-12 * total
     layers = []

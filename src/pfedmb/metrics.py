@@ -48,26 +48,16 @@ def evaluate_client(net: nn.Network, alpha: nn.AlphaParams, shard: LabeledDatase
     return float((logits.argmax(axis=1) == shard.labels).mean())
 
 
-def mean_accuracy(per_client) -> float:
-    """Unweighted arithmetic mean of per-client accuracies."""
-    accs = list(per_client)
-    if not accs:
-        raise UsageError("mean over an empty accuracy list")
-    return float(np.mean(accs))
-
-
 def alpha_similarity(alphas, group_labels=None):
     """Pairwise L2 distances between clients' concatenated per-layer mixing weights.
 
+    alphas holds one array per client, as ExperimentResult.final_alpha does.
     Returns (matrix, summary); summary holds mean within-group and mean
     across-group distance when group labels are given, else None.
     """
     if len(alphas) < 2:
         raise UsageError("alpha similarity needs at least two clients")
-    flat = []
-    for a in alphas:
-        arr = a.values() if isinstance(a, nn.AlphaParams) else np.asarray(a, dtype=np.float64)
-        flat.append(arr.reshape(-1))
+    flat = [np.asarray(a, dtype=np.float64).reshape(-1) for a in alphas]
     if len({v.shape for v in flat}) != 1:
         raise UsageError("clients have differently shaped mixing weights")
     stacked = np.stack(flat)
@@ -105,7 +95,7 @@ class ExperimentResult:
 
     @property
     def final_mean_accuracy(self) -> float:
-        return mean_accuracy(self.final_client_accuracies)
+        return float(np.mean(self.final_client_accuracies))
 
 
 def emit_results(result: ExperimentResult, output_dir) -> list:

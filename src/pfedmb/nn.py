@@ -382,11 +382,11 @@ def step_network(net: Network, grads: GradientBundle, learning_rate: float) -> N
 
 
 def step_alpha(alpha: AlphaParams, grads: GradientBundle, learning_rate: float) -> AlphaParams:
-    """New mixing logits stepped by plain SGD."""
+    """New mixing logits stepped by plain SGD; sgd_step checks the shape."""
     if grads.d_alpha_logits is None:
         raise UsageError("gradient bundle has no mixing gradients (computed with wrt='w')")
     logits = sgd_step(alpha.logits, grads.d_alpha_logits, learning_rate)
-    return AlphaParams(logits, alpha.num_layers, alpha.shared)
+    return _trusted(AlphaParams, logits=logits, num_layers=alpha.num_layers, shared=alpha.shared)
 
 
 @dataclass

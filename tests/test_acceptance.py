@@ -125,9 +125,9 @@ def test_criterion_3_aggregation_algebra():
         prev = nn.Network([nn.MultiBranchDense(
             np.zeros((branches, dim, dim)), np.zeros((branches, dim)))])
         ups = []
-        for i in range(n_clients):
+        for _ in range(n_clients):
             ups.append(fed.ClientUpdate(
-                i, int(rng.integers(1, 100)),
+                int(rng.integers(1, 100)),
                 nn.Network([nn.MultiBranchDense(
                     rng.normal(size=(branches, dim, dim)),
                     rng.normal(size=(branches, dim)))]),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pfedmb import federation, metrics
+from pfedmb import federation, metrics, nn
 from pfedmb.cli import main
 from pfedmb.errors import NumericError
 
@@ -135,9 +135,41 @@ def test_gradcheck_single_branch_skips_mixing_group(capsys):
 
 
 def test_gradcheck_rejects_a_negative_seed(capsys):
-    """Without --config the seed is held to the config rule, not left to numpy."""
-    assert main(["gradcheck", "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
+    """Without --config the seed and branches are held to the config rules."""
+    for flags, err in (
+        (["--seed", "-1"], "config error: seed: must be >= 0, got -1\n"),
+        (["--branches", "0"], "config error: branches: must be >= 1, got 0\n"),
+    ):
+        assert main(["gradcheck", *flags]) == 2
+        assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flag, config_value, shared", [
+    ("--shared-alpha", None, True),
+    ("--no-shared-alpha", None, False),
+    (None, True, True),
+    (None, False, False),
+])
+def test_gradcheck_checks_the_alpha_layout_asked_for(
+    smoke_config, monkeypatch, capsys, flag, config_value, shared
+):
+    seen = []
+
+    def spy(net, alpha, *args, **kwargs):
+        seen.append((alpha.shared, alpha.logits.shape[0]))
+        return check(net, alpha, *args, **kwargs)
+
+    check = nn.gradient_check
+    monkeypatch.setattr(nn, "gradient_check", spy)
+    argv = ["gradcheck"] if flag is None else ["gradcheck", flag]
+    if config_value is not None:
+        path, raw = smoke_config
+        path.write_text(json.dumps(dict(raw, shared_alpha=config_value)))
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    # both the default and the smoke config's network have two layers
+    assert seen == [(shared, 1 if shared else 2)]
 
 
 def test_gradcheck_uses_config_network_shape(smoke_config, capsys):

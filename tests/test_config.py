@@ -192,6 +192,7 @@ def test_csv_data_source_accepted(tmp_path):
     [
         (dict(method="fedavg", branches=2), "branches"),
         (dict(clients=4, sample_size=5), "sample_size"),
+        (dict(clients=4, sample_size=0), "sample_size"),
     ],
 )
 def test_direct_construction_is_validated(overrides, key):

@@ -15,7 +15,7 @@ from conftest import make_config
 from pfedmb import federation as fed
 from pfedmb import metrics, nn
 from pfedmb.data import LabeledDataset
-from pfedmb.errors import ConfigurationError, ParseError, PfedmbError, UsageError
+from pfedmb.errors import ParseError, PfedmbError, UsageError
 from test_config import JSON_VALUES
 
 
@@ -50,13 +50,6 @@ def test_sampling_is_replayable_and_varies_by_round():
     assert a0 == fed.sample_clients(42, 50, 10, 0)
     assert a1 == fed.sample_clients(42, 50, 10, 1)
     assert len(set(a0)) == 10 and all(0 <= i < 50 for i in a0)
-
-
-def test_sampling_rejects_bad_sizes():
-    with pytest.raises(ConfigurationError):
-        fed.sample_clients(0, 4, 5, 0)
-    with pytest.raises(ConfigurationError):
-        fed.sample_clients(0, 4, 0, 0)
 
 
 # -------------------------------------------------------- local learning phases
@@ -171,17 +164,16 @@ def test_local_learning_persists_alpha_and_copies_model():
 
 # ------------------------------------------------------------------ aggregation
 
-def fake_update(cid, n, weights, biases, alpha_values):
+def fake_update(n, weights, biases, alpha_values):
     model = nn.Network([nn.MultiBranchDense(weights, biases)])
-    return fed.ClientUpdate(cid, n, model, np.asarray(alpha_values, dtype=float))
+    return fed.ClientUpdate(n, model, np.asarray(alpha_values, dtype=float))
 
 
 def random_updates(rng, num_clients=3, branches=2, dim=2):
     ups = []
-    for i in range(num_clients):
+    for _ in range(num_clients):
         ups.append(
             fake_update(
-                i,
                 int(rng.integers(1, 50)),
                 rng.normal(size=(branches, dim, dim)),
                 rng.normal(size=(branches, dim)),
@@ -232,8 +224,8 @@ def test_identical_alphas_reduce_to_plain_averaging():
 def test_degenerate_weighting_returns_the_attentive_client():
     w = np.stack([np.full((1, 2, 2), 3.0), np.full((1, 2, 2), -1.0)]).reshape(2, 2, 2)
     ups = [
-        fake_update(0, 10, np.full((2, 2, 2), 3.0), np.ones((2, 2)), [[1.0, 0.0]]),
-        fake_update(1, 10, np.full((2, 2, 2), -1.0), -np.ones((2, 2)), [[1e-15, 1.0]]),
+        fake_update(10, np.full((2, 2, 2), 3.0), np.ones((2, 2)), [[1.0, 0.0]]),
+        fake_update(10, np.full((2, 2, 2), -1.0), -np.ones((2, 2)), [[1e-15, 1.0]]),
     ]
     got = fed.aggregate(ups, fed.AggregationStrategy.ALPHA_WEIGHTED, previous_global())
     np.testing.assert_allclose(got.layers[0].weights[0], 3.0, rtol=1e-9)
@@ -244,8 +236,8 @@ def test_underflowed_branch_keeps_previous_global_value():
     prev = previous_global()
     prev.layers[0].weights[1] = 7.0
     ups = [
-        fake_update(0, 5, np.ones((2, 2, 2)), np.zeros((2, 2)), [[1.0, 0.0]]),
-        fake_update(1, 5, np.ones((2, 2, 2)), np.zeros((2, 2)), [[1.0, 0.0]]),
+        fake_update(5, np.ones((2, 2, 2)), np.zeros((2, 2)), [[1.0, 0.0]]),
+        fake_update(5, np.ones((2, 2, 2)), np.zeros((2, 2)), [[1.0, 0.0]]),
     ]
     got = fed.aggregate(ups, fed.AggregationStrategy.ALPHA_WEIGHTED, prev)
     np.testing.assert_array_equal(got.layers[0].weights[1], prev.layers[0].weights[1])
@@ -279,9 +271,6 @@ def test_aggregate_convexity_and_scale_invariance():
 def test_aggregate_rejects_empty_and_mismatched():
     with pytest.raises(UsageError):
         fed.aggregate([], fed.AggregationStrategy.PLAIN_WEIGHTED, previous_global())
-    bad = random_updates(np.random.default_rng(0), branches=3)
-    with pytest.raises(ConfigurationError):
-        fed.aggregate(bad, fed.AggregationStrategy.PLAIN_WEIGHTED, previous_global())
 
 
 # ------------------------------------------------------------------- round loop

@@ -148,6 +148,11 @@ def test_step_network_output_shares_no_memory_with_its_inputs():
             assert not any(np.shares_memory(out, arr) for arr in inputs)
     assert not np.shares_memory(stepped.layers[0].weights, stepped.layers[0].biases)
 
+    _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
+    logits = nn.step_alpha(alpha, grads, 0.05).logits
+    assert logits.dtype == np.float64 and logits.flags.c_contiguous
+    assert not any(np.shares_memory(logits, arr) for arr in (alpha.logits, grads.d_alpha_logits))
+
 
 def test_the_mixing_phase_allocates_no_branch_gradients():
     branches, dims, shared, _ = SHAPES[2]

@@ -16,7 +16,6 @@ from pfedmb.metrics import (
     config_fingerprint,
     emit_results,
     evaluate_client,
-    mean_accuracy,
 )
 
 
@@ -68,14 +67,6 @@ def test_evaluate_rejects_a_shard_with_another_class_count():
     shard = LabeledDataset(np.zeros((2, 2)), [7, 7], num_classes=8)
     with pytest.raises(ConfigurationError, match="8 classes, network outputs 3"):
         evaluate_client(constant_net(3, 0), nn.uniform_alpha(1, 1), shard)
-
-
-def test_mean_accuracy():
-    assert mean_accuracy([1.0, 0.0]) == 0.5
-    assert mean_accuracy([0.7, 0.7, 0.7]) == pytest.approx(0.7, abs=1e-15)
-    assert mean_accuracy([0.8724, 0.9143, 0.8991]) == pytest.approx(0.8953, abs=1e-4)
-    with pytest.raises(UsageError):
-        mean_accuracy([])
 
 
 def test_alpha_similarity_identical_and_vertices():
