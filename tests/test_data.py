@@ -1,5 +1,7 @@
 """Synthetic task generation, partitioner properties, and CSV round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from pfedmb.data import (
     load_csv,
     partition,
 )
-from pfedmb.errors import ConfigurationError, ParseError
+from pfedmb.errors import ConfigurationError, ParseError, PartitionError
 
 
 def small_task(**kw):
@@ -271,6 +273,62 @@ def test_conservation_over_randomized_specs():
         if kind in (1, 2):
             assigned = sum(len(i) for _, lists in splits_of(p) for i in lists)
             assert assigned == len(ds)
+
+
+# one small task per scheme, sized so that some draws leave a class unowned or
+# a client's split empty (the redraw path); the seed drives the task and the spec
+PINNED_CASES = {
+    "random_k_classes": (dict(num_classes=6, samples_per_class=24), RandomKClasses(k=2), 4),
+    "dirichlet": (dict(num_classes=5, samples_per_class=30), Dirichlet(beta=0.3), 6),
+    "size_heterogeneous": (dict(num_classes=5, samples_per_class=36), SizeHeterogeneous(k=2), 4),
+    "paired_clusters": (
+        dict(num_classes=7, samples_per_class=18), PairedClusters(num_pairs=3, classes_per_pair=2), 6
+    ),
+}
+
+PINNED_PARTITIONS = {
+    ("random_k_classes", 0):
+        "4223fad0d76998e614879378787206e0d409a628ebd6ffdaa3197ade2aa65117",
+    ("random_k_classes", 1):
+        "3ec2bf8eca49c7b41505b8e742faa99f75c4613f000e95e5d336f0165656aa72",
+    ("dirichlet", 0):
+        "af9103995b154a089f33f3d5e5fb92473243e14f2123fd57a0c694636952310a",
+    ("dirichlet", 1):
+        "1bc4e4823ea262460c0d937d45fa79291b5cdf399f0cbb6a9ca2102c7c682910",
+    ("size_heterogeneous", 0):
+        "9b5075c9eee67d5d06a7f536b3f60721caf2ab6d434edb0d7c39ea4f0a251c31",
+    ("size_heterogeneous", 1):
+        "1fe1995c7c4d751248af48a7d14c01b31c56e6390c27ee0d82476d0dbce2985a",
+    ("paired_clusters", 0):
+        "70fefd518a1d26252215ee3e7345a6c6a98193649e96de6366f38dfcc7ac837a",
+    ("paired_clusters", 1):
+        "df2d5d8b0f0db917bba7111acf6158aec48cabaf59b2589bcca006713101cc1e",
+}
+
+
+@pytest.mark.parametrize("scheme, seed", sorted(PINNED_PARTITIONS))
+def test_partition_bytes_are_pinned(scheme, seed):
+    """The task and every index array of every split keep dtype, shape and bytes."""
+    task, spec_scheme, clients = PINNED_CASES[scheme]
+    ds = small_task(input_dim=3, seed=seed, **task)
+    p = partition(ds, PartitionSpec(spec_scheme, num_clients=clients, seed=seed))
+    digest = hashlib.sha256()
+    for _, lists in [("task", [ds.features, ds.labels]), *splits_of(p)]:
+        for idx in lists:
+            digest.update(f"{idx.dtype.str}{idx.shape}".encode())
+            digest.update(idx.tobytes())
+    assert digest.hexdigest() == PINNED_PARTITIONS[scheme, seed]
+
+
+def test_partition_too_small_to_split_names_its_seed():
+    # 2 classes x 6 samples leave 2 validation samples for 6 clients
+    ds = small_task(num_classes=2, samples_per_class=6)
+    spec = PartitionSpec(Dirichlet(beta=0.3), num_clients=6, seed=5)
+    with pytest.raises(PartitionError) as info:
+        partition(ds, spec)
+    assert str(info.value) == (
+        "no viable partition after 100 attempts (seed=5); dataset too small for the spec"
+    )
 
 
 # ------------------------------------------------------------------------- CSV
