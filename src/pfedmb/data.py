@@ -71,10 +71,6 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
 
-    def class_indices(self) -> list:
-        """Index array per class, in dataset order."""
-        return [np.flatnonzero(self.labels == c) for c in range(self.num_classes)]
-
 
 @dataclass
 class SyntheticTaskSpec:
@@ -105,16 +101,10 @@ def generate_synthetic(spec: SyntheticTaskSpec) -> LabeledDataset:
         spec.class_mean_scale,
         size=(spec.num_classes, spec.input_dim),
     )
-    blocks, labels = [], []
-    for c in range(spec.num_classes):
-        pts = means[c] + rng.normal(
-            0.0, spec.noise_std, size=(spec.samples_per_class, spec.input_dim)
-        )
-        blocks.append(pts)
-        labels.append(np.full(spec.samples_per_class, c, dtype=np.int64))
-    return LabeledDataset(
-        np.concatenate(blocks), np.concatenate(labels), spec.num_classes
-    )
+    c, n_c = spec.num_classes, spec.samples_per_class
+    points = rng.normal(0.0, spec.noise_std, size=(c, n_c, spec.input_dim))
+    points += means[:, None, :]
+    return LabeledDataset(points.reshape(c * n_c, -1), np.repeat(np.arange(c), n_c), c)
 
 
 # ---------------------------------------------------------------- partitioning
@@ -253,8 +243,7 @@ def _class_weights(spec: PartitionSpec, num_classes: int, rng) -> np.ndarray:
             chosen = rng.choice(num_classes, size=s.k, replace=False)
             w[chosen, i] = 1.0
     elif isinstance(s, Dirichlet):
-        for c in range(num_classes):
-            w[c] = rng.dirichlet(np.full(n, s.beta))
+        w[:] = rng.dirichlet(np.full(n, s.beta), size=num_classes)
     elif isinstance(s, SizeHeterogeneous):
         chosen = [rng.choice(num_classes, size=s.k, replace=False) for _ in range(n)]
         for i in range(n):
@@ -269,14 +258,24 @@ def _class_weights(spec: PartitionSpec, num_classes: int, rng) -> np.ndarray:
     return w
 
 
+def _group(labels: np.ndarray, num_groups: int) -> list:
+    """Ascending indices of each label 0..num_groups-1; larger labels are dropped."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=num_groups)[:num_groups])
+    return np.split(order, bounds)[:num_groups]
+
+
 def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
     """Distribute a dataset across clients per the spec's scheme.
 
+    Each sample gets one owner label, split * num_clients + client; a sample
+    of a class nobody holds keeps the label 3 * num_clients and is left out.
     Any client left without samples in some split triggers a full redraw with
     an incremented sub-seed, at most MAX_PARTITION_ATTEMPTS times.
     """
     _check_class_count(spec, dataset.num_classes)
-    per_class = dataset.class_indices()
+    n = spec.num_clients
+    per_class = _group(dataset.labels, dataset.num_classes)
 
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         rng = np.random.default_rng((spec.seed, attempt))
@@ -286,34 +285,19 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
         ).any():
             continue  # some class unowned; all of its samples must be assigned
 
-        splits = [
-            [[] for _ in range(spec.num_clients)] for _ in range(3)
-        ]  # train/val/test -> client -> chunks
-        for c in range(dataset.num_classes):
-            shuffled = rng.permutation(per_class[c])
-            counts = apportion(len(shuffled), DEFAULT_SPLIT_RATIO)
-            start = 0
-            for s, count in enumerate(counts):
-                pool = shuffled[start : start + count]
-                start += count
-                if weights[c].sum() == 0.0:
-                    continue  # class held by nobody (allowed for k-class schemes)
+        owner = np.full(len(dataset), 3 * n)
+        for c, members in enumerate(per_class):
+            shuffled = rng.permutation(members)
+            if weights[c].sum() == 0.0:
+                continue  # class held by nobody (allowed for k-class schemes)
+            bounds = np.cumsum(apportion(len(shuffled), DEFAULT_SPLIT_RATIO))[:-1]
+            for s, pool in enumerate(np.split(shuffled, bounds)):
                 shares = apportion(len(pool), weights[c])
-                offset = 0
-                for i in range(spec.num_clients):
-                    if shares[i] > 0:
-                        splits[s][i].append(pool[offset : offset + shares[i]])
-                    offset += shares[i]
+                owner[pool] = np.repeat(s * n + np.arange(n), shares)
 
-        lists = [
-            [
-                np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
-                for chunks in split
-            ]
-            for split in splits
-        ]
-        if all(len(lists[s][i]) > 0 for s in range(3) for i in range(spec.num_clients)):
-            return Partition(train=lists[0], val=lists[1], test=lists[2])
+        groups = _group(owner, 3 * n)
+        if all(len(g) > 0 for g in groups):
+            return Partition(train=groups[:n], val=groups[n : 2 * n], test=groups[2 * n :])
 
     raise PartitionError(
         f"no viable partition after {MAX_PARTITION_ATTEMPTS} attempts "
