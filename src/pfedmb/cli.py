@@ -32,52 +32,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Personalized federated learning with multi-branch layers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--method", choices=METHODS)
-        p.add_argument("--branches", type=int)
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--clients", type=int)
-        p.add_argument("--participation", type=float,
-                       help="fraction of clients sampled per round, in (0, 1]")
-        p.add_argument("--lr-alpha", type=float, dest="lr_alpha")
-        p.add_argument("--lr-w", type=float, dest="lr_w")
-        p.add_argument("--epochs", type=int, dest="local_epochs")
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="output_dir",
-                       help=f"output directory (default: ${OUTPUT_DIR_ENV})")
-        p.add_argument("--threads", type=int)
-        p.add_argument("--shared-alpha", action=argparse.BooleanOptionalAction,
-                       dest="shared_alpha", default=None,
-                       help="one mixing vector shared by all layers")
-
-    run = sub.add_parser("run", help="run one experiment end to end")
-    add_common(run)
-
-    compare = sub.add_parser(
-        "compare", help="run several methods on the identical data and seeds"
+    # no prefix matching, so that compare's --methods never takes a --method
+    run, compare, grad, stats = (
+        sub.add_parser(name, help=text, allow_abbrev=False) for name, text in (
+            ("run", "run one experiment end to end"),
+            ("compare", "run several methods on the identical data and seeds"),
+            ("gradcheck", "verify gradients by finite differences"),
+            ("partition-stats", "emit per-client class histograms"),
+        )
     )
-    add_common(compare)
+    # each subcommand takes only the flags it reads: run every override,
+    # compare all but --method, gradcheck and partition-stats a few
+    every, trains = (run, compare, grad, stats), (run, compare)
+    for parsers, flag, kwargs in (
+        (every, "--config", dict(help="JSON experiment config")),
+        ((run,), "--method", dict(choices=METHODS)),
+        ((run, compare, grad), "--branches", dict(type=int)),
+        (trains, "--rounds", dict(type=int)),
+        ((run, compare, stats), "--clients", dict(type=int)),
+        (trains, "--participation", dict(
+            type=float, help="fraction of clients sampled per round, in (0, 1]")),
+        (trains, "--lr-alpha", dict(type=float, dest="lr_alpha")),
+        (trains, "--lr-w", dict(type=float, dest="lr_w")),
+        (trains, "--epochs", dict(type=int, dest="local_epochs")),
+        (trains, "--batch-size", dict(type=int, dest="batch_size")),
+        (every, "--seed", dict(type=int)),
+        ((run, compare, stats), "--out", dict(
+            dest="output_dir", help=f"output directory (default: ${OUTPUT_DIR_ENV})")),
+        (trains, "--threads", dict(type=int)),
+        ((run, compare, grad), "--shared-alpha", dict(
+            action=argparse.BooleanOptionalAction, dest="shared_alpha", default=None,
+            help="one mixing vector shared by all layers")),
+    ):
+        for p in parsers:
+            p.add_argument(flag, **kwargs)
     compare.add_argument(
         "--methods",
         default="local,fedavg,pfedmb_plain_agg,pfedmb",
         help="comma-separated methods to compare",
     )
-
-    grad = sub.add_parser("gradcheck", help="verify gradients by finite differences")
-    add_common(grad)
     grad.add_argument("--inject-fault", action="store_true",
                       help="corrupt one gradient entry (self-test of the check)")
-
-    stats = sub.add_parser("partition-stats", help="emit per-client class histograms")
-    add_common(stats)
     return parser
 
 
 def _overrides(args) -> dict:
-    """The config keys given as flags; flags that were not passed are None."""
+    """The config keys given as flags; flags not passed, or not taken, are None."""
     given = {k: getattr(args, k, None) for k in TOP_KEYS}
     return {k: v for k, v in given.items() if v is not None}
 

@@ -178,6 +178,20 @@ def test_gradcheck_uses_config_network_shape(smoke_config, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--rounds", "3", "--lr-w", "9"],
+    ["partition-stats", "--config", "c", "--branches", "7", "--lr-w", "9"],
+    # --method is no prefix of --methods either: compare would run pfedmb
+    ["compare", "--method", "local", "--methods", "pfedmb"],
+])
+def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pfedmb") and "error: unrecognized arguments: " in err
+
+
 def test_compare_single_method_matches_run(smoke_config, tmp_path, capsys):
     path, _ = smoke_config
     out = tmp_path / "cmp"
