@@ -343,7 +343,7 @@ def load_csv(path) -> LabeledDataset:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines or not lines[0].split(",")[0].strip().lower() == CSV_LABEL_COLUMN:
         raise ParseError(f"{path}: line 1: expected a header starting with 'label'")
     width = len(lines[0].split(","))

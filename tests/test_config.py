@@ -179,6 +179,16 @@ def test_parse_errors_name_the_file(tmp_path):
         parse_config(bad)
 
 
+def test_config_with_a_utf8_bom_parses_like_the_plain_file(tmp_path):
+    # a non-ASCII path too: the file is read as UTF-8 whatever the locale
+    text = json.dumps(valid_raw(output_dir="résultats"), ensure_ascii=False)
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    assert parse_config(bom) == parse_config(plain)
+    assert parse_config(bom).output_dir == "résultats"
+
+
 def test_csv_data_source_accepted(tmp_path):
     csv = tmp_path / "d.csv"
     csv.write_text("label,f1\n0,1.0\n1,2.0\n")

@@ -347,6 +347,16 @@ def test_csv_shape_and_round_trip(tmp_path):
     assert load_csv(path).features[0, 0].tobytes() == np.float64(exact).tobytes()
 
 
+def test_csv_with_a_utf8_bom_loads_like_the_plain_file(tmp_path):
+    text = "label,f1,f2\n0,1.5,2.0\n1,0.25,-1.0\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))  # as spreadsheets save "CSV UTF-8"
+    a, b = load_csv(plain), load_csv(bom)
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes() and a.num_classes == b.num_classes
+
+
 def test_csv_labels_reindexed_densely(tmp_path):
     path = tmp_path / "sparse.csv"
     path.write_text("label,f1\n10,0.0\n30,1.0\n10,2.0\n20,3.0\n")
