@@ -41,3 +41,32 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_top_level_name_has_a_caller_outside_tests():
+    """A function or class that only tests call still costs lines; delete it.
+
+    A name counts as used wherever code outside tests names it: as a name, an
+    attribute, an import or a string (bench/tracer.py wraps functions by
+    name).  save_checkpoint and load_checkpoint wait for a CLI caller.
+    """
+    exempt = {"save_checkpoint", "load_checkpoint"}
+    root = Path(__file__).resolve().parents[1]
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    users = modules + sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    named = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    dead = [f"{path.name}:{node.lineno}: {node.name}"
+            for path in modules for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in named | exempt]
+    assert not dead, f"named only by tests, or not at all: {dead}"
