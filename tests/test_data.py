@@ -19,6 +19,7 @@ from pfedmb.data import (
     partition,
 )
 from pfedmb.errors import ConfigurationError, ParseError, PartitionError
+from pfedmb.federation import setup_experiment
 
 
 def small_task(**kw):
@@ -318,6 +319,54 @@ def test_partition_bytes_are_pinned(scheme, seed):
             digest.update(f"{idx.dtype.str}{idx.shape}".encode())
             digest.update(idx.tobytes())
     assert digest.hexdigest() == PINNED_PARTITIONS[scheme, seed]
+
+
+# data and partition of the three bench workload shapes, copied here
+SHARD_CASES = {
+    "paired_clusters": (10, dict(num_classes=10, input_dim=20, noise_std=0.7,
+                                 samples_per_class=60),
+                        dict(scheme="paired_clusters", num_pairs=5, classes_per_pair=2)),
+    "dirichlet": (50, dict(num_classes=20, input_dim=64, class_mean_scale=2.0,
+                           noise_std=0.7, samples_per_class=400),
+                  dict(scheme="dirichlet", beta=0.5)),
+    "random_k_classes": (100, dict(num_classes=10, input_dim=32, noise_std=0.7,
+                                   samples_per_class=600),
+                         dict(scheme="random_k_classes", k=3)),
+}
+
+PINNED_SHARDS = {
+    "paired_clusters":
+        "580b610a46e4e720f2ec1dd01292582b231236c4f86df0f6b98e1333e4757f10",
+    "dirichlet":
+        "db628a2072f905d0b1b9981364008db5857308d84e13f27db6152e644f7bcf39",
+    "random_k_classes":
+        "76c494e2d8008862ed36bbbc382aa739434e91dc5f3c0d9425a72fab66010a93",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHARDS))
+def test_client_shard_bytes_are_pinned(case, config_factory):
+    """Every client's train and test arrays keep dtype, shape, layout and bytes."""
+    clients, task, scheme = SHARD_CASES[case]
+    cfg = config_factory(clients=clients, data={"synthetic": task}, partition=scheme, seed=3)
+    _, states = setup_experiment(cfg)
+    digest = hashlib.sha256()
+    for client in states:
+        for shard in (client.shard, client.test_shard):
+            for a in (shard.features, shard.labels):
+                digest.update(f"{a.dtype.str}{a.shape}{a.flags.c_contiguous}".encode())
+                digest.update(a.tobytes())
+    assert digest.hexdigest() == PINNED_SHARDS[case]
+
+
+def test_subset_copies_rows_and_refuses_no_rows():
+    ds = small_task()
+    rows = ds.subset([5, 0, 5])
+    assert rows.labels.tolist() == ds.labels[[5, 0, 5]].tolist()
+    assert not np.shares_memory(rows.features, ds.features)
+    assert not np.shares_memory(rows.labels, ds.labels)
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        ds.subset([])
 
 
 def test_partition_too_small_to_split_names_its_seed():
