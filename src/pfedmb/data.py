@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     field_violations,
 )
-from .nn import integral_labels
+from .nn import _trusted, integral_labels
 
 MAX_PARTITION_ATTEMPTS = 100
 
@@ -68,8 +68,12 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "LabeledDataset":
+        """A copy of the rows at indices, not checked again: they passed once."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
+        if idx.ndim != 1 or not idx.size:
+            raise ConfigurationError("features must be a nonempty (n, d) matrix")
+        return _trusted(LabeledDataset, features=self.features[idx],
+                        labels=self.labels[idx], num_classes=self.num_classes)
 
 
 @dataclass
@@ -261,8 +265,8 @@ def _class_weights(spec: PartitionSpec, num_classes: int, rng) -> np.ndarray:
 def _group(labels: np.ndarray, num_groups: int) -> list:
     """Ascending indices of each label 0..num_groups-1; larger labels are dropped."""
     order = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels, minlength=num_groups)[:num_groups])
-    return np.split(order, bounds)[:num_groups]
+    ends = np.cumsum(np.bincount(labels, minlength=num_groups)[:num_groups]).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
@@ -290,8 +294,8 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
             shuffled = rng.permutation(members)
             if weights[c].sum() == 0.0:
                 continue  # class held by nobody (allowed for k-class schemes)
-            bounds = np.cumsum(apportion(len(shuffled), DEFAULT_SPLIT_RATIO))[:-1]
-            for s, pool in enumerate(np.split(shuffled, bounds)):
+            ends = np.cumsum(apportion(len(shuffled), DEFAULT_SPLIT_RATIO)).tolist()
+            for s, pool in enumerate(shuffled[a:b] for a, b in zip([0, *ends], ends)):
                 shares = apportion(len(pool), weights[c])
                 owner[pool] = np.repeat(s * n + np.arange(n), shares)
 
