@@ -166,7 +166,7 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
         if not p.exists():
             raise ParseError(f"{p}: no such config file")
         try:
-            raw = json.loads(p.read_text(encoding="utf-8-sig"))
+            raw = json.loads(datamod.read_utf8(p))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{p}: line {exc.lineno}: {exc.msg}") from None
         if not isinstance(raw, dict):

@@ -329,7 +329,7 @@ def write_atomic(path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
             f.flush()
             os.fsync(f.fileno())
@@ -337,6 +337,15 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_utf8(path: Path) -> str:
+    """The text of path as UTF-8 after an optional byte-order mark, whatever the locale."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
 
 
 CSV_LABEL_COLUMN = "label"
@@ -347,7 +356,7 @@ def load_csv(path) -> LabeledDataset:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or not lines[0].split(",")[0].strip().lower() == CSV_LABEL_COLUMN:
         raise ParseError(f"{path}: line 1: expected a header starting with 'label'")
     width = len(lines[0].split(","))

@@ -381,7 +381,7 @@ def load_checkpoint(path, config):
     """
     server, clients = setup_experiment(config)
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     try:

@@ -229,6 +229,30 @@ def test_compare_rejects_a_repeated_method(smoke_config, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_names_a_config_file_that_is_not_utf8(smoke_config, tmp_path, capsys):
+    _, raw = smoke_config
+    path = tmp_path / "latin1.json"
+    # a Latin-1 editor saves "résultats" with the single byte 0xe9
+    text = json.dumps(dict(raw, output_dir=str(tmp_path / "résultats")), ensure_ascii=False)
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 1: not UTF-8 text"), err
+    assert not (tmp_path / "résultats").exists()
+
+
+def test_run_names_a_csv_file_that_is_not_utf8(smoke_config, tmp_path, capsys):
+    _, raw = smoke_config
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes("label,f1\n0,1.0\n1,2.0 # é\n".encode("latin-1"))
+    path = tmp_path / "cfg_csv.json"
+    path.write_text(json.dumps(dict(raw, data={"csv": str(csv)})))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: line 3: not UTF-8 text"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_rerun_leaves_the_earlier_result_whole(smoke_config, tmp_path, monkeypatch,
                                                       capsys):
     path, _ = smoke_config

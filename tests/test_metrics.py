@@ -3,6 +3,9 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from pfedmb.metrics import (
     evaluate_client,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def constant_net(classes, winner):
     bias = np.zeros((1, classes))
@@ -271,6 +275,20 @@ def test_write_atomic_deletes_only_temporary_files_of_its_own_path(tmp_path):
         (tmp_path / name).write_text("")
     write_atomic(tmp_path / "rounds.csv", "x\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(others + ["rounds.csv"])
+
+
+def test_write_atomic_writes_utf8_under_an_ascii_locale(tmp_path):
+    """The text is UTF-8 on disk whatever encoding the locale would choose."""
+    path = tmp_path / "note.txt"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from pfedmb.data import write_atomic; "
+            "write_atomic(sys.argv[1], 'caf\\xe9\\n')")
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert path.read_bytes() == "café\n".encode("utf-8")
 
 
 def test_emitted_files_get_the_permissions_of_a_plain_write(tmp_path):
