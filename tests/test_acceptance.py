@@ -7,7 +7,11 @@ shared.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +321,102 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
     )
     _report(8, same, "rounds.csv, final.json, alpha_trajectory.csv byte-identical "
                      "across a 1-thread and a 4-thread rerun")
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# dirichlet_ragged's layer shapes (64 features, h=128, 20 classes) with 128-row
+# batches: at 128 rows OpenBLAS splits the forward (x @ W.T) and both backward
+# (dz.T @ x, dz @ W) matmuls across two threads; at 64 rows only the forward
+BLAS_SPLIT_ROWS = 128
+BLAS_CONFIG = {
+    "method": "pfedmb",
+    "clients": 10,
+    "sample_size": 5,
+    "rounds": 2,
+    "local_epochs": 1,
+    "batch_size": BLAS_SPLIT_ROWS,
+    "branches": 4,
+    "lr_alpha": 1.0,
+    "lr_w": 0.05,
+    "shared_alpha": False,
+    "hidden_dims": [128],
+    "data": {"synthetic": {"num_classes": 20, "input_dim": 64, "class_mean_scale": 2.0,
+                           "noise_std": 0.7, "samples_per_class": 120}},
+    "partition": {"scheme": "dirichlet", "beta": 0.5},
+    "seed": 3,
+}
+
+# user-mode clock ticks of the BLAS worker threads across a loop of each
+# matmul of a training step at `rows` rows, each loop started once the pool is
+# idle (OpenBLAS workers spin for a while after start-up and after each job)
+WORKER_TICKS_PROBE = """
+import os, sys, time
+import numpy as np
+
+def worker_ticks():
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                ticks += int(f.read().rsplit(")", 1)[1].split()[11])
+    return ticks
+
+def ticks_across(matmul, reps=2000):
+    ticks, last = worker_ticks(), -1
+    while ticks != last:
+        time.sleep(0.05)
+        ticks, last = worker_ticks(), ticks
+    for _ in range(reps):
+        matmul()
+    return worker_ticks() - ticks
+
+for rows in map(int, sys.argv[1:]):
+    x, w, dz = np.ones((rows, 64)), np.ones((128, 64)), np.ones((rows, 128))
+    print(*(ticks_across(f) for f in (lambda: x @ w.T, lambda: dz.T @ x, lambda: dz @ w)))
+"""
+
+
+def blas_env(threads):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.update({name: str(threads) for name in BLAS_THREAD_VARS})
+    return env
+
+
+def test_blas_splits_the_criterion_8_matmuls_across_two_threads(config_factory):
+    if len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/task").is_dir():
+        pytest.skip("needs two CPUs and Linux /proc to see a BLAS worker thread")
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_TICKS_PROBE, "8", str(BLAS_SPLIT_ROWS)],
+        env=blas_env(2), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    small, split = ([int(t) for t in line.split()] for line in done.stdout.splitlines())
+    # the worker idles through 8-row matmuls, so its ticks at 128 rows are work
+    assert small == [0, 0, 0] and min(split) > 0, done.stdout
+    # most clients of the criterion-8 run below train full 128-row batches
+    cfg = config_factory(**dict(BLAS_CONFIG, hidden_dims=(128,)))
+    _, clients = fed.setup_experiment(cfg)
+    assert sum(len(c.shard) >= BLAS_SPLIT_ROWS for c in clients) > len(clients) // 2
+
+
+def test_criterion_8_byte_identical_across_blas_thread_counts(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BLAS_CONFIG))
+    outs = [tmp_path / f"blas{threads}" for threads in (1, 2)]
+    for threads, out in zip((1, 2), outs):
+        done = subprocess.run(
+            [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(cfg), "--out", str(out)],
+            env=blas_env(threads), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+    a, b = outs
+    same = all(
+        (a / name).read_bytes() == (b / name).read_bytes()
+        for name in ("rounds.csv", "final.json", "alpha_trajectory.csv")
+    )
+    _report(8, same, "rounds.csv, final.json, alpha_trajectory.csv byte-identical "
+                     "across 1 and 2 BLAS threads at h=128 with 128-row batches")
