@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -7,6 +10,14 @@ from pfedmb.config import ExperimentConfig
 # database in the checkout and has no per-example deadline
 settings.register_profile("pfedmb", derandomize=True, database=None, deadline=None)
 settings.load_profile("pfedmb")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(**overrides):
+    """This environment with src/ first on PYTHONPATH, plus overrides, for a child python."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def make_config(**overrides):

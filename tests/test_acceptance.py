@@ -33,7 +33,7 @@ from pfedmb.data import (
 from pfedmb.federation import run_experiment
 from pfedmb.metrics import alpha_similarity
 
-from conftest import make_config
+from conftest import make_config, subprocess_env
 
 SEEDS = (0, 1, 2)
 
@@ -378,11 +378,7 @@ for rows in map(int, sys.argv[1:]):
 
 
 def blas_env(threads):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.update({name: str(threads) for name in BLAS_THREAD_VARS})
-    return env
+    return subprocess_env(**{name: str(threads) for name in BLAS_THREAD_VARS})
 
 
 def test_blas_splits_the_criterion_8_matmuls_across_two_threads(config_factory):

@@ -2,16 +2,16 @@
 
 import errno
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from pfedmb import federation, metrics, nn
 from pfedmb.cli import main
 from pfedmb.errors import NumericError
+
+from conftest import subprocess_env
 
 
 @pytest.fixture
@@ -322,13 +322,10 @@ def run_in_subprocess(config_path, threads):
 
     Nothing between the program and the terminal records or filters warnings.
     """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(config_path),
          "--threads", str(threads)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
 
 

@@ -1,11 +1,12 @@
 """Every script in demos/ runs to completion, as README tells users to run it."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,12 +18,9 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     done = subprocess.run(
         # -W error: a warning fails the demo, as filterwarnings fails a test in-process
-        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=subprocess_env(),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

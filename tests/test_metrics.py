@@ -5,7 +5,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,8 @@ from pfedmb.metrics import (
     evaluate_client,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import subprocess_env
+
 
 def constant_net(classes, winner):
     bias = np.zeros((1, classes))
@@ -280,9 +280,7 @@ def test_write_atomic_deletes_only_temporary_files_of_its_own_path(tmp_path):
 def test_write_atomic_writes_utf8_under_an_ascii_locale(tmp_path):
     """The text is UTF-8 on disk whatever encoding the locale would choose."""
     path = tmp_path / "note.txt"
-    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
-               PYTHONPATH=os.pathsep.join(
-                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env = subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     code = ("import sys; from pfedmb.data import write_atomic; "
             "write_atomic(sys.argv[1], 'caf\\xe9\\n')")
     done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
