@@ -54,7 +54,6 @@ from .metrics import (
 )
 from .nn import (
     AlphaParams,
-    GradientBundle,
     MultiBranchDense,
     Network,
     combine_branches,

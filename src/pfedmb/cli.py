@@ -9,6 +9,7 @@ changes nothing (clients run one after another).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -22,8 +23,6 @@ from .errors import PfedmbError, ValidationError
 GRADCHECK_DIMS = [8, 16, 4]
 GRADCHECK_BRANCHES = 3
 GRADCHECK_BATCH = 8
-GRADCHECK_H = 1e-5
-GRADCHECK_TOLERANCE = 1e-4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +130,8 @@ def cmd_compare(args) -> int:
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.config is not None:
-        config = parse_config(args.config, _overrides(args))
+        # gradcheck writes nothing, so a config without an output directory will do
+        config = parse_config(args.config, dict(_overrides(args), output_dir=os.devnull))
         dataset = config.make_dataset()
         dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
         branches, seed, shared = config.branches, config.seed, config.shared_alpha
@@ -155,12 +155,11 @@ def cmd_gradcheck(args) -> int:
 
     grads = None
     if args.inject_fault:
-        _, grads = nn.loss_and_grads(net, alpha, (x, y))
-        grads.d_weights[0][0, 0, 0] += 1.0
+        _, (d_weights, d_biases) = nn.loss_and_grads(net, alpha, (x, y), nn.WRT_W)
+        d_weights[0][0, 0, 0] += 1.0
+        grads = ((d_weights, d_biases), nn.loss_and_grads(net, alpha, (x, y), nn.WRT_ALPHA)[1])
 
-    report = nn.gradient_check(
-        net, alpha, (x, y), h=GRADCHECK_H, tolerance=GRADCHECK_TOLERANCE, grads=grads
-    )
+    report = nn.gradient_check(net, alpha, (x, y), grads=grads)
     print(f"weight group:      max rel err {report.w_error:.3e}")
     if branches == 1:
         print("mixing group:      identically zero (single branch), skipped")

@@ -14,8 +14,10 @@ Jacobian applied to the raw alpha gradient), and finite-difference checks
 perturb logits, not alpha.
 
 forward, batch_loss and loss_and_grads check a batch once and share one forward
-pass and one cross entropy; loss_and_grads computes only the gradient group it
-is asked for.  Everything is float64.  No operation mutates its inputs.
+pass and one cross entropy.  loss_and_grads differentiates one parameter group
+per call, the one a local-learning phase trains, and returns it in the form
+step_network or step_alpha takes.  Everything is float64.  No operation mutates
+its inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ SIMPLEX_ATOL = 1e-9
 
 WRT_W = "w"
 WRT_ALPHA = "alpha"
-WRT_BOTH = "both"
 
 _UNLABELED = object()  # forward's batches carry no labels; None is a bad label array
 
@@ -187,21 +188,6 @@ def init_network(layer_dims, num_branches: int, seed) -> Network:
     return Network(layers)
 
 
-@dataclass
-class GradientBundle:
-    """Gradients shaped like the parameters they differentiate.
-
-    d_weights / d_biases: one array per layer, same shapes as the layer's
-    branch parameters.  d_alpha_logits: same shape as AlphaParams.logits
-    (already summed over layers when the logits are shared).  A group that
-    loss_and_grads was not asked for is None.
-    """
-
-    d_weights: list | None
-    d_biases: list | None
-    d_alpha_logits: np.ndarray | None
-
-
 def _combine(layer: MultiBranchDense, a: np.ndarray) -> tuple:
     return np.einsum("b,boi->oi", a, layer.weights), a @ layer.biases
 
@@ -305,19 +291,19 @@ def batch_loss(net: Network, alpha: AlphaParams, x, labels) -> float:
         return _nll(_forward(net, alpha.values(), x)[0][-1], labels)[0]
 
 
-def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH):
-    """Mean cross entropy plus exact reverse-mode gradients.
+def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
+    """Mean cross entropy plus the exact reverse-mode gradient of one parameter group.
 
-    wrt selects the parameter group(s): "w" (branch weights and biases),
-    "alpha" (mixing logits), or "both".  A group not requested is neither
-    computed nor allocated: it comes back as None.
+    wrt "w" gives (loss, (d_weights, d_biases)), one array per layer shaped like
+    its branch parameters, as step_network takes it; wrt "alpha" gives
+    (loss, d_logits) shaped like AlphaParams.logits (summed over layers when the
+    logits are shared), as step_alpha takes it.  The other group is neither
+    computed nor allocated.
     """
-    if wrt not in (WRT_W, WRT_ALPHA, WRT_BOTH):
-        raise UsageError(f"wrt must be one of 'w', 'alpha', 'both'; got {wrt!r}")
+    if wrt not in (WRT_W, WRT_ALPHA):
+        raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
     x, labels = _check_batch(net, alpha, *batch)
-    want_w, want_alpha = wrt != WRT_ALPHA, wrt != WRT_W
     avals = alpha.values()
-    v = avals[:1] if alpha.shared else avals
     # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         acts, ws = _forward(net, avals, x)
@@ -328,33 +314,32 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str = WRT_BOTH)
         dz[np.arange(x.shape[0]), labels] -= 1.0
         dz /= x.shape[0]
 
-        d_weights = [None] * net.num_layers if want_w else None
-        d_biases = [None] * net.num_layers if want_w else None
-        d_alpha_values = np.zeros((net.num_layers, net.num_branches)) if want_alpha else None
-        d_alpha_logits = None
+        d_weights, d_biases = [None] * net.num_layers, [None] * net.num_layers
+        # the alpha phase sets every row
+        d_values = np.empty((net.num_layers, net.num_branches)) if wrt == WRT_ALPHA else None
         for l in reversed(range(net.num_layers)):
             layer = net.layers[l]
             dw_combined = dz.T @ acts[l]
             db_combined = dz.sum(axis=0)
-            if want_w:
+            if wrt == WRT_W:
                 # z depends on branch b only through alpha_b * (W_b, b_b)
                 d_weights[l] = avals[l][:, None, None] * dw_combined[None, :, :]
                 d_biases[l] = avals[l][:, None] * db_combined[None, :]
-            if want_alpha:
+            else:
                 # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
-                d_alpha_values[l] = np.einsum("oi,boi->b", dw_combined, layer.weights)
-                d_alpha_values[l] += layer.biases @ db_combined
+                d_values[l] = np.einsum("oi,boi->b", dw_combined, layer.weights)
+                d_values[l] += layer.biases @ db_combined
             if l > 0:
                 dz = dz @ ws[l]
                 dz *= acts[l] > 0.0  # relu(z) > 0 exactly where z > 0
 
-        if want_alpha:
-            # chain rule through the softmax: v * (d - <v, d>)
-            if alpha.shared:
-                d_alpha_values = d_alpha_values.sum(axis=0, keepdims=True)
-            inner = (v * d_alpha_values).sum(axis=1, keepdims=True)
-            d_alpha_logits = v * (d_alpha_values - inner)
-    return loss, GradientBundle(d_weights, d_biases, d_alpha_logits)
+        if wrt == WRT_W:
+            return loss, (d_weights, d_biases)
+        # chain rule through the softmax: v * (d - <v, d>)
+        v = avals[:1] if alpha.shared else avals
+        if alpha.shared:
+            d_values = d_values.sum(axis=0, keepdims=True)
+        return loss, v * (d_values - (v * d_values).sum(axis=1, keepdims=True))
 
 
 def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
@@ -370,22 +355,22 @@ def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
     return np.subtract(params, out, out=out)
 
 
-def step_network(net: Network, grads: GradientBundle, learning_rate: float) -> Network:
-    """New network with every branch stepped by plain SGD; sgd_step checks each shape."""
-    if grads.d_weights is None or grads.d_biases is None:
-        raise UsageError("gradient bundle has no branch gradients (computed with wrt='alpha')")
+def step_network(net: Network, grads: tuple, learning_rate: float) -> Network:
+    """New network with every branch stepped by plain SGD; sgd_step checks each shape.
+
+    grads is (d_weights, d_biases), as loss_and_grads returns it for wrt "w".
+    """
+    d_weights, d_biases = grads
     return _trusted(Network, layers=[
         _trusted(MultiBranchDense, weights=sgd_step(layer.weights, d_w, learning_rate),
                  biases=sgd_step(layer.biases, d_b, learning_rate))
-        for layer, d_w, d_b in zip(net.layers, grads.d_weights, grads.d_biases, strict=True)
+        for layer, d_w, d_b in zip(net.layers, d_weights, d_biases, strict=True)
     ])
 
 
-def step_alpha(alpha: AlphaParams, grads: GradientBundle, learning_rate: float) -> AlphaParams:
-    """New mixing logits stepped by plain SGD; sgd_step checks the shape."""
-    if grads.d_alpha_logits is None:
-        raise UsageError("gradient bundle has no mixing gradients (computed with wrt='w')")
-    logits = sgd_step(alpha.logits, grads.d_alpha_logits, learning_rate)
+def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float) -> AlphaParams:
+    """New mixing logits stepped by plain SGD on the logit gradient; sgd_step checks the shape."""
+    logits = sgd_step(alpha.logits, grads, learning_rate)
     return _trusted(AlphaParams, logits=logits, num_layers=alpha.num_layers, shared=alpha.shared)
 
 
@@ -412,21 +397,22 @@ def gradient_check(
     batch,
     h: float = 1e-5,
     tolerance: float = 1e-4,
-    grads: GradientBundle = None,
+    grads: tuple = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Perturbs every branch weight, bias, and mixing logit by +-h and reports
     the max relative error |a - n| / max(|a|, |n|, 1e-8) per parameter group.
-    `grads` overrides the analytic bundle; tests use it to inject faults.
+    `grads`, as ((d_weights, d_biases), d_logits), overrides the analytic
+    gradients of both loss_and_grads calls; tests use it to inject faults.
     """
     if not 0.0 < h <= 1e-2:
         raise ConfigurationError(f"h must be in (0, 1e-2], got {h}")
     x, labels = _check_batch(net, alpha, *batch)
     if grads is None:
-        _, grads = loss_and_grads(net, alpha, (x, labels), wrt=WRT_BOTH)
-    elif grads.d_weights is None or grads.d_biases is None or grads.d_alpha_logits is None:
-        raise UsageError("gradient_check needs both gradient groups (computed with wrt='both')")
+        grads = tuple(loss_and_grads(net, alpha, (x, labels), wrt)[1]
+                      for wrt in (WRT_W, WRT_ALPHA))
+    (d_weights, d_biases), d_logits = grads
 
     net = net.copy()
     alpha = alpha.copy()
@@ -442,13 +428,12 @@ def gradient_check(
 
     w_err = 0.0
     for l, layer in enumerate(net.layers):
-        for arr, darr in ((layer.weights, grads.d_weights[l]),
-                          (layer.biases, grads.d_biases[l])):
+        for arr, darr in ((layer.weights, d_weights[l]), (layer.biases, d_biases[l])):
             for idx in np.ndindex(arr.shape):
                 w_err = max(w_err, _rel_err(darr[idx], central(arr, idx)))
 
     a_err = 0.0
     for idx in np.ndindex(alpha.logits.shape):
-        a_err = max(a_err, _rel_err(grads.d_alpha_logits[idx], central(alpha.logits, idx)))
+        a_err = max(a_err, _rel_err(d_logits[idx], central(alpha.logits, idx)))
 
     return GradCheckReport(w_error=w_err, alpha_error=a_err, tolerance=tolerance)

@@ -178,6 +178,27 @@ def test_gradcheck_uses_config_network_shape(smoke_config, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_gradcheck_takes_a_config_without_an_output_directory(
+    smoke_config, tmp_path, monkeypatch, capsys
+):
+    """gradcheck writes nothing; the commands that write still ask where to."""
+    path, raw = smoke_config
+    assert main(["gradcheck", "--config", str(path)]) == 0
+    expected = capsys.readouterr().out
+    noout = tmp_path / "noout.json"
+    noout.write_text(json.dumps({k: v for k, v in raw.items() if k != "output_dir"}))
+    monkeypatch.delenv("PFEDMB_OUT", raising=False)
+    assert main(["gradcheck", "--config", str(noout)]) == 0
+    assert capsys.readouterr().out == expected
+    for command in ("run", "compare", "partition-stats"):
+        assert main([command, "--config", str(noout)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: output_dir: set it in the config, pass --out, "
+            "or export PFEDMB_OUT\n"
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "noout.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["gradcheck", "--rounds", "3", "--lr-w", "9"],
     ["partition-stats", "--config", "c", "--branches", "7", "--lr-w", "9"],

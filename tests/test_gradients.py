@@ -53,49 +53,55 @@ def test_uniform_prediction_loss_is_log_c():
     for layer in net.layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
-    loss, _ = loss_and_grads(net, uniform_alpha(1, 2), (np.ones((4, 3)), [0, 3, 9, 5]))
+    loss, _ = loss_and_grads(net, uniform_alpha(1, 2), (np.ones((4, 3)), [0, 3, 9, 5]), "w")
     assert loss == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_single_branch_alpha_gradient_is_zero():
     net, alpha, x, y = random_problem(1, branches=1)
-    _, g = loss_and_grads(net, alpha, (x, y))
-    np.testing.assert_array_equal(g.d_alpha_logits, np.zeros_like(alpha.logits))
+    _, d_logits = loss_and_grads(net, alpha, (x, y), "alpha")
+    np.testing.assert_array_equal(d_logits, np.zeros_like(alpha.logits))
 
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_gradients_match_finite_differences(shared):
     net, alpha, x, y = random_problem(2, shared=shared)
-    _, g = loss_and_grads(net, alpha, (x, y))
+    _, (d_weights, d_biases) = loss_and_grads(net, alpha, (x, y), "w")
+    _, d_logits = loss_and_grads(net, alpha, (x, y), "alpha")
 
     for l, layer in enumerate(net.layers):
         num_w = fd_grad(lambda: batch_loss(net, alpha, x, y), layer.weights)
-        assert rel_err(g.d_weights[l], num_w) < 1e-4
+        assert rel_err(d_weights[l], num_w) < 1e-4
         num_b = fd_grad(lambda: batch_loss(net, alpha, x, y), layer.biases)
-        assert rel_err(g.d_biases[l], num_b) < 1e-4
+        assert rel_err(d_biases[l], num_b) < 1e-4
 
     num_a = fd_grad(lambda: batch_loss(net, alpha, x, y), alpha.logits)
-    assert rel_err(g.d_alpha_logits, num_a) < 1e-4
+    assert rel_err(d_logits, num_a) < 1e-4
 
 
 def test_wrt_selects_parameter_group():
     net, alpha, x, y = random_problem(3)
-    _, gw = loss_and_grads(net, alpha, (x, y), wrt="w")
-    assert gw.d_alpha_logits is None
-    assert any(np.any(d != 0.0) for d in gw.d_weights)
-    _, ga = loss_and_grads(net, alpha, (x, y), wrt="alpha")
-    assert np.any(ga.d_alpha_logits != 0.0)
-    assert ga.d_weights is None and ga.d_biases is None
+    # "w" gives one (weights, biases) gradient pair per layer, shaped like the branches
+    _, (d_weights, d_biases) = loss_and_grads(net, alpha, (x, y), wrt="w")
+    assert [d.shape for d in d_weights] == [layer.weights.shape for layer in net.layers]
+    assert [d.shape for d in d_biases] == [layer.biases.shape for layer in net.layers]
+    assert any(np.any(d != 0.0) for d in d_weights)
+    # "alpha" gives the logit gradient alone, shaped like the logits
+    _, d_logits = loss_and_grads(net, alpha, (x, y), wrt="alpha")
+    assert isinstance(d_logits, np.ndarray) and d_logits.shape == alpha.logits.shape
+    assert np.any(d_logits != 0.0)
 
 
 def test_loss_and_grads_input_validation():
     net, alpha, x, y = random_problem(4)
     with pytest.raises(UsageError):
-        loss_and_grads(net, alpha, (np.zeros((0, 4)), np.zeros(0, dtype=int)))
+        loss_and_grads(net, alpha, (np.zeros((0, 4)), np.zeros(0, dtype=int)), "w")
     with pytest.raises(UsageError):
-        loss_and_grads(net, alpha, (x, np.full_like(y, 99)))
-    with pytest.raises(UsageError):
-        loss_and_grads(net, alpha, (x, y), wrt="nonsense")
+        loss_and_grads(net, alpha, (x, np.full_like(y, 99)), "alpha")
+    # each call differentiates one group: there is no "both"
+    for wrt in ("nonsense", "both"):
+        with pytest.raises(UsageError, match=f"'w' or 'alpha'; got '{wrt}'"):
+            loss_and_grads(net, alpha, (x, y), wrt=wrt)
 
 
 def test_non_integer_labels_are_rejected_not_truncated():
@@ -103,7 +109,7 @@ def test_non_integer_labels_are_rejected_not_truncated():
     x = x[:2]
     for labels in ([0.5, 1.7], [np.nan, 1.0], ["0", "1"]):
         with pytest.raises(UsageError, match="labels must be integers"):
-            loss_and_grads(net, alpha, (x, labels))
+            loss_and_grads(net, alpha, (x, labels), "w")
     with pytest.raises(UsageError, match="labels must be integers"):
         batch_loss(net, alpha, x, [0.9, 1.2])
     # integral floats are still labels
@@ -115,7 +121,7 @@ def test_missing_labels_are_rejected():
     with pytest.raises(UsageError, match="labels shape"):
         batch_loss(net, alpha, x, None)
     with pytest.raises(UsageError, match="labels shape"):
-        loss_and_grads(net, alpha, (x, None))
+        loss_and_grads(net, alpha, (x, None), "alpha")
 
 
 def test_vertex_alpha_trains_only_the_active_branch():
@@ -124,12 +130,12 @@ def test_vertex_alpha_trains_only_the_active_branch():
     logits = np.full((net.num_layers, 3), -1e9)
     logits[:, 1] = 0.0
     vertex = AlphaParams(logits, net.num_layers)
-    _, g = loss_and_grads(net, vertex, (x, y), wrt="w")
+    _, (d_weights, d_biases) = loss_and_grads(net, vertex, (x, y), wrt="w")
     for l in range(net.num_layers):
         for b in (0, 2):
-            assert np.all(g.d_weights[l][b] == 0.0)
-            assert np.all(g.d_biases[l][b] == 0.0)
-        assert np.any(g.d_weights[l][1] != 0.0)
+            assert np.all(d_weights[l][b] == 0.0)
+            assert np.all(d_biases[l][b] == 0.0)
+        assert np.any(d_weights[l][1] != 0.0)
 
 
 def test_sgd_step_basics():
@@ -151,9 +157,8 @@ def test_step_helpers_leave_inputs_untouched():
     net, alpha, x, y = random_problem(5)
     w_before = [layer.weights.copy() for layer in net.layers]
     logits_before = alpha.logits.copy()
-    _, g = loss_and_grads(net, alpha, (x, y))
-    net2 = step_network(net, g, 0.1)
-    alpha2 = step_alpha(alpha, g, 0.1)
+    net2 = step_network(net, loss_and_grads(net, alpha, (x, y), "w")[1], 0.1)
+    alpha2 = step_alpha(alpha, loss_and_grads(net, alpha, (x, y), "alpha")[1], 0.1)
     for layer, orig in zip(net.layers, w_before):
         np.testing.assert_array_equal(layer.weights, orig)
     np.testing.assert_array_equal(alpha.logits, logits_before)
@@ -195,21 +200,20 @@ def test_gradient_check_random_net_meets_tolerance():
     assert report.passed
 
 
-def test_gradient_check_flags_corrupted_gradient():
+@pytest.mark.parametrize("group", ["w", "alpha"])
+def test_gradient_check_flags_corrupted_gradient(group):
     net, alpha, x, y = random_problem(8)
-    _, g = loss_and_grads(net, alpha, (x, y))
-    g.d_weights[0][0, 0, 0] += 1.0
-    report = gradient_check(net, alpha, (x, y), grads=g)
-    assert report.w_error >= 0.1
+    _, (d_weights, d_biases) = loss_and_grads(net, alpha, (x, y), "w")
+    _, d_logits = loss_and_grads(net, alpha, (x, y), "alpha")
+    if group == "w":
+        d_weights[0][0, 0, 0] += 1.0
+    else:
+        d_logits[0, 0] += 1.0
+    report = gradient_check(net, alpha, (x, y), grads=((d_weights, d_biases), d_logits))
+    errors = {"w": report.w_error, "alpha": report.alpha_error}
+    assert errors.pop(group) >= 0.1
+    assert errors.popitem()[1] < 1e-4  # the other group is untouched
     assert not report.passed
-
-
-@pytest.mark.parametrize("wrt", ["w", "alpha"])
-def test_gradient_check_refuses_a_bundle_with_one_group(wrt):
-    net, alpha, x, y = random_problem(8)
-    _, g = loss_and_grads(net, alpha, (x, y), wrt=wrt)
-    with pytest.raises(UsageError, match="both gradient groups"):
-        gradient_check(net, alpha, (x, y), grads=g)
 
 
 def test_gradient_check_rejects_bad_h():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pfedmb import nn
-from pfedmb.errors import NumericError, UsageError
+from pfedmb.errors import NumericError
 
 # (branches, layer dims, shared mixing row, batch rows): the three bench shapes
 SHAPES = [
@@ -77,7 +77,7 @@ def as_nn(weights, biases, logits, shared):
     return net, nn.AlphaParams(logits, len(weights), shared)
 
 
-@pytest.mark.parametrize("wrt", ["w", "alpha", "both"])
+@pytest.mark.parametrize("wrt", ["w", "alpha"])
 @pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
 def test_loss_and_grads_equal_the_inline_oracle_bit_for_bit(branches, dims, shared, rows, wrt):
     weights, biases, logits, x, y = make_problem(branches, dims, shared, rows)
@@ -86,18 +86,15 @@ def test_loss_and_grads_equal_the_inline_oracle_bit_for_bit(branches, dims, shar
     net, alpha = as_nn(weights, biases, logits, shared)
     got_loss, grads = nn.loss_and_grads(net, alpha, (x, y), wrt=wrt)
     assert got_loss == loss
-    # every requested group equals the oracle's; a group not requested is None
-    if wrt == "alpha":
-        assert grads.d_weights is None and grads.d_biases is None
-    else:
-        assert len(grads.d_weights) == len(grads.d_biases) == len(weights)
-        for l in range(len(weights)):
-            np.testing.assert_array_equal(grads.d_weights[l], d_w[l])
-            np.testing.assert_array_equal(grads.d_biases[l], d_b[l])
+    # the requested group equals the oracle's
     if wrt == "w":
-        assert grads.d_alpha_logits is None
+        got_w, got_b = grads
+        assert len(got_w) == len(got_b) == len(weights)
+        for l in range(len(weights)):
+            np.testing.assert_array_equal(got_w[l], d_w[l])
+            np.testing.assert_array_equal(got_b[l], d_b[l])
     else:
-        np.testing.assert_array_equal(grads.d_alpha_logits, d_logits)
+        np.testing.assert_array_equal(grads, d_logits)
     # the same forward pass and loss serve forward and batch_loss
     np.testing.assert_array_equal(nn.forward(net, alpha, x), out)
     assert nn.batch_loss(net, alpha, x, y) == loss
@@ -118,7 +115,7 @@ def test_step_network_equals_the_inline_update_bit_for_bit(branches, dims, share
         assert layer.weights.flags.c_contiguous and layer.biases.flags.c_contiguous
 
 
-@pytest.mark.parametrize("wrt", ["w", "alpha", "both"])
+@pytest.mark.parametrize("wrt", ["w", "alpha"])
 @pytest.mark.parametrize("shared", [True, False])
 def test_softmax_runs_once_per_loss_and_grads_call(monkeypatch, wrt, shared):
     weights, biases, logits, x, y = make_problem(3, (4, 6, 5, 3), shared, 8)
@@ -139,19 +136,18 @@ def test_softmax_runs_once_per_loss_and_grads_call(monkeypatch, wrt, shared):
 def test_step_network_output_shares_no_memory_with_its_inputs():
     weights, biases, logits, x, y = make_problem(*SHAPES[0])
     net, alpha = as_nn(weights, biases, logits, True)
-    _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
-    stepped = nn.step_network(net, grads, 0.05)
+    _, (d_weights, d_biases) = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
+    stepped = nn.step_network(net, (d_weights, d_biases), 0.05)
     for l, layer in enumerate(stepped.layers):
-        inputs = (net.layers[l].weights, net.layers[l].biases,
-                  grads.d_weights[l], grads.d_biases[l])
+        inputs = (net.layers[l].weights, net.layers[l].biases, d_weights[l], d_biases[l])
         for out in (layer.weights, layer.biases):
             assert not any(np.shares_memory(out, arr) for arr in inputs)
     assert not np.shares_memory(stepped.layers[0].weights, stepped.layers[0].biases)
 
-    _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
-    logits = nn.step_alpha(alpha, grads, 0.05).logits
+    _, d_logits = nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
+    logits = nn.step_alpha(alpha, d_logits, 0.05).logits
     assert logits.dtype == np.float64 and logits.flags.c_contiguous
-    assert not any(np.shares_memory(logits, arr) for arr in (alpha.logits, grads.d_alpha_logits))
+    assert not any(np.shares_memory(logits, arr) for arr in (alpha.logits, d_logits))
 
 
 def test_the_mixing_phase_allocates_no_branch_gradients():
@@ -170,17 +166,6 @@ def test_the_mixing_phase_allocates_no_branch_gradients():
     assert peak < branch_bytes / 2
 
 
-def test_a_step_refuses_a_bundle_without_its_gradient_group():
-    weights, biases, logits, x, y = make_problem(*SHAPES[0])
-    net, alpha = as_nn(weights, biases, logits, True)
-    _, mixing = nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
-    _, branch = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
-    with pytest.raises(UsageError, match="no branch gradients"):
-        nn.step_network(net, mixing, 0.05)
-    with pytest.raises(UsageError, match="no mixing gradients"):
-        nn.step_alpha(alpha, branch, 0.05)
-
-
 def test_an_overflowing_loss_raises_in_batch_loss_as_in_loss_and_grads():
     # finite logits (1e308, -1e308): their spread overflows in the log-softmax
     net = nn.Network([nn.MultiBranchDense(np.zeros((1, 2, 1)), [[1e308, -1e308]])])
@@ -189,6 +174,6 @@ def test_an_overflowing_loss_raises_in_batch_loss_as_in_loss_and_grads():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for loss in (lambda: nn.batch_loss(net, alpha, x, y),
-                     lambda: nn.loss_and_grads(net, alpha, (x, y))):
+                     lambda: nn.loss_and_grads(net, alpha, (x, y), "w")):
             with pytest.raises(NumericError, match="non-finite loss"):
                 loss()

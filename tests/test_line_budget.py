@@ -44,11 +44,12 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_every_top_level_name_has_a_caller_outside_tests():
-    """A function or class that only tests call still costs lines; delete it.
+    """A function, class or constant that only tests use still costs lines; delete it.
 
-    A name counts as used wherever code outside tests names it: as a name, an
+    A name counts as used wherever code outside tests reads it: as a name, an
     attribute, an import or a string (bench/tracer.py wraps functions by
-    name).  save_checkpoint and load_checkpoint wait for a CLI caller.
+    name).  Assigning a name is no use of it.  save_checkpoint and
+    load_checkpoint wait for a CLI caller.
     """
     exempt = {"save_checkpoint", "load_checkpoint"}
     root = Path(__file__).resolve().parents[1]
@@ -57,7 +58,7 @@ def test_every_top_level_name_has_a_caller_outside_tests():
     named = set()
     for path in users:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
@@ -65,8 +66,17 @@ def test_every_top_level_name_has_a_caller_outside_tests():
                 named.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
-    dead = [f"{path.name}:{node.lineno}: {node.name}"
-            for path in modules for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in named | exempt]
+    dead = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{path.name}:{node.lineno}: {name}" for name in defined
+                     if name not in named | exempt]
     assert not dead, f"named only by tests, or not at all: {dead}"
