@@ -273,6 +273,72 @@ def test_aggregate_rejects_empty_and_mismatched():
         fed.aggregate([], fed.AggregationStrategy.PLAIN_WEIGHTED, previous_global())
 
 
+def aggregate_oracle(updates, alpha_weighted, prev_layers):
+    """The aggregation loop in numpy only: layer-outer, first update assigned, then +=.
+
+    updates are (n, [(weights, biases) per layer], alpha rows); returns
+    [(weights, biases) per layer].
+    """
+    total = float(sum(n for n, _, _ in updates))
+    out = []
+    for l, (prev_w, prev_b) in enumerate(prev_layers):
+        denom = w_acc = b_acc = None
+        for n, layers, alphas in updates:
+            coeffs = n * alphas[l] if alpha_weighted else np.full(len(prev_w), float(n))
+            w = coeffs[:, None, None] * layers[l][0]
+            b = coeffs[:, None] * layers[l][1]
+            if denom is None:
+                denom, w_acc, b_acc = coeffs, w, b
+            else:
+                denom = denom + coeffs
+                w_acc += w
+                b_acc += b
+        dead = denom < 1e-12 * total
+        safe = np.where(dead, 1.0, denom)
+        out.append((np.where(dead[:, None, None], prev_w, w_acc / safe[:, None, None]),
+                    np.where(dead[:, None], prev_b, b_acc / safe[:, None])))
+    return out
+
+
+@pytest.mark.parametrize("strategy", list(fed.AggregationStrategy), ids=lambda s: s.name)
+@pytest.mark.parametrize("branches, dims", [
+    (5, (20, 32, 10)),           # paired_paper
+    (4, (64, 128, 20)),          # dirichlet_ragged
+    (8, (32, 64, 64, 64, 10)),   # deep_server
+], ids=["paired_paper", "dirichlet_ragged", "deep_server"])
+def test_aggregate_equals_the_layer_outer_loop_bit_for_bit(strategy, branches, dims):
+    """Every byte of the aggregate, for 1 to 25 updates, dead branches included."""
+    rng = np.random.default_rng(branches)
+    shapes = list(zip(dims[1:], dims[:-1]))
+    prev = [(rng.normal(size=(branches, o, i)), rng.normal(size=(branches, o)))
+            for o, i in shapes]
+    dead_branch = int(rng.integers(branches))
+    updates = []
+    for _ in range(25):
+        alphas = rng.dirichlet(np.ones(branches), size=len(shapes))
+        alphas[rng.random(alphas.shape) < 0.2] = 0.0  # softmax underflow gives exact zeros
+        alphas[:, dead_branch] = 0.0  # no mass anywhere: the floor keeps prev
+        layers = [(rng.normal(size=(branches, o, i)), rng.normal(size=(branches, o)))
+                  for o, i in shapes]
+        updates.append((int(rng.integers(1, 200)), layers, alphas))
+    previous = nn.Network([nn.MultiBranchDense(w, b) for w, b in prev])
+    alpha_weighted = strategy is fed.AggregationStrategy.ALPHA_WEIGHTED
+    for count in range(1, len(updates) + 1):
+        taken = updates[:count]
+        got = fed.aggregate(
+            [fed.ClientUpdate(n, nn.Network([nn.MultiBranchDense(w, b) for w, b in layers]),
+                              alphas) for n, layers, alphas in taken],
+            strategy, previous,
+        )
+        want = aggregate_oracle(taken, alpha_weighted, prev)
+        for layer, (w, b) in zip(got.layers, want, strict=True):
+            for got_arr, want_arr in ((layer.weights, w), (layer.biases, b)):
+                assert got_arr.shape == want_arr.shape
+                assert got_arr.tobytes() == want_arr.tobytes(), f"{count} updates"
+        if alpha_weighted:
+            assert got.layers[0].weights[dead_branch].tobytes() == prev[0][0][dead_branch].tobytes()
+
+
 # ------------------------------------------------------------------- round loop
 
 def test_single_client_round_equals_local_training(config_factory):
