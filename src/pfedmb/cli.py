@@ -1,9 +1,9 @@
 """Command-line harness: run, compare, gradcheck, partition-stats.
 
-Configuration comes from a JSON file plus flag overrides (flags win).  The
-results a config produces depend only on the config and seed; output paths never
-change the emitted bytes, and --threads is accepted for existing configs but
-changes nothing (clients run one after another).
+Every command, gradcheck's network included, is configured by a JSON file plus
+flag overrides (flags win).  The results a config produces depend only on the
+config and seed; output paths never change the emitted bytes, and --threads is
+accepted for existing configs but changes nothing (clients run one after another).
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import federation, metrics, nn
-from .config import METHODS, MINIMUMS, OUTPUT_DIR_ENV, TOP_KEYS, parse_config
+from .config import METHODS, OUTPUT_DIR_ENV, TOP_KEYS, parse_config
 from .data import partition
 from .errors import PfedmbError, ValidationError
 
-GRADCHECK_DIMS = [8, 16, 4]
-GRADCHECK_BRANCHES = 3
 GRADCHECK_BATCH = 8
 
 
@@ -128,23 +126,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    if args.config is not None:
-        # gradcheck writes nothing, so a config without an output directory will do
-        config = parse_config(args.config, dict(_overrides(args), output_dir=os.devnull))
-        dataset = config.make_dataset()
-        dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
-        branches, seed, shared = config.branches, config.seed, config.shared_alpha
-    else:
-        dims = GRADCHECK_DIMS
-        branches = args.branches if args.branches is not None else GRADCHECK_BRANCHES
-        shared = bool(args.shared_alpha)
-        # the rules a config's branches and seed are held to
-        problems = [f"{key}: must be >= {MINIMUMS[key]}, got {value}"
-                    for key, value in (("branches", branches), ("seed", seed))
-                    if value < MINIMUMS[key]]
-        if problems:
-            raise ValidationError(problems)
+    # gradcheck writes nothing, so a config without an output directory will do
+    config = parse_config(args.config, dict(_overrides(args), output_dir=os.devnull))
+    dataset = config.make_dataset()
+    dims = config.layer_dims(dataset.input_dim, dataset.num_classes)
+    branches, seed, shared = config.branches, config.seed, config.shared_alpha
 
     rng = np.random.default_rng(seed)
     net = nn.init_network(dims, branches, seed=[seed, federation.INIT_STREAM])

@@ -44,6 +44,8 @@ LOCAL_ONLY = "local"
 
 CHECKPOINT_SCHEMA_VERSION = 3
 
+DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
+
 
 class AggregationStrategy(Enum):
     ALPHA_WEIGHTED = "alpha_weighted"
@@ -101,7 +103,6 @@ class ClientUpdate:
 
 @dataclass
 class RoundReport:
-    round_index: int
     sampled: list
     train_losses: list        # aligned with sampled, loss on the full shard
     test_accuracies: list     # every client, personalized (current_model, own alpha)
@@ -178,33 +179,29 @@ def aggregate(
 ) -> nn.Network:
     """Branch-wise weighted average of the participating clients' parameters.
 
-    Alpha-weighted: branch (l, b) gets coefficients n_i * alpha_i[l, b]; a
-    branch whose total coefficient mass falls below 1e-12 * sum(n_j) keeps its
-    previous global value instead of dividing by (near) zero.  Plain: every
-    branch gets coefficients n_i.
+    Branch (l, b) gets coefficients n_i * alpha_i[l, b], and plain weighting is
+    the same rule with alpha == 1.  One pass adds each update, in order, into
+    running sums per layer.  A branch whose coefficient mass falls below
+    DEAD_BRANCH_FLOOR * sum(n_i) keeps its previous global value.
     """
     if not updates:
         raise UsageError("cannot aggregate an empty update list")
-    num_branches = previous_global.num_branches
-    total = float(sum(u.num_samples for u in updates))
-    floor = 1e-12 * total
+    alpha_of = ((lambda u: u.alpha_values) if strategy is AggregationStrategy.ALPHA_WEIGHTED
+                else (lambda u: np.ones_like(u.alpha_values)))
+    # per layer: coefficient mass per branch, weight sum, bias sum
+    sums = [(np.zeros(prev.num_branches), np.zeros_like(prev.weights), np.zeros_like(prev.biases))
+            for prev in previous_global.layers]
+    total = 0
+    for u in updates:
+        total += u.num_samples
+        for (denom, w_acc, b_acc), layer, alpha_l in zip(sums, u.model.layers, alpha_of(u)):
+            coeffs = u.num_samples * alpha_l
+            denom += coeffs
+            w_acc += coeffs[:, None, None] * layer.weights
+            b_acc += coeffs[:, None] * layer.biases
+    floor = DEAD_BRANCH_FLOOR * total
     layers = []
-    for l, prev in enumerate(previous_global.layers):
-        # running sums in update order, one entry per branch
-        denom = w_acc = b_acc = None
-        for u in updates:
-            if strategy is AggregationStrategy.ALPHA_WEIGHTED:
-                coeffs = u.num_samples * u.alpha_values[l]
-            else:
-                coeffs = np.full(num_branches, float(u.num_samples))
-            w = coeffs[:, None, None] * u.model.layers[l].weights
-            bias = coeffs[:, None] * u.model.layers[l].biases
-            if denom is None:
-                denom, w_acc, b_acc = coeffs, w, bias
-            else:
-                denom = denom + coeffs
-                w_acc += w
-                b_acc += bias
+    for prev, (denom, w_acc, b_acc) in zip(previous_global.layers, sums):
         dead = denom < floor
         safe = np.where(dead, 1.0, denom)
         layers.append(nn.MultiBranchDense(
@@ -244,7 +241,6 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
         for c in clients
     ]
     return RoundReport(
-        round_index=t,
         sampled=sampled,
         train_losses=losses,
         test_accuracies=accuracies,

@@ -346,7 +346,10 @@ def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
     """Plain SGD update p - lr*g of one parameter array, as one new C-ordered array."""
     if learning_rate < 0:
         raise ConfigurationError(f"learning rate must be >= 0, got {learning_rate}")
-    g = np.asarray(grads, dtype=np.float64)
+    try:
+        g = np.asarray(grads, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise ConfigurationError(f"gradient is not an array of numbers: {exc}") from None
     if g.shape != params.shape:
         raise ConfigurationError(
             f"gradient shape {g.shape} does not match parameter shape {params.shape}"
@@ -360,12 +363,15 @@ def step_network(net: Network, grads: tuple, learning_rate: float) -> Network:
 
     grads is (d_weights, d_biases), as loss_and_grads returns it for wrt "w".
     """
-    d_weights, d_biases = grads
-    return _trusted(Network, layers=[
-        _trusted(MultiBranchDense, weights=sgd_step(layer.weights, d_w, learning_rate),
-                 biases=sgd_step(layer.biases, d_b, learning_rate))
-        for layer, d_w, d_b in zip(net.layers, d_weights, d_biases, strict=True)
-    ])
+    try:
+        d_weights, d_biases = grads
+        return _trusted(Network, layers=[
+            _trusted(MultiBranchDense, weights=sgd_step(layer.weights, d_w, learning_rate),
+                     biases=sgd_step(layer.biases, d_b, learning_rate))
+            for layer, d_w, d_b in zip(net.layers, d_weights, d_biases, strict=True)
+        ])
+    except ValueError as exc:  # not a pair, or not one array per layer
+        raise ConfigurationError(f"gradients do not fit {net.num_layers} layers: {exc}") from None
 
 
 def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float) -> AlphaParams:

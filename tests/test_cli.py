@@ -117,31 +117,50 @@ def test_mistyped_config_value_is_a_located_config_error(
     assert not (tmp_path / "out").exists()
 
 
-def test_gradcheck_default_passes(capsys):
-    assert main(["gradcheck"]) == 0
+def test_gradcheck_default_passes(smoke_config, capsys):
+    path, _ = smoke_config
+    assert main(["gradcheck", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
 
 
-def test_gradcheck_fault_injection_fails(capsys):
-    assert main(["gradcheck", "--inject-fault"]) == 1
+def test_gradcheck_fault_injection_fails(smoke_config, capsys):
+    path, _ = smoke_config
+    assert main(["gradcheck", "--config", str(path), "--inject-fault"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_gradcheck_single_branch_skips_mixing_group(capsys):
-    assert main(["gradcheck", "--branches", "1"]) == 0
+def test_gradcheck_single_branch_skips_mixing_group(smoke_config, capsys):
+    path, _ = smoke_config
+    assert main(["gradcheck", "--config", str(path), "--branches", "1"]) == 0
     out = capsys.readouterr().out
     assert "skipped" in out
 
 
-def test_gradcheck_rejects_a_negative_seed(capsys):
-    """Without --config the seed and branches are held to the config rules."""
+def test_gradcheck_rejects_a_negative_seed(smoke_config, capsys):
+    """The --seed and --branches overrides are held to the config rules."""
+    path, _ = smoke_config
     for flags, err in (
         (["--seed", "-1"], "config error: seed: must be >= 0, got -1\n"),
         (["--branches", "0"], "config error: branches: must be >= 1, got 0\n"),
     ):
-        assert main(["gradcheck", *flags]) == 2
+        assert main(["gradcheck", "--config", str(path), *flags]) == 2
         assert capsys.readouterr().err == err
+
+
+def test_gradcheck_without_a_config_names_the_missing_fields():
+    """The network comes only from a config, so none means the fields are missing."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pfedmb.cli", "gradcheck"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert "config error: branches: required field is missing" in lines
+    assert "config error: seed: required field is missing" in lines
+    assert all(line.startswith("config error: ") for line in lines)
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("flag, config_value, shared", [
@@ -161,14 +180,13 @@ def test_gradcheck_checks_the_alpha_layout_asked_for(
 
     check = nn.gradient_check
     monkeypatch.setattr(nn, "gradient_check", spy)
-    argv = ["gradcheck"] if flag is None else ["gradcheck", flag]
+    path, raw = smoke_config
     if config_value is not None:
-        path, raw = smoke_config
         path.write_text(json.dumps(dict(raw, shared_alpha=config_value)))
-        argv += ["--config", str(path)]
+    argv = ["gradcheck", "--config", str(path)] + ([] if flag is None else [flag])
     assert main(argv) == 0
     assert "PASS" in capsys.readouterr().out
-    # both the default and the smoke config's network have two layers
+    # the smoke config's network has two layers
     assert seen == [(shared, 1 if shared else 2)]
 
 

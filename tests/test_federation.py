@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+import importlib.util
 import json
 import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +339,15 @@ def test_aggregate_equals_the_layer_outer_loop_bit_for_bit(strategy, branches, d
                 assert got_arr.tobytes() == want_arr.tobytes(), f"{count} updates"
         if alpha_weighted:
             assert got.layers[0].weights[dead_branch].tobytes() == prev[0][0][dead_branch].tobytes()
+
+
+def test_the_bench_counts_floor_hits_at_the_aggregation_floor():
+    """bench/tracer.py repeats the floor to count hits; it must be the program's."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.AGGREGATE_FLOOR == fed.DEAD_BRANCH_FLOOR
 
 
 # ------------------------------------------------------------------- round loop

@@ -153,6 +153,21 @@ def test_sgd_step_basics():
         sgd_step(p, g, -0.1)
 
 
+@pytest.mark.parametrize("dims", [(4, 5, 3), (4, 5, 6, 3)], ids=["2-layer", "3-layer"])
+@pytest.mark.parametrize("probe", ["alpha-given-w", "w-given-alpha", "w-given-one-layer"])
+def test_a_step_given_the_wrong_gradient_form_raises_configuration_error(dims, probe):
+    net, alpha, x, y = random_problem(9, dims=dims)
+    d_weights, d_biases = loss_and_grads(net, alpha, (x, y), "w")[1]
+    d_logits = loss_and_grads(net, alpha, (x, y), "alpha")[1]
+    with pytest.raises(ConfigurationError):
+        if probe == "alpha-given-w":
+            step_alpha(alpha, (d_weights, d_biases), 0.1)
+        elif probe == "w-given-alpha":
+            step_network(net, d_logits, 0.1)
+        else:
+            step_network(net, (d_weights[:1], d_biases[:1]), 0.1)
+
+
 def test_step_helpers_leave_inputs_untouched():
     net, alpha, x, y = random_problem(5)
     w_before = [layer.weights.copy() for layer in net.layers]
