@@ -75,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args) -> dict:
     """The config keys given as flags; flags not passed, or not taken, are None."""
-    given = {k: getattr(args, k, None) for k in TOP_KEYS}
-    return {k: v for k, v in given.items() if v is not None}
+    return {k: getattr(args, k, None) for k in TOP_KEYS}
 
 
 def cmd_run(args) -> int:

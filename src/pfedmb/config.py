@@ -9,13 +9,11 @@ only loads the file, merges the flag overrides and resolves participation.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import MISSING, dataclass, fields
-from pathlib import Path
 
 from . import data as datamod
-from .errors import ParseError, ValidationError, field_violations
+from .errors import ValidationError, field_violations
 from .federation import FEDAVG, STRATEGY_FOR_METHOD
 
 METHODS = tuple(STRATEGY_FOR_METHOD)
@@ -156,21 +154,12 @@ TOP_KEYS = frozenset(f.name for f in fields(ExperimentConfig)) | {"participation
 def parse_config(path=None, overrides=None) -> ExperimentConfig:
     """Resolve a JSON config file plus flag overrides into an ExperimentConfig.
 
-    Overrides use the same keys as the file and win over it; participation or
-    sample_size among them replaces both spellings in the file.  Raises
-    ValidationError listing every violation, or ParseError for unreadable JSON.
+    The file is read by data.read_json_object.  Overrides use the file's keys and
+    win over it (None is an unset flag); participation or sample_size among them
+    replaces both spellings in the file.  An empty output_dir or PFEDMB_OUT is
+    unset.  Raises ValidationError listing every violation.
     """
-    raw = {}
-    if path is not None:
-        p = Path(path)
-        if not p.exists():
-            raise ParseError(f"{p}: no such config file")
-        try:
-            raw = json.loads(datamod.read_utf8(p))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}: line {exc.lineno}: {exc.msg}") from None
-        if not isinstance(raw, dict):
-            raise ParseError(f"{p}: top level must be a JSON object")
+    raw = {} if path is None else datamod.read_json_object(path)
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     spellings = {"participation", "sample_size"}  # the two spellings of S
     if overrides.keys() & spellings:  # an override of either replaces the file's
@@ -193,16 +182,14 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
     elif "sample_size" not in raw:
         problems.append("participation: required (or give sample_size)")
 
-    values["output_dir"] = raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV)
-    if values["output_dir"] is None:
+    values["output_dir"] = raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or ""
+    if not values["output_dir"]:
         problems.append(
             f"output_dir: set it in the config, pass --out, or export {OUTPUT_DIR_ENV}"
         )
-    # stand-ins for values whose absence a violation above already reports
+    # a stand-in for a value whose absence a violation above already reports
     if values["sample_size"] is MISSING:
         values["sample_size"] = 1
-    if values["output_dir"] is None:
-        values["output_dir"] = ""
 
     try:
         config = ExperimentConfig(**values)

@@ -11,6 +11,7 @@ repeated calls with the same spec are bit-identical.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -310,6 +311,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
 
 
 # --------------------------------------------------------------- files on disk
+# read_utf8 reads every input file (config, CSV, checkpoint); write_atomic every output file
 
 def write_atomic(path, text: str) -> None:
     """Write text to path all at once or not at all.
@@ -339,13 +341,32 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def read_utf8(path: Path) -> str:
-    """The text of path as UTF-8 after an optional byte-order mark, whatever the locale."""
+def read_utf8(path) -> str:
+    """The text of path as UTF-8 after an optional byte-order mark, whatever the locale.
+
+    ParseError names a missing file or non-UTF-8 text; any other OSError propagates.
+    """
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise ParseError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in path (read by read_utf8), else a ParseError naming path."""
+    text = read_utf8(path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit; too deep
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
+    return doc
 
 
 CSV_LABEL_COLUMN = "label"
@@ -353,9 +374,6 @@ CSV_LABEL_COLUMN = "label"
 
 def load_csv(path) -> LabeledDataset:
     """Parse a `label,f1,...,fd` file; labels re-indexed densely from 0."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
     lines = read_utf8(path).splitlines()
     if not lines or not lines[0].split(",")[0].strip().lower() == CSV_LABEL_COLUMN:
         raise ParseError(f"{path}: line 1: expected a header starting with 'label'")

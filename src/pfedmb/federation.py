@@ -23,12 +23,11 @@ import json
 import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from . import metrics, nn
-from .data import LabeledDataset, partition
+from .data import LabeledDataset, partition, read_json_object
 from .errors import NumericError, ParseError, UsageError
 
 # stream tags; distinct leading constants keep the generator keys disjoint
@@ -107,14 +106,6 @@ class RoundReport:
     train_losses: list        # aligned with sampled, loss on the full shard
     test_accuracies: list     # every client, personalized (current_model, own alpha)
     alpha_values: np.ndarray  # (N, num_layers, B) snapshot after the round
-
-    @property
-    def mean_test_accuracy(self) -> float:
-        return float(np.mean(self.test_accuracies))
-
-    @property
-    def mean_train_loss(self) -> float:
-        return float(np.mean(self.train_losses))
 
 
 def sample_clients(seed: int, num_clients: int, sample_size: int, round_index: int):
@@ -308,8 +299,8 @@ def run_experiment(config):
     semantic = config.semantic_dict()
     result = metrics.ExperimentResult(
         method=config.method,
-        per_round_mean_test_accuracy=[r.mean_test_accuracy for r in reports],
-        per_round_mean_train_loss=[r.mean_train_loss for r in reports],
+        per_round_mean_test_accuracy=[float(np.mean(r.test_accuracies)) for r in reports],
+        per_round_mean_train_loss=[float(np.mean(r.train_losses)) for r in reports],
         final_client_accuracies=accuracies,
         final_alpha=[c.alpha.values() for c in clients],
         alpha_trajectory=[r.alpha_values for r in reports],
@@ -369,17 +360,14 @@ def save_checkpoint(server: ServerState, clients: list, config, path) -> None:
 def load_checkpoint(path, config):
     """Rebuild the (server, clients) of a run of config from its checkpoint.
 
-    setup_experiment(config) builds the fresh state; the document must then
-    match its checkpoint_arrays key for key, and each array is copied into the
-    fresh one in place.  Every value is checked before it is used: a file
-    written under another config, or a malformed or misshapen value, raises
-    ParseError naming the path and the dotted key (clients[1].alpha_logits).
+    The file is read as a config is, by data.read_json_object; setup_experiment
+    builds the fresh state, which the document must match key for key, and each
+    array is copied into it in place.  A file written under another config, or
+    a malformed or misshapen value, raises ParseError naming the path and the
+    dotted key (clients[1].alpha_logits); any other OSError propagates.
     """
+    doc = read_json_object(path)
     server, clients = setup_experiment(config)
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
     try:
         server.round = _checked_round(doc, config)
         _restore(checkpoint_arrays(server, clients), doc, "")
@@ -400,8 +388,6 @@ def _member(doc: dict, name: str, key: str = ""):
 
 def _checked_round(doc, config) -> int:
     """Check the document's header against config; return its round."""
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be a JSON object")
     version = doc.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise _located("schema_version", version,

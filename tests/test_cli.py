@@ -1,11 +1,15 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import contextlib
 import errno
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pfedmb import federation, metrics, nn
 from pfedmb.cli import main
@@ -280,6 +284,42 @@ def test_run_names_a_config_file_that_is_not_utf8(smoke_config, tmp_path, capsys
     assert not (tmp_path / "résultats").exists()
 
 
+@pytest.mark.parametrize("text", [None, "[" * 200_000, '{"clients": ' + "9" * 5000 + "}"],
+                         ids=["missing", "nested_200000_deep", "int_of_5000_digits"])
+def test_an_unreadable_config_is_one_located_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def byte_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("config_bytes")
+    return root / "cfg.json", root / "out"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@example(data=b"[" * 200_000)
+@example(data=b'{"clients": ' + b"9" * 5000 + b"}")
+@example(data=b"[1, 2]")
+@example(data='{"output_dir": "é"}'.encode("latin-1"))
+@example(data=b"")
+@given(data=st.binary(max_size=200))
+def test_any_config_bytes_exit_2_with_only_error_lines(byte_paths, data):
+    path, out = byte_paths
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    lines = err.getvalue().splitlines()
+    assert lines and all(line.startswith(("config error: ", "error: ")) for line in lines), lines
+    assert not out.exists()
+
+
 def test_run_names_a_csv_file_that_is_not_utf8(smoke_config, tmp_path, capsys):
     _, raw = smoke_config
     csv = tmp_path / "latin1.csv"
@@ -415,3 +455,18 @@ def test_output_dir_env_default(smoke_config, tmp_path, monkeypatch):
     monkeypatch.setenv("PFEDMB_OUT", str(tmp_path / "fromenv"))
     assert main(["run", "--config", str(p)]) == 0
     assert (tmp_path / "fromenv" / "final.json").exists()
+
+
+def test_an_empty_output_dir_env_counts_as_unset(smoke_config, tmp_path, monkeypatch, capsys):
+    _, raw = smoke_config
+    path = tmp_path / "noout.json"
+    path.write_text(json.dumps({k: v for k, v in raw.items() if k != "output_dir"}))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("PFEDMB_OUT", "")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: output_dir: set it in the config, pass --out, or export PFEDMB_OUT\n"
+    )
+    assert list(cwd.iterdir()) == []

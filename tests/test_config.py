@@ -171,7 +171,7 @@ def test_config_without_file_uses_overrides_only():
 
 
 def test_parse_errors_name_the_file(tmp_path):
-    with pytest.raises(ParseError, match="no such config"):
+    with pytest.raises(ParseError, match="no such file"):
         parse_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
@@ -853,3 +853,40 @@ def test_any_value_at_any_checkpoint_key_is_loaded_or_located(saved_checkpoints,
         fed.load_checkpoint(path, cfg)
     except PfedmbError as exc:
         assert str(path) in str(exc) and key + name in str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@example(data=b"[" * 200_000)
+@example(data=b'{"round": ' + b"9" * 5000 + b"}")
+@example(data=b"\xef\xbb\xbf{}")
+@given(data=st.binary(max_size=200))
+def test_any_checkpoint_bytes_load_or_raise_a_parse_error_naming_the_path(
+    saved_checkpoints, data
+):
+    saved, path = saved_checkpoints
+    path.write_bytes(data)
+    try:
+        fed.load_checkpoint(path, saved["pfedmb"][1])
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}: "), exc
+
+
+def test_checkpoint_with_a_utf8_bom_resumes_bit_exact(tmp_path):
+    cfg = make_config(rounds=2)
+    server, clients, _ = fed.run_training(cfg)
+    part_server, part_clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=0))
+    fed.run_round(part_server, part_clients, cfg)
+    path = tmp_path / "ckpt.json"
+    fed.save_checkpoint(part_server, part_clients, cfg, path)
+    path.write_bytes(path.read_text(encoding="utf-8").encode("utf-8-sig"))
+    resumed_server, resumed_clients = fed.load_checkpoint(path, cfg)
+    fed.run_round(resumed_server, resumed_clients, cfg)
+    _assert_same_state(resumed_server, resumed_clients, server, clients)
+
+
+def test_checkpoint_read_errors_are_those_of_a_config(tmp_path):
+    cfg = make_config(rounds=1)
+    with pytest.raises(ParseError, match=r"missing\.json: no such file$"):
+        fed.load_checkpoint(tmp_path / "missing.json", cfg)
+    with pytest.raises(IsADirectoryError):  # any other OSError is not a parse error
+        fed.load_checkpoint(tmp_path, cfg)

@@ -80,3 +80,22 @@ def test_every_top_level_name_has_a_caller_outside_tests():
             dead += [f"{path.name}:{node.lineno}: {name}" for name in defined
                      if name not in named | exempt]
     assert not dead, f"named only by tests, or not at all: {dead}"
+
+
+def test_only_data_reads_an_input_file():
+    """Config, CSV and checkpoint are read by data.read_utf8, so each is decoded
+    and rejected the same way: no other module calls json.load(s), .read_text,
+    .read_bytes or the builtin open.
+    """
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = node.func if isinstance(node, ast.Call) else None
+            builtin_open = isinstance(f, ast.Name) and f.id == "open"
+            method = f.attr if isinstance(f, ast.Attribute) else None
+            json_load = method in ("load", "loads") and getattr(f.value, "id", None) == "json"
+            if builtin_open or json_load or method in ("read_text", "read_bytes"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, f"reads a file outside data.py: {readers}"
