@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="local,fedavg,pfedmb_plain_agg,pfedmb",
         help="comma-separated methods to compare",
     )
-    grad.add_argument("--inject-fault", action="store_true",
-                      help="corrupt one gradient entry (self-test of the check)")
     return parser
 
 
@@ -138,13 +136,7 @@ def cmd_gradcheck(args) -> int:
     x = rng.normal(size=(GRADCHECK_BATCH, dims[0]))
     y = rng.integers(0, dims[-1], size=GRADCHECK_BATCH)
 
-    grads = None
-    if args.inject_fault:
-        _, (d_weights, d_biases) = nn.loss_and_grads(net, alpha, (x, y), nn.WRT_W)
-        d_weights[0][0, 0, 0] += 1.0
-        grads = ((d_weights, d_biases), nn.loss_and_grads(net, alpha, (x, y), nn.WRT_ALPHA)[1])
-
-    report = nn.gradient_check(net, alpha, (x, y), grads=grads)
+    report = nn.gradient_check(net, alpha, (x, y))
     print(f"weight group:      max rel err {report.w_error:.3e}")
     if branches == 1:
         print("mixing group:      identically zero (single branch), skipped")

@@ -34,7 +34,7 @@ def _build(cls, section: dict):
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = sorted(set(section) - defaults.keys())
     if unknown:
-        raise ValidationError([f"{key}: unknown key" for key in unknown])
+        raise ValidationError([f"{repr(key)[1:-1]}: unknown key" for key in unknown])
     return cls(**{**defaults, **section})
 
 
@@ -166,7 +166,7 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
         raw = {k: v for k, v in raw.items() if k not in spellings}
     raw = {**raw, **overrides}
 
-    problems = [f"{key}: unknown key" for key in sorted(set(raw) - TOP_KEYS)]
+    problems = [f"{repr(key)[1:-1]}: unknown key" for key in sorted(set(raw) - TOP_KEYS)]
     # MISSING makes ExperimentConfig report a required field as missing
     values = {f.name: raw.get(f.name, f.default) for f in fields(ExperimentConfig)}
 

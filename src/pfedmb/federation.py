@@ -133,17 +133,20 @@ def client_local_learning(
     logits with the received branches held fixed; phase 2 holds the new mixing
     fixed and runs as many epochs on all branch weights and biases.  Each phase
     shuffles with its own stream so the batch order of one phase never depends
-    on the other.
+    on the other, and with one branch phase 1 is skipped: its logit gradient is
+    exactly zero.
     """
     x, y = client.shard.features, client.shard.labels
     n = client.num_samples
 
-    # nn never mutates its inputs, and every phase takes at least one step
+    # nn never mutates its inputs, and the weight phase takes at least one step
     alpha, model = client.alpha, global_model
     for name, phase, wrt, lr in (
         ("mixing", ALPHA_PHASE, nn.WRT_ALPHA, config.lr_alpha),
         ("weight", WEIGHT_PHASE, nn.WRT_W, config.lr_w),
     ):
+        if phase == ALPHA_PHASE and alpha.num_branches == 1:
+            continue
         rng = _rng(config.seed, CLIENT_STREAM, client.client_id, round_index, phase)
         for epoch in range(config.local_epochs):
             for idx in _epoch_batches(n, config.batch_size, rng):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from pfedmb import nn
 from pfedmb.config import ExperimentConfig
 
 # every property test draws the same examples on every run, keeps no example
@@ -18,6 +19,24 @@ def subprocess_env(**overrides):
     """This environment with src/ first on PYTHONPATH, plus overrides, for a child python."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
+def corrupt_kernel(monkeypatch, group):
+    """Make nn.loss_and_grads add 1 to the first entry of group's gradient, "w" or "alpha".
+
+    Every caller that looks the kernel up in nn (gradient_check, training) gets
+    the corrupted one; the forward pass and batch_loss stay exact.
+    """
+    kernel = nn.loss_and_grads
+
+    def corrupted(net, alpha, batch, wrt):
+        loss, grads = kernel(net, alpha, batch, wrt)
+        if wrt == group:
+            # the first branch weight of layer 0, or the first mixing logit
+            (grads[0][0] if wrt == nn.WRT_W else grads).flat[0] += 1.0
+        return loss, grads
+
+    monkeypatch.setattr(nn, "loss_and_grads", corrupted)
 
 
 def make_config(**overrides):

@@ -1,21 +1,25 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import argparse
 import contextlib
 import errno
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfedmb import federation, metrics, nn
-from pfedmb.cli import main
+from pfedmb.cli import build_parser, main
+from pfedmb.config import parse_config
 from pfedmb.errors import NumericError
 
-from conftest import subprocess_env
+from conftest import corrupt_kernel, subprocess_env
 
 
 @pytest.fixture
@@ -128,10 +132,19 @@ def test_gradcheck_default_passes(smoke_config, capsys):
     assert "PASS" in out
 
 
-def test_gradcheck_fault_injection_fails(smoke_config, capsys):
+def test_gradcheck_fault_injection_fails(smoke_config, monkeypatch, capsys):
+    """gradcheck checks the kernel training runs: a wrong one in either group fails."""
     path, _ = smoke_config
-    assert main(["gradcheck", "--config", str(path), "--inject-fault"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    for group, name in (("w", "weight"), ("alpha", "mixing")):
+        with monkeypatch.context() as patch:
+            corrupt_kernel(patch, group)
+            assert main(["gradcheck", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        errors = {line.split()[0]: float(line.split()[-1])
+                  for line in out.splitlines() if "max rel err" in line}
+        assert errors.pop(name) >= 0.1
+        assert errors.popitem()[1] < 1e-4  # the other group is untouched
+        assert out.endswith("result:            FAIL\n")
 
 
 def test_gradcheck_single_branch_skips_mixing_group(smoke_config, capsys):
@@ -194,10 +207,25 @@ def test_gradcheck_checks_the_alpha_layout_asked_for(
     assert seen == [(shared, 1 if shared else 2)]
 
 
-def test_gradcheck_uses_config_network_shape(smoke_config, capsys):
-    path, _ = smoke_config
+def test_gradcheck_uses_config_network_shape(smoke_config, monkeypatch, capsys):
+    seen = []
+
+    def spy(net, *args, **kwargs):
+        seen.append(net)
+        return check(net, *args, **kwargs)
+
+    check = nn.gradient_check
+    monkeypatch.setattr(nn, "gradient_check", spy)
+    path, raw = smoke_config
+    path.write_text(json.dumps(dict(raw, hidden_dims=[6, 5], branches=3)))
     assert main(["gradcheck", "--config", str(path)]) == 0
     assert "PASS" in capsys.readouterr().out
+    config = parse_config(path)
+    synthetic = raw["data"]["synthetic"]
+    (net,) = seen
+    assert [net.in_dim] + [layer.out_dim for layer in net.layers] == config.layer_dims(
+        synthetic["input_dim"], synthetic["num_classes"])
+    assert net.num_branches == config.branches == 3
 
 
 def test_gradcheck_takes_a_config_without_an_output_directory(
@@ -221,11 +249,25 @@ def test_gradcheck_takes_a_config_without_an_output_directory(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "noout.json"]
 
 
+def test_readme_command_line_names_exactly_the_flags_the_parser_takes():
+    """README's "Command line" section names every subcommand flag, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    taken = {flag for parser in commands.choices.values()
+             for action in parser._actions for flag in action.option_strings}
+    assert documented == taken - {"-h", "--help", "--no-shared-alpha"}
+
+
 @pytest.mark.parametrize("argv", [
     ["gradcheck", "--rounds", "3", "--lr-w", "9"],
     ["partition-stats", "--config", "c", "--branches", "7", "--lr-w", "9"],
     # --method is no prefix of --methods either: compare would run pfedmb
     ["compare", "--method", "local", "--methods", "pfedmb"],
+    # gradcheck checks the kernel training runs; it takes no fault-injection flag
+    ["gradcheck", "--config", "c", "--inject-fault"],
 ])
 def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exited:
@@ -308,6 +350,9 @@ def byte_paths(tmp_path_factory):
 @example(data=b"[1, 2]")
 @example(data='{"output_dir": "é"}'.encode("latin-1"))
 @example(data=b"")
+@example(data=b'{"a\\nb": 1}')
+@example(data=b'{"seed": 0, "data": {"synthetic": {"a\\nb": 1}}}')
+@example(data=b'{"a\\u2028b": 1}')  # str.splitlines splits at U+2028 too
 @given(data=st.binary(max_size=200))
 def test_any_config_bytes_exit_2_with_only_error_lines(byte_paths, data):
     path, out = byte_paths

@@ -425,6 +425,20 @@ def test_b1_training_equals_fedavg_baseline_bitwise(config_factory):
         np.testing.assert_array_equal(a.alpha.logits, b.alpha.logits)
 
 
+def test_a_single_branch_run_skips_the_mixing_phase(config_factory, monkeypatch):
+    """With one branch the logit gradient is exactly zero, so no "alpha" call is made."""
+    groups = []
+    kernel = nn.loss_and_grads
+
+    def spy(net, alpha, batch, wrt):
+        groups.append(wrt)
+        return kernel(net, alpha, batch, wrt)
+
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    fed.run_experiment(config_factory(method="fedavg", branches=1))
+    assert groups and set(groups) == {nn.WRT_W}
+
+
 def run_keeping_fine_tuned(monkeypatch, config):
     """run_experiment's (result, server, clients) plus the network that each
     fine_tune call returned, in call order."""

@@ -18,6 +18,8 @@ from pfedmb.nn import (
     uniform_alpha,
 )
 
+from conftest import corrupt_kernel
+
 
 def fd_grad(f, arr, h=1e-5):
     """Central differences of scalar f with respect to every entry of arr."""
@@ -216,15 +218,11 @@ def test_gradient_check_random_net_meets_tolerance():
 
 
 @pytest.mark.parametrize("group", ["w", "alpha"])
-def test_gradient_check_flags_corrupted_gradient(group):
+def test_gradient_check_flags_corrupted_gradient(monkeypatch, group):
+    """gradient_check checks the kernel itself, so a wrong kernel fails it."""
+    corrupt_kernel(monkeypatch, group)
     net, alpha, x, y = random_problem(8)
-    _, (d_weights, d_biases) = loss_and_grads(net, alpha, (x, y), "w")
-    _, d_logits = loss_and_grads(net, alpha, (x, y), "alpha")
-    if group == "w":
-        d_weights[0][0, 0, 0] += 1.0
-    else:
-        d_logits[0, 0] += 1.0
-    report = gradient_check(net, alpha, (x, y), grads=((d_weights, d_biases), d_logits))
+    report = gradient_check(net, alpha, (x, y))
     errors = {"w": report.w_error, "alpha": report.alpha_error}
     assert errors.pop(group) >= 0.1
     assert errors.popitem()[1] < 1e-4  # the other group is untouched
