@@ -21,6 +21,14 @@ def subprocess_env(**overrides):
     return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(threads):
+    """subprocess_env with the child's BLAS held to `threads` threads."""
+    return subprocess_env(**{name: str(threads) for name in BLAS_THREAD_VARS})
+
+
 def corrupt_kernel(monkeypatch, group):
     """Make nn.loss_and_grads add 1 to the first entry of group's gradient, "w" or "alpha".
 

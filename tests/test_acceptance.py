@@ -32,7 +32,7 @@ from pfedmb.data import (
 from pfedmb.federation import run_experiment
 from pfedmb.metrics import alpha_similarity
 
-from conftest import make_config, subprocess_env
+from conftest import blas_env, make_config
 
 SEEDS = (0, 1, 2)
 
@@ -291,8 +291,6 @@ def test_criterion_7_partitioner_properties():
     _report(7, violations == 0, f"{cases} randomized specs, {violations} violations")
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # dirichlet_ragged's layer shapes (64 features, h=128, 20 classes) with 128-row
 # batches: at 128 rows OpenBLAS splits the forward (x @ W.T) and both backward
 # (dz.T @ x, dz @ W) matmuls across two threads; at 64 rows only the forward
@@ -343,10 +341,6 @@ for rows in map(int, sys.argv[1:]):
     x, w, dz = np.ones((rows, 64)), np.ones((128, 64)), np.ones((rows, 128))
     print(*(ticks_across(f) for f in (lambda: x @ w.T, lambda: dz.T @ x, lambda: dz @ w)))
 """
-
-
-def blas_env(threads):
-    return subprocess_env(**{name: str(threads) for name in BLAS_THREAD_VARS})
 
 
 def test_blas_splits_the_criterion_8_matmuls_across_two_threads(config_factory):

@@ -19,7 +19,7 @@ from pfedmb.cli import _overrides, build_parser, main
 from pfedmb.config import parse_config
 from pfedmb.errors import NumericError
 
-from conftest import corrupt_kernel, subprocess_env
+from conftest import blas_env, corrupt_kernel, subprocess_env
 
 
 @pytest.fixture
@@ -492,24 +492,27 @@ def test_partition_stats_histograms(smoke_config, tmp_path):
     assert total == 3 * 30
 
 
-def run_in_subprocess(config_path):
-    """`pfedmb run` in a fresh interpreter; stderr is what a user sees.
+def run_in_subprocess(config_path, threads):
+    """`pfedmb run` in a fresh interpreter with `threads` BLAS threads.
 
-    Nothing between the program and the terminal records or filters warnings.
+    stderr is what a user sees: nothing between the program and the terminal
+    records or filters warnings.
     """
     return subprocess.run(
         [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(config_path)],
-        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        env=blas_env(threads), capture_output=True, text=True, timeout=120,
     )
 
 
+# the overflow is found and located the same however BLAS splits the matmuls
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("lr_w", [1e30, 1e300])
-def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w):
+def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, threads):
     """A diverging run exits 2 with one located error line, no numpy warning."""
     _, raw = smoke_config
     path = tmp_path / "diverge.json"
     path.write_text(json.dumps(dict(raw, lr_w=lr_w)))
-    done = run_in_subprocess(path)
+    done = run_in_subprocess(path, threads)
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: client "), done.stderr
@@ -517,7 +520,8 @@ def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w):
     assert not (tmp_path / "out" / "final.json").exists()
 
 
-def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path, threads):
     """With one step per phase the weight phase ends on the diverging step.
 
     The branches it returns are first evaluated by the round's train loss on
@@ -532,7 +536,7 @@ def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path):
                             "noise_std": 0.5, "samples_per_class": 30}},
         partition={"scheme": "paired_clusters", "num_pairs": 2, "classes_per_pair": 2},
     )))
-    done = run_in_subprocess(path)
+    done = run_in_subprocess(path, threads)
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
