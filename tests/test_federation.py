@@ -17,7 +17,7 @@ from conftest import make_config
 from pfedmb import federation as fed
 from pfedmb import metrics, nn
 from pfedmb.data import LabeledDataset
-from pfedmb.errors import ParseError, PfedmbError, UsageError
+from pfedmb.errors import NumericError, ParseError, PfedmbError, UsageError
 from test_config import JSON_VALUES
 
 
@@ -437,6 +437,62 @@ def test_a_single_branch_run_skips_the_mixing_phase(config_factory, monkeypatch)
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     fed.run_experiment(config_factory(method="fedavg", branches=1))
     assert groups and set(groups) == {nn.WRT_W}
+
+
+@pytest.mark.parametrize("layer,alternate,message", [
+    # client 0's features keep its layer-0 sums finite; client 1 is the first to fail
+    (0, False, "client 1, round 0, mixing phase, epoch 0: non-finite activations in layer 0"),
+    (1, True, "client 0, round 0, mixing phase, epoch 1: non-finite activations in layer 1"),
+])
+def test_a_diverging_mixing_phase_names_the_lowest_failing_client(
+        config_factory, layer, alternate, message):
+    """Every sampled client mixes the same server branches; one branch at +-1e308
+    overflows the forward pass, and the round raises the first failing client's
+    located error."""
+    cfg = config_factory()
+    server, clients = fed.setup_experiment(cfg)
+    weights = server.model.layers[layer].weights
+    sign = np.where(np.indices(weights[1].shape).sum(axis=0) % 2, 1.0, -1.0) if alternate else 1.0
+    weights[1] = 1e308 * sign
+    with pytest.raises(NumericError) as raised:
+        fed.run_round(server, clients, cfg)
+    assert str(raised.value) == message
+
+
+def diverge_mixing(method, server, clients):
+    """Make a later client's mixing phase fail; returns its id.
+
+    Under `local` client 2's own branch 1 is set to 1e308.  Otherwise the server's
+    branch 1 of layer 0 is: client 0's mixing phase survives it, client 1's does not.
+    """
+    if method == "local":
+        clients[2].local_model.layers[0].weights[1] = 1e308
+        return 2
+    server.model.layers[0].weights[1] = 1e308
+    return 1
+
+
+@pytest.mark.parametrize("method,overrides,message", [
+    ("pfedmb", dict(lr_w=1e200),
+     "client 0, round 0, weight phase, epoch 0: non-finite activations in layer 1"),
+    ("local", dict(lr_w=1e300, local_epochs=1, batch_size=1000),
+     "client 0, round 0, train loss: non-finite activations in layer 1"),
+])
+def test_an_earlier_clients_failure_is_raised_before_a_later_mixing_failure(
+        config_factory, method, overrides, message):
+    """Clients fail in canonical order: client 0's weight phase or train loss, under
+    a huge lr_w, is raised although a later client's mixing phase fails too."""
+    cfg = config_factory(method=method, **overrides)
+    server, clients = fed.setup_experiment(cfg)
+    later = diverge_mixing(method, server, clients)
+    with pytest.raises(NumericError, match=f"^client {later}, round 0, mixing phase, epoch 0: "):
+        fed.client_local_learning(clients[later], clients[later].current_model(server), 0, cfg)
+
+    server, clients = fed.setup_experiment(cfg)
+    diverge_mixing(method, server, clients)
+    with pytest.raises(NumericError) as raised:
+        fed.run_round(server, clients, cfg)
+    assert str(raised.value) == message
 
 
 def run_keeping_fine_tuned(monkeypatch, config):

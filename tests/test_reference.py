@@ -217,6 +217,13 @@ FLOOR_HIT = {  # alpha-weighted, lr_alpha 1e6: a branch falls below the floor in
     "batch_size": 7,
 }
 
+MIXED_FAILURES = dict(  # one class per client, class means up to 8.5e307
+    FLOOR_HIT, sample_size=4, lr_alpha=0.5, seed=2, batch_size=100,
+    data={"synthetic": {"num_classes": 4, "input_dim": 4, "samples_per_class": 20,
+                        "class_mean_scale": 8.5e307}},
+    partition={"scheme": "random_k_classes", "k": 1},
+)
+
 
 @settings(max_examples=300)
 @example(raw=FLOOR_HIT)
@@ -225,6 +232,9 @@ FLOOR_HIT = {  # alpha-weighted, lr_alpha 1e6: a branch falls below the floor in
 # weight phase's second step, or with one step per phase the round's train loss
 @example(raw=dict(FLOOR_HIT, lr_w=1e300))
 @example(raw=dict(FLOOR_HIT, lr_w=1e300, branches=1, batch_size=100))
+# client 1's train loss overflows, and so does client 2's first mixing step:
+# the run raises client 1's error
+@example(raw=MIXED_FAILURES)
 @given(raw=run_configs())
 def test_a_run_equals_the_numpy_reference_bit_for_bit(raw):
     """Every result array and the final server branches are equal, or both raise alike."""
