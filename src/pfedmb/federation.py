@@ -13,15 +13,16 @@ trains its own model every round and nothing is aggregated.
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
-A round runs its sampled clients one after another in canonical (ascending
-id) order; config.threads is accepted for existing configs but changes nothing.
+A round trains its sampled clients' mixing phases in lockstep (mixing_phase),
+then each one's weight phase and train loss in canonical (ascending id) order;
+config.threads is accepted for existing configs but changes nothing.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -44,6 +45,8 @@ LOCAL_ONLY = "local"
 CHECKPOINT_SCHEMA_VERSION = 3
 
 DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
+
+MIXING_STACK_BYTES = 1 << 20  # per stacked mixing call: combined weights and layer outputs
 
 
 class AggregationStrategy(Enum):
@@ -118,52 +121,90 @@ def sample_clients(seed: int, num_clients: int, sample_size: int, round_index: i
     return [int(i) for i in np.sort(ids)]
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
+def _batches(client: ClientState, round_index: int, phase: int, config):
+    """(epoch, row indices) of each mini-batch of one client's phase, from its own stream."""
+    rng = _rng(config.seed, CLIENT_STREAM, client.client_id, round_index, phase)
+    for epoch in range(config.local_epochs):
+        perm = rng.permutation(client.num_samples)
+        for start in range(0, client.num_samples, config.batch_size):
+            yield epoch, perm[start : start + config.batch_size]
+
+
+def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
+    """Phase 1 of local learning in lockstep: client i's mixing logits on fixed models[i].
+
+    Each step, clients with the same model and batch length share one stacked call
+    per MIXING_STACK_BYTES, bit for bit as if alone.  Returns per client its new
+    AlphaParams, or the located NumericError that ended its phase.
+    """
+    alphas = [c.alpha for c in clients]
+    steps = [_batches(c, round_index, ALPHA_PHASE, config) for c in clients]
+    pending = [i for i, a in enumerate(alphas) if a.num_branches > 1]
+    while pending:
+        groups = {}
+        for i in pending:
+            step = next(steps[i], None)
+            if step is not None:
+                groups.setdefault((id(models[i]), len(step[1])), []).append((i, *step))
+        for (_, rows), group in groups.items():
+            model = models[group[0][0]]
+            per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
+            size = max(1, MIXING_STACK_BYTES // per_client)
+            for k in range(0, len(group), size):
+                _mixing_step(clients, model, alphas, group[k : k + size], round_index, config)
+        pending = [i for group in groups.values() for i, *_ in group
+                   if isinstance(alphas[i], nn.AlphaParams)]
+    return alphas
+
+
+def _mixing_step(clients, model, alphas, chunk, round_index, config):
+    """One stacked step of chunk's (client index, epoch, rows); if it raises, one per client."""
+    try:
+        logits = np.stack([alphas[i].logits for i, *_ in chunk])
+        stacked = replace(alphas[chunk[0][0]], logits=logits)
+        x = np.concatenate([clients[i].shard.features[idx] for i, _, idx in chunk])
+        y = np.concatenate([clients[i].shard.labels[idx] for i, _, idx in chunk])
+        _, grads = nn.loss_and_grads(model, stacked, (x, y), nn.WRT_ALPHA)
+    except NumericError as exc:
+        for i, epoch, idx in chunk:  # one client at a time, to find which failed and why
+            if len(chunk) > 1:
+                _mixing_step(clients, model, alphas, [(i, epoch, idx)], round_index, config)
+            else:
+                alphas[i] = NumericError(f"client {clients[i].client_id}, round {round_index}, "
+                                         f"mixing phase, epoch {epoch}: {exc}")
+        return
+    logits = nn.step_alpha(stacked, grads, config.lr_alpha).logits
+    for k, (i, _, _) in enumerate(chunk):
+        alphas[i] = replace(alphas[i], logits=logits[k])
 
 
 def client_local_learning(
-    client: ClientState, global_model: nn.Network, round_index: int, config
+    client: ClientState, global_model: nn.Network, round_index: int, config, alpha=None
 ) -> ClientUpdate:
     """Two-phase local update; persists the client's new mixing logits.
 
-    Phase 1 runs config.local_epochs epochs of mini-batch SGD on the mixing
-    logits with the received branches held fixed; phase 2 holds the new mixing
-    fixed and runs as many epochs on all branch weights and biases.  Each phase
-    shuffles with its own stream so the batch order of one phase never depends
-    on the other, and with one branch phase 1 is skipped: its logit gradient is
-    exactly zero.
+    Phase 1, mixing_phase, trains the mixing logits with the received branches
+    held fixed; alpha is what it returned for this client, or None to run it
+    here for this client alone.  Phase 2 holds the new mixing fixed and runs
+    config.local_epochs epochs of mini-batch SGD on all branch weights and biases.
     """
-    x, y = client.shard.features, client.shard.labels
-    n = client.num_samples
+    if alpha is None:
+        alpha = mixing_phase([client], [global_model], round_index, config)[0]
+    if isinstance(alpha, NumericError):
+        raise alpha
 
     # nn never mutates its inputs, and the weight phase takes at least one step
-    alpha, model = client.alpha, global_model
-    for name, phase, wrt, lr in (
-        ("mixing", ALPHA_PHASE, nn.WRT_ALPHA, config.lr_alpha),
-        ("weight", WEIGHT_PHASE, nn.WRT_W, config.lr_w),
-    ):
-        if phase == ALPHA_PHASE and alpha.num_branches == 1:
-            continue
-        rng = _rng(config.seed, CLIENT_STREAM, client.client_id, round_index, phase)
-        for epoch in range(config.local_epochs):
-            for idx in _epoch_batches(n, config.batch_size, rng):
-                try:
-                    _, grads = nn.loss_and_grads(model, alpha, (x[idx], y[idx]), wrt=wrt)
-                except NumericError as exc:
-                    raise NumericError(
-                        f"client {client.client_id}, round {round_index}, "
-                        f"{name} phase, epoch {epoch}: {exc}"
-                    ) from None
-                if phase == ALPHA_PHASE:
-                    alpha = nn.step_alpha(alpha, grads, lr)
-                else:
-                    model = nn.step_network(model, grads, lr)
+    x, y, model = client.shard.features, client.shard.labels, global_model
+    for epoch, idx in _batches(client, round_index, WEIGHT_PHASE, config):
+        try:
+            _, grads = nn.loss_and_grads(model, alpha, (x[idx], y[idx]), wrt=nn.WRT_W)
+        except NumericError as exc:
+            raise NumericError(f"client {client.client_id}, round {round_index}, "
+                               f"weight phase, epoch {epoch}: {exc}") from None
+        model = nn.step_network(model, grads, config.lr_w)
 
     client.alpha = alpha
-    return ClientUpdate(n, model, alpha.values())
+    return ClientUpdate(client.num_samples, model, alpha.values())
 
 
 def aggregate(
@@ -214,17 +255,18 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
     else:
         sampled = sample_clients(config.seed, len(clients), config.sample_size, t)
 
+    members = [clients[cid] for cid in sampled]
+    models = [client.current_model(server) for client in members]
     updates, losses = [], []
-    for cid in sampled:
-        client = clients[cid]
-        update = client_local_learning(client, client.current_model(server), t, config)
+    for client, model, alpha in zip(members, models, mixing_phase(members, models, t, config)):
+        update = client_local_learning(client, model, t, config, alpha)
         if strategy is None:
             client.local_model = update.model
         try:
             losses.append(nn.batch_loss(update.model, client.alpha,
                                         client.shard.features, client.shard.labels))
         except NumericError as exc:
-            raise NumericError(f"client {cid}, round {t}, train loss: {exc}") from None
+            raise NumericError(f"client {client.client_id}, round {t}, train loss: {exc}") from None
         updates.append(update)
     if strategy is not None:
         server.model = aggregate(updates, strategy, server.model)

@@ -17,7 +17,7 @@ forward, batch_loss and loss_and_grads check a batch once and share one forward
 pass and one cross entropy.  loss_and_grads differentiates one parameter group
 per call, the one a local-learning phase trains, and returns it in the form
 step_network or step_alpha takes.  Everything is float64.  No operation mutates
-its inputs.
+its inputs.  Logits with a leading axis run S clients' mixing steps in one call.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class AlphaParams:
     """Branch-mixing logits: one row per layer, or a single row shared by all layers.
 
     The simplex-valued mixing weights are always derived as softmax of the
-    logits; only the logits are ever updated.
+    logits; only the logits are ever updated.  Logits (S, rows, B) stack S clients.
     """
 
     logits: np.ndarray
@@ -96,24 +96,24 @@ class AlphaParams:
 
     def __post_init__(self):
         self.logits = np.ascontiguousarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 2:
-            raise ConfigurationError("alpha logits must have shape (rows, B)")
+        if self.logits.ndim not in (2, 3):
+            raise ConfigurationError("alpha logits must have shape (rows, B) or (S, rows, B)")
         rows = 1 if self.shared else self.num_layers
-        if self.logits.shape[0] != rows:
+        if self.logits.shape[-2] != rows:
             raise ConfigurationError(
                 f"expected {rows} logit rows for {self.num_layers} layers "
-                f"(shared={self.shared}), got {self.logits.shape[0]}"
+                f"(shared={self.shared}), got {self.logits.shape[-2]}"
             )
 
     @property
     def num_branches(self) -> int:
-        return self.logits.shape[1]
+        return self.logits.shape[-1]
 
     def values(self) -> np.ndarray:
-        """Simplex mixing weights, one row per layer, shape (num_layers, B)."""
+        """Simplex mixing weights, one row per layer, shape ([S,] num_layers, B)."""
         v = softmax(self.logits)
         if self.shared and self.num_layers > 1:
-            v = np.repeat(v, self.num_layers, axis=0)
+            v = np.repeat(v, self.num_layers, axis=-2)
         return v
 
     def copy(self) -> "AlphaParams":
@@ -189,7 +189,8 @@ def init_network(layer_dims, num_branches: int, seed) -> Network:
 
 
 def _combine(layer: MultiBranchDense, a: np.ndarray) -> tuple:
-    return np.einsum("b,boi->oi", a, layer.weights), a @ layer.biases
+    w = np.einsum("...b,boi->...oi", a, layer.weights)  # a: ([S,] B)
+    return w, (a[..., None, :] @ layer.biases)[..., 0, :]
 
 
 def combine_branches(layer: MultiBranchDense, alpha_l) -> tuple:
@@ -219,8 +220,8 @@ def integral_labels(labels: np.ndarray) -> bool:
     return labels.dtype.kind == "f" and bool((labels == np.round(labels)).all())
 
 
-def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED) -> tuple:
-    """(x as 2-D float64, labels as int64) after checking that both fit net and alpha."""
+def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED, stacked=False) -> tuple:
+    """(x as float64, labels as int64) after checking that both fit net and alpha."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ConfigurationError(f"expected a 2-D matrix, got ndim={x.ndim}")
@@ -243,6 +244,13 @@ def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED) -> tupl
             f"alpha for {alpha.num_layers} layers x {alpha.num_branches} branches does not "
             f"fit a network with {net.num_layers} layers x {net.num_branches} branches"
         )
+    if alpha.logits.ndim == 3:
+        clients = alpha.logits.shape[0]
+        if not stacked:
+            raise UsageError("only loss_and_grads(..., 'alpha') takes a client axis of logits")
+        if not clients or x.shape[0] % clients:
+            raise UsageError(f"{x.shape[0]} rows do not split into {clients} equal client batches")
+        x = x.reshape(clients, -1, x.shape[1])  # S batches, back to back
     return x, labels
 
 
@@ -263,9 +271,9 @@ def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
     # the rows of avals come from a softmax: no simplex check as in combine_branches
     acts, ws = [x], []
     for l, layer in enumerate(net.layers):
-        w, b = _combine(layer, avals[l])
-        z = acts[-1] @ w.T
-        z += b
+        w, b = _combine(layer, avals[..., l, :])
+        z = acts[-1] @ w.swapaxes(-1, -2)
+        z += b[..., None, :]
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations in layer {l}")
         ws.append(w)
@@ -274,21 +282,21 @@ def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
 
 
 def _nll(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    """(mean cross entropy, log-softmax) of the logits, under the caller's np.errstate."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    n = logits.shape[0]
-    loss = float(-logp[np.arange(n), labels].sum() / n)  # the bits of .mean(), without its overhead
-    if not math.isfinite(loss):
+    """(mean cross entropy per client, log-softmax) of ([S,] n, C) logits, in np.errstate."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = logp.reshape(-1, logp.shape[-1])[np.arange(labels.shape[0]), labels]
+    # terms are <= 0 or NaN, so a finite total means finite losses; sum / n has .mean()'s bits
+    if not math.isfinite(picked.sum()):
         raise NumericError("non-finite loss")
-    return loss, logp
+    return -picked.reshape(logits.shape[:-1]).sum(axis=-1) / logits.shape[-2], logp
 
 
 def batch_loss(net: Network, alpha: AlphaParams, x, labels) -> float:
     """Mean softmax cross entropy of the batch, no gradients; raises NumericError if non-finite."""
     x, labels = _check_batch(net, alpha, x, labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _nll(_forward(net, alpha.values(), x)[0][-1], labels)[0]
+        return float(_nll(_forward(net, alpha.values(), x)[0][-1], labels)[0])
 
 
 def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
@@ -298,11 +306,11 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
     its branch parameters, as step_network takes it; wrt "alpha" gives
     (loss, d_logits) shaped like AlphaParams.logits (summed over layers when the
     logits are shared), as step_alpha takes it.  The other group is neither
-    computed nor allocated.
+    computed nor allocated.  wrt "alpha" takes S clients' logits with S batches back to back.
     """
     if wrt not in (WRT_W, WRT_ALPHA):
         raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
-    x, labels = _check_batch(net, alpha, *batch)
+    x, labels = _check_batch(net, alpha, *batch, stacked=wrt == WRT_ALPHA)
     avals = alpha.values()
     # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,24 +319,24 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
 
         # dL/dz at the output: (softmax - onehot) / n
         dz = np.exp(logp)
-        dz[np.arange(x.shape[0]), labels] -= 1.0
-        dz /= x.shape[0]
+        dz.reshape(-1, dz.shape[-1])[np.arange(labels.shape[0]), labels] -= 1.0
+        dz /= x.shape[-2]
 
         d_weights, d_biases = [None] * net.num_layers, [None] * net.num_layers
         # the alpha phase sets every row
-        d_values = np.empty((net.num_layers, net.num_branches)) if wrt == WRT_ALPHA else None
+        d_values = np.empty(avals.shape) if wrt == WRT_ALPHA else None
         for l in reversed(range(net.num_layers)):
             layer = net.layers[l]
-            dw_combined = dz.T @ acts[l]
-            db_combined = dz.sum(axis=0)
+            dw_combined = dz.swapaxes(-1, -2) @ acts[l]
+            db_combined = dz.sum(axis=-2)
             if wrt == WRT_W:
                 # z depends on branch b only through alpha_b * (W_b, b_b)
                 d_weights[l] = avals[l][:, None, None] * dw_combined[None, :, :]
                 d_biases[l] = avals[l][:, None] * db_combined[None, :]
             else:
                 # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
-                d_values[l] = np.einsum("oi,boi->b", dw_combined, layer.weights)
-                d_values[l] += layer.biases @ db_combined
+                d_values[..., l, :] = np.einsum("...oi,boi->...b", dw_combined, layer.weights)
+                d_values[..., l, :] += (layer.biases @ db_combined[..., None])[..., 0]
             if l > 0:
                 dz = dz @ ws[l]
                 dz *= acts[l] > 0.0  # relu(z) > 0 exactly where z > 0
@@ -336,10 +344,10 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
         if wrt == WRT_W:
             return loss, (d_weights, d_biases)
         # chain rule through the softmax: v * (d - <v, d>)
-        v = avals[:1] if alpha.shared else avals
+        v = avals[..., :1, :] if alpha.shared else avals
         if alpha.shared:
-            d_values = d_values.sum(axis=0, keepdims=True)
-        return loss, v * (d_values - (v * d_values).sum(axis=1, keepdims=True))
+            d_values = d_values.sum(axis=-2, keepdims=True)
+        return loss, v * (d_values - (v * d_values).sum(axis=-1, keepdims=True))
 
 
 def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:

@@ -5,6 +5,8 @@ import gc
 import importlib.util
 import json
 import os
+import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -493,6 +495,64 @@ def test_an_earlier_clients_failure_is_raised_before_a_later_mixing_failure(
     with pytest.raises(NumericError) as raised:
         fed.run_round(server, clients, cfg)
     assert str(raised.value) == message
+
+
+def dirichlet_shaped_clients(shared, rows=None):
+    """25 clients and a 64-128-20 network of 4 branches: the dirichlet_ragged bench shapes.
+
+    Shards hold `rows` rows each, or from 20 to 199.
+    """
+    rng = np.random.default_rng(5)
+    model = nn.init_network([64, 128, 20], 4, seed=5)
+    clients = []
+    for cid in range(25):
+        n = rows or int(rng.integers(20, 200))
+        shard = LabeledDataset(rng.normal(size=(n, 64)), rng.integers(0, 20, size=n), 20)
+        alpha = nn.AlphaParams(rng.normal(size=(1 if shared else 2, 4)), 2, shared)
+        clients.append(fed.ClientState(cid, shard, shard, alpha))
+    return model, clients
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch, shared):
+    """Chunked, unchunked and one-client stacks train every client's logits to the same bits;
+    ragged shards make batches of several lengths in one step."""
+    model, clients = dirichlet_shaped_clients(shared)
+    cfg = make_config(local_epochs=2, batch_size=64, lr_alpha=1.0)
+    stacks, kernel = [], nn.loss_and_grads
+
+    def spy(net, alpha, batch, wrt):
+        stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
+        return kernel(net, alpha, batch, wrt)
+
+    runs, default = [], fed.MIXING_STACK_BYTES
+    for budget in (default, 0, sys.maxsize):
+        monkeypatch.setattr(fed, "MIXING_STACK_BYTES", budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "loss_and_grads", spy)
+            runs.append(fed.mixing_phase(clients, [model] * len(clients), 0, cfg))
+        if budget == default:  # full batches are split into several chunks
+            assert 1 < max(stacks) < len(clients)
+        stacks.clear()
+    for client, *alphas in zip(clients, *runs):
+        assert np.any(alphas[0].logits != client.alpha.logits)
+        for alpha in alphas[1:]:
+            np.testing.assert_array_equal(alpha.logits, alphas[0].logits)
+
+
+def test_a_lockstep_mixing_step_peaks_near_its_stack_budget():
+    """One step of 25 clients at dirichlet_ragged shapes: stacked whole, its arrays
+    would peak near 9 MB; in chunks of MIXING_STACK_BYTES they stay near 2 MB."""
+    model, clients = dirichlet_shaped_clients(False, rows=64)
+    cfg = make_config(local_epochs=1, batch_size=64)
+    fed.mixing_phase(clients, [model] * len(clients), 0, cfg)
+    tracemalloc.start()
+    try:
+        fed.mixing_phase(clients, [model] * len(clients), 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * fed.MIXING_STACK_BYTES, peak
 
 
 def run_keeping_fine_tuned(monkeypatch, config):

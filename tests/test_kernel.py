@@ -2,7 +2,8 @@
 
 The oracle below uses numpy only, never pfedmb.nn: a change to the kernel that
 moves a single bit of a loss, a gradient or a stepped parameter fails here,
-not only in the golden result hashes.
+not only in the golden result hashes.  A call over S clients' stacked mixing
+logits is pinned against S single calls the same way.
 """
 
 import tracemalloc
@@ -10,9 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfedmb import nn
-from pfedmb.errors import NumericError
+from pfedmb.errors import NumericError, UsageError
 
 # (branches, layer dims, shared mixing row, batch rows): the three bench shapes
 SHAPES = [
@@ -177,3 +180,48 @@ def test_an_overflowing_loss_raises_in_batch_loss_as_in_loss_and_grads():
                      lambda: nn.loss_and_grads(net, alpha, (x, y), "w")):
             with pytest.raises(NumericError, match="non-finite loss"):
                 loss()
+
+
+@st.composite
+def stacked_problems(draw):
+    """A network, S clients' mixing logits and S batches of one length."""
+    shared = draw(st.booleans())
+    branches = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    clients, rows = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    weights, biases, _, _, _ = make_problem(branches, dims, shared, rows,
+                                            seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(scale=draw(st.sampled_from([0.1, 1.0, 30.0])),
+                        size=(clients, 1 if shared else len(weights), branches))
+    x = rng.normal(size=(clients * rows, dims[0]))
+    y = rng.integers(0, dims[-1], size=clients * rows)
+    return weights, biases, logits, shared, x, y
+
+
+@given(stacked_problems())
+def test_a_stacked_mixing_call_equals_one_call_per_client_bit_for_bit(problem):
+    weights, biases, logits, shared, x, y = problem
+    clients = logits.shape[0]
+    net, stacked = as_nn(weights, biases, logits, shared)
+    losses, d_logits = nn.loss_and_grads(net, stacked, (x, y), "alpha")
+    stepped = nn.step_alpha(stacked, d_logits, 0.7).logits
+    assert losses.shape == (clients,) and d_logits.shape == logits.shape
+    for k, (bx, by) in enumerate(zip(np.split(x, clients), np.split(y, clients))):
+        alpha = nn.AlphaParams(logits[k], len(weights), shared)
+        loss, d = nn.loss_and_grads(net, alpha, (bx, by), "alpha")
+        assert losses[k] == loss
+        np.testing.assert_array_equal(d_logits[k], d)
+        np.testing.assert_array_equal(stepped[k], nn.step_alpha(alpha, d, 0.7).logits)
+
+
+def test_only_the_mixing_gradient_takes_stacked_logits():
+    weights, biases, _, x, y = make_problem(3, (4, 5, 3), False, 6)
+    net, stacked = as_nn(weights, biases, np.zeros((3, 2, 3)), False)
+    with pytest.raises(UsageError, match="5 rows do not split into 3 equal client batches"):
+        nn.loss_and_grads(net, stacked, (x[:5], y[:5]), "alpha")
+    for refused in (lambda: nn.loss_and_grads(net, stacked, (x, y), "w"),
+                    lambda: nn.forward(net, stacked, x),
+                    lambda: nn.batch_loss(net, stacked, x, y)):
+        with pytest.raises(UsageError, match="client axis"):
+            refused()

@@ -12,8 +12,10 @@ here on a drawn config, not only at the golden shapes, whose files round to
 """
 
 import math
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
 from pfedmb import federation
@@ -238,6 +240,23 @@ MIXED_FAILURES = dict(  # one class per client, class means up to 8.5e307
 @given(raw=run_configs())
 def test_a_run_equals_the_numpy_reference_bit_for_bit(raw):
     """Every result array and the final server branches are equal, or both raise alike."""
+    assert_equals_reference(raw)
+
+
+# drawn configs have at most 4 clients, whose mixing steps always fit one stacked
+# call: these budgets give every client its own call, or all of them one call
+@pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
+@settings(max_examples=60)
+@example(raw=FLOOR_HIT)
+@example(raw=MIXED_FAILURES)
+@given(raw=run_configs())
+def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(federation, "MIXING_STACK_BYTES", budget)
+        assert_equals_reference(raw)
+
+
+def assert_equals_reference(raw):
     config = ExperimentConfig(**raw, output_dir="unused")
     want, got = outcome(reference_run, config), outcome(program_run, config)
     if isinstance(want, tuple) or isinstance(got, tuple):
