@@ -137,9 +137,9 @@ def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
     per MIXING_STACK_BYTES, bit for bit as if alone.  Returns per client its new
     AlphaParams, or the located NumericError that ended its phase.
     """
-    alphas = [c.alpha for c in clients]
+    logits = [c.alpha.logits for c in clients]  # a client's NumericError once it fails
     steps = [_batches(c, round_index, ALPHA_PHASE, config) for c in clients]
-    pending = [i for i, a in enumerate(alphas) if a.num_branches > 1]
+    pending = [i for i, c in enumerate(clients) if c.alpha.num_branches > 1]
     while pending:
         groups = {}
         for i in pending:
@@ -151,31 +151,32 @@ def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
             per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
             size = max(1, MIXING_STACK_BYTES // per_client)
             for k in range(0, len(group), size):
-                _mixing_step(clients, model, alphas, group[k : k + size], round_index, config)
+                _mixing_step(clients, model, logits, group[k : k + size], round_index, config)
         pending = [i for group in groups.values() for i, *_ in group
-                   if isinstance(alphas[i], nn.AlphaParams)]
-    return alphas
+                   if not isinstance(logits[i], NumericError)]
+    return [z if isinstance(z, NumericError) else replace(c.alpha, logits=z)
+            for z, c in zip(logits, clients)]
 
 
-def _mixing_step(clients, model, alphas, chunk, round_index, config):
+def _mixing_step(clients, model, logits, chunk, round_index, config):
     """One stacked step of chunk's (client index, epoch, rows); if it raises, one per client."""
     try:
-        logits = np.stack([alphas[i].logits for i, *_ in chunk])
-        stacked = replace(alphas[chunk[0][0]], logits=logits)
+        stacked = replace(clients[chunk[0][0]].alpha,
+                          logits=np.stack([logits[i] for i, *_ in chunk]))
         x = np.concatenate([clients[i].shard.features[idx] for i, _, idx in chunk])
         y = np.concatenate([clients[i].shard.labels[idx] for i, _, idx in chunk])
         _, grads = nn.loss_and_grads(model, stacked, (x, y), nn.WRT_ALPHA)
     except NumericError as exc:
         for i, epoch, idx in chunk:  # one client at a time, to find which failed and why
             if len(chunk) > 1:
-                _mixing_step(clients, model, alphas, [(i, epoch, idx)], round_index, config)
+                _mixing_step(clients, model, logits, [(i, epoch, idx)], round_index, config)
             else:
-                alphas[i] = NumericError(f"client {clients[i].client_id}, round {round_index}, "
+                logits[i] = NumericError(f"client {clients[i].client_id}, round {round_index}, "
                                          f"mixing phase, epoch {epoch}: {exc}")
         return
-    logits = nn.step_alpha(stacked, grads, config.lr_alpha).logits
-    for k, (i, _, _) in enumerate(chunk):
-        alphas[i] = replace(alphas[i], logits=logits[k])
+    stepped = nn.step_alpha(stacked, grads, config.lr_alpha).logits
+    for k, (i, *_) in enumerate(chunk):
+        logits[i] = stepped[k]
 
 
 def client_local_learning(
@@ -188,8 +189,7 @@ def client_local_learning(
     here for this client alone.  Phase 2 holds the new mixing fixed and runs
     config.local_epochs epochs of mini-batch SGD on all branch weights and biases.
     """
-    if alpha is None:
-        alpha = mixing_phase([client], [global_model], round_index, config)[0]
+    alpha = alpha or mixing_phase([client], [global_model], round_index, config)[0]
     if isinstance(alpha, NumericError):
         raise alpha
 
