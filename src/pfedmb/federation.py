@@ -13,9 +13,8 @@ trains its own model every round and nothing is aggregated.
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
-A round trains its sampled clients' mixing phases in lockstep (mixing_phase),
-then each one's weight phase and train loss in canonical (ascending id) order;
-config.threads is accepted for existing configs but changes nothing.
+A round trains its sampled clients' mixing phases in lockstep, then their weight
+phases in canonical (ascending id) order; config.threads is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ LOCAL_ONLY = "local"
 CHECKPOINT_SCHEMA_VERSION = 3
 
 DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
-
 MIXING_STACK_BYTES = 1 << 20  # per stacked mixing call: combined weights and layer outputs
 
 
@@ -159,24 +157,25 @@ def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
 
 
 def _mixing_step(clients, model, logits, chunk, round_index, config):
-    """One stacked step of chunk's (client index, epoch, rows); if it raises, one per client."""
+    """One SGD step of chunk's (client index, epoch, rows); a chunk of several is one call."""
     try:
-        stacked = replace(clients[chunk[0][0]].alpha,
-                          logits=np.stack([logits[i] for i, *_ in chunk]))
+        stack = logits[chunk[0][0]] if len(chunk) == 1 else np.stack([logits[i] for i, *_ in chunk])
+        alpha = replace(clients[chunk[0][0]].alpha, logits=stack)
         x = np.concatenate([clients[i].shard.features[idx] for i, _, idx in chunk])
         y = np.concatenate([clients[i].shard.labels[idx] for i, _, idx in chunk])
-        _, grads = nn.loss_and_grads(model, stacked, (x, y), nn.WRT_ALPHA)
+        _, grads = nn.loss_and_grads(model, alpha, (x, y), nn.WRT_ALPHA)
     except NumericError as exc:
-        for i, epoch, idx in chunk:  # one client at a time, to find which failed and why
-            if len(chunk) > 1:
-                _mixing_step(clients, model, logits, [(i, epoch, idx)], round_index, config)
-            else:
+        for i, epoch, idx in chunk:  # a stacked call that raised is rerun client by client
+            if len(chunk) == 1:
                 logits[i] = NumericError(f"client {clients[i].client_id}, round {round_index}, "
                                          f"mixing phase, epoch {epoch}: {exc}")
+            else:
+                _mixing_step(clients, model, logits, [(i, epoch, idx)], round_index, config)
         return
-    stepped = nn.step_alpha(stacked, grads, config.lr_alpha).logits
+    with np.errstate(over="ignore", invalid="ignore"):  # may run before an earlier client fails
+        stepped = nn.step_alpha(alpha, grads, config.lr_alpha).logits
     for k, (i, *_) in enumerate(chunk):
-        logits[i] = stepped[k]
+        logits[i] = stepped if len(chunk) == 1 else stepped[k]
 
 
 def client_local_learning(

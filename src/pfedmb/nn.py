@@ -311,9 +311,9 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
     if wrt not in (WRT_W, WRT_ALPHA):
         raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
     x, labels = _check_batch(net, alpha, *batch, stacked=wrt == WRT_ALPHA)
-    avals = alpha.values()
     # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        avals = alpha.values()
         acts, ws = _forward(net, avals, x)
         loss, logp = _nll(acts[-1], labels)
 

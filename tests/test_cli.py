@@ -520,6 +520,19 @@ def test_overflow_prints_only_the_located_error(smoke_config, tmp_path, lr_w, th
     assert not (tmp_path / "out" / "final.json").exists()
 
 
+def test_an_overflowing_mixing_step_prints_only_the_located_error(smoke_config, tmp_path):
+    """Class means up to 1e100 at lr_alpha 1e300: the first mixing step overflows
+    lr * gradient, and the next forward pass reports it; numpy warns of neither."""
+    _, raw = smoke_config
+    path = tmp_path / "diverge.json"
+    data = {"synthetic": dict(raw["data"]["synthetic"], class_mean_scale=1e100)}
+    path.write_text(json.dumps(dict(raw, lr_alpha=1e300, data=data)))
+    done = run_in_subprocess(path, 1)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: client 0, round 0, mixing phase, epoch 1: non-finite activations in layer 0"]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_train_loss_overflow_names_client_and_round(smoke_config, tmp_path, threads):
     """With one step per phase the weight phase ends on the diverging step.
