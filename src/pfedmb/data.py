@@ -94,6 +94,9 @@ class SyntheticTaskSpec:
         )
         if "noise_std" not in problems and self.noise_std <= 0:
             problems["noise_std"] = f"noise_std: must be > 0, got {self.noise_std!r}"
+        if "class_mean_scale" not in problems and not math.isfinite(2.0 * self.class_mean_scale):
+            problems["class_mean_scale"] = (
+                f"class_mean_scale: must be finite when doubled, got {self.class_mean_scale!r}")
         if problems:
             raise ValidationError(sorted(problems.values()))
 

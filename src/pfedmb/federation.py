@@ -13,8 +13,9 @@ trains its own model every round and nothing is aggregated.
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
-A round trains its sampled clients' mixing phases in lockstep, then their weight
-phases in canonical (ascending id) order; config.threads is accepted but ignored.
+Each pass (a round, or fine-tuning) trains its clients' mixing phases in one
+lockstep call, grouped by model and shard size, then their weight phases in
+canonical (ascending id) order; config.threads is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -131,76 +132,71 @@ def _batches(client: ClientState, round_index: int, phase: int, config):
 def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
     """Phase 1 of local learning in lockstep: client i's mixing logits on fixed models[i].
 
-    Each step, clients with the same model and batch length share one stacked call
-    per MIXING_STACK_BYTES, bit for bit as if alone.  Returns per client its new
-    AlphaParams, or the located NumericError that ended its phase.
+    Clients with one model and shard size draw batches of equal lengths, so they train
+    as one stack per MIXING_STACK_BYTES, bit for bit as if alone.  Returns per client
+    its new AlphaParams, or the located NumericError that ended its phase.
     """
-    logits = [c.alpha.logits for c in clients]  # a client's NumericError once it fails
-    steps = [_batches(c, round_index, ALPHA_PHASE, config) for c in clients]
-    pending = [i for i, c in enumerate(clients) if c.alpha.num_branches > 1]
-    while pending:
-        groups = {}
-        for i in pending:
-            step = next(steps[i], None)
-            if step is not None:
-                groups.setdefault((id(models[i]), len(step[1])), []).append((i, *step))
-        for (_, rows), group in groups.items():
-            model = models[group[0][0]]
-            per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
-            size = max(1, MIXING_STACK_BYTES // per_client)
-            for k in range(0, len(group), size):
-                _mixing_step(clients, model, logits, group[k : k + size], round_index, config)
-        pending = [i for group in groups.values() for i, *_ in group
-                   if not isinstance(logits[i], NumericError)]
-    return [z if isinstance(z, NumericError) else replace(c.alpha, logits=z)
-            for z, c in zip(logits, clients)]
+    groups, out = {}, {}
+    for i, (client, model) in enumerate(zip(clients, models)):
+        if client.alpha.num_branches > 1:
+            groups.setdefault((id(model), client.num_samples), []).append(i)
+    for (_, n), group in groups.items():
+        model, rows = models[group[0]], min(n, config.batch_size)
+        per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
+        size = max(1, MIXING_STACK_BYTES // per_client)
+        for k in range(0, len(group), size):
+            chunk = group[k : k + size]
+            alphas = _mixing_chunk([clients[i] for i in chunk], model, round_index, config)
+            out.update(zip(chunk, alphas))
+    return [out.get(i, c.alpha) for i, c in enumerate(clients)]
 
 
-def _mixing_step(clients, model, logits, chunk, round_index, config):
-    """One SGD step of chunk's (client index, epoch, rows); a chunk of several is one call."""
-    try:
-        stack = logits[chunk[0][0]] if len(chunk) == 1 else np.stack([logits[i] for i, *_ in chunk])
-        alpha = replace(clients[chunk[0][0]].alpha, logits=stack)
-        x = np.concatenate([clients[i].shard.features[idx] for i, _, idx in chunk])
-        y = np.concatenate([clients[i].shard.labels[idx] for i, _, idx in chunk])
-        _, grads = nn.loss_and_grads(model, alpha, (x, y), nn.WRT_ALPHA)
-    except NumericError as exc:
-        for i, epoch, idx in chunk:  # a stacked call that raised is rerun client by client
-            if len(chunk) == 1:
-                logits[i] = NumericError(f"client {clients[i].client_id}, round {round_index}, "
-                                         f"mixing phase, epoch {epoch}: {exc}")
-            else:
-                _mixing_step(clients, model, logits, [(i, epoch, idx)], round_index, config)
-        return
+def _mixing_chunk(chunk: list, model: nn.Network, round_index: int, config) -> list:
+    """Mixing phases of chunk's clients, one call per step; a stack that raises is rerun
+    client by client from the start, on the same streams, to locate each error."""
+    stacked, alpha = len(chunk) > 1, chunk[0].alpha
+    if stacked:
+        alpha = replace(alpha, logits=np.stack([c.alpha.logits for c in chunk]))
     with np.errstate(over="ignore", invalid="ignore"):  # may run before an earlier client fails
-        stepped = nn.step_alpha(alpha, grads, config.lr_alpha).logits
-    for k, (i, *_) in enumerate(chunk):
-        logits[i] = stepped if len(chunk) == 1 else stepped[k]
+        for steps in zip(*(_batches(c, round_index, ALPHA_PHASE, config) for c in chunk)):
+            x = np.concatenate([c.shard.features[idx] for c, (_, idx) in zip(chunk, steps)])
+            y = np.concatenate([c.shard.labels[idx] for c, (_, idx) in zip(chunk, steps)])
+            try:
+                _, grads = nn.loss_and_grads(model, alpha, (x, y), nn.WRT_ALPHA)
+            except NumericError as exc:
+                if stacked:
+                    return [_mixing_chunk([c], model, round_index, config)[0] for c in chunk]
+                return [_failed(chunk[0], round_index, f"mixing phase, epoch {steps[0][0]}", exc)]
+            alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
+    return [replace(alpha, logits=z) for z in alpha.logits] if stacked else [alpha]
+
+
+def _failed(client: ClientState, round_index: int, stage: str, exc) -> NumericError:
+    return NumericError(f"client {client.client_id}, round {round_index}, {stage}: {exc}")
 
 
 def client_local_learning(
-    client: ClientState, global_model: nn.Network, round_index: int, config, alpha=None
+    client: ClientState, global_model: nn.Network, round_index: int, config, alpha
 ) -> ClientUpdate:
-    """Two-phase local update; persists the client's new mixing logits.
+    """Phase 2 of local learning; persists the client's new mixing logits.
 
-    Phase 1, mixing_phase, trains the mixing logits with the received branches
-    held fixed; alpha is what it returned for this client, or None to run it
-    here for this client alone.  Phase 2 holds the new mixing fixed and runs
-    config.local_epochs epochs of mini-batch SGD on all branch weights and biases.
+    alpha is what mixing_phase (phase 1, the mixing logits trained with the
+    received branches held fixed) returned for this client; an error is raised
+    here.  Phase 2 holds alpha fixed and runs config.local_epochs epochs of
+    mini-batch SGD on all branch weights and biases.
     """
-    alpha = alpha or mixing_phase([client], [global_model], round_index, config)[0]
     if isinstance(alpha, NumericError):
         raise alpha
-
-    # nn never mutates its inputs, and the weight phase takes at least one step
+    # nn never mutates its inputs, and the weight phase takes at least one step;
+    # an overflowing step is reported by the next forward pass, not by numpy
     x, y, model = client.shard.features, client.shard.labels, global_model
-    for epoch, idx in _batches(client, round_index, WEIGHT_PHASE, config):
-        try:
-            _, grads = nn.loss_and_grads(model, alpha, (x[idx], y[idx]), wrt=nn.WRT_W)
-        except NumericError as exc:
-            raise NumericError(f"client {client.client_id}, round {round_index}, "
-                               f"weight phase, epoch {epoch}: {exc}") from None
-        model = nn.step_network(model, grads, config.lr_w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, idx in _batches(client, round_index, WEIGHT_PHASE, config):
+            try:
+                _, grads = nn.loss_and_grads(model, alpha, (x[idx], y[idx]), wrt=nn.WRT_W)
+            except NumericError as exc:
+                raise _failed(client, round_index, f"weight phase, epoch {epoch}", exc) from None
+            model = nn.step_network(model, grads, config.lr_w)
 
     client.alpha = alpha
     return ClientUpdate(client.num_samples, model, alpha.values())
@@ -265,7 +261,7 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
             losses.append(nn.batch_loss(update.model, client.alpha,
                                         client.shard.features, client.shard.labels))
         except NumericError as exc:
-            raise NumericError(f"client {client.client_id}, round {t}, train loss: {exc}") from None
+            raise _failed(client, t, "train loss", exc) from None
         updates.append(update)
     if strategy is not None:
         server.model = aggregate(updates, strategy, server.model)
@@ -317,28 +313,33 @@ def run_training(config):
     return server, clients, reports
 
 
-def fine_tune(client: ClientState, global_model: nn.Network, config) -> nn.Network:
+def fine_tune(client: ClientState, global_model: nn.Network, config, alpha) -> nn.Network:
     """Post-training local adaptation; the result never reaches the server.
 
-    One more two-phase local pass on the client's own data, keyed as round
-    config.rounds; returns the personalized network.
+    The weight phase of one more local pass on the client's own data, keyed as
+    round config.rounds, given alpha from mixing_phase for that round; returns
+    the personalized network.
     """
-    return client_local_learning(client, global_model, config.rounds, config).model
+    return client_local_learning(client, global_model, config.rounds, config, alpha).model
 
 
 def run_experiment(config):
     """End-to-end run of the configured method, fine-tuning included.
 
-    Returns (ExperimentResult, server, clients).  Each client's personalized
-    network is evaluated and dropped before the next is fine-tuned; a caller who
-    wants the networks runs run_training, then fine_tune per client, as this does.
+    Returns (ExperimentResult, server, clients).  Fine-tuning is one mixing_phase for
+    every client, then per client fine_tune, whose network is evaluated and dropped
+    before the next is trained; a caller who wants the networks fine-tunes as this does.
     """
     server, clients, reports = run_training(config)
-    accuracies = []
-    for client in clients:
-        model = fine_tune(client, client.current_model(server), config)
-        accuracies.append(metrics.evaluate_client(model, client.alpha, client.test_shard))
-        del model  # one fine-tuned network alive at a time
+    models = [client.current_model(server) for client in clients]
+    accuracies, alphas = [], mixing_phase(clients, models, config.rounds, config)
+    for client, model, alpha in zip(clients, models, alphas):
+        tuned = fine_tune(client, model, config, alpha)
+        try:
+            accuracies.append(metrics.evaluate_client(tuned, client.alpha, client.test_shard))
+        except NumericError as exc:
+            raise _failed(client, config.rounds, "evaluation", exc) from None
+        del tuned  # one fine-tuned network alive at a time
 
     semantic = config.semantic_dict()
     result = metrics.ExperimentResult(

@@ -109,6 +109,9 @@ SYNTHETIC = {"num_classes": 3, "input_dim": 4, "noise_std": 0.5, "samples_per_cl
         ("data.synthetic.num_classes",
          {"data": {"synthetic": dict(SYNTHETIC, num_classes="4")}}),
         ("lr_w", {"lr_w": float("nan")}),
+        # finite, but the class means are drawn from a range twice as wide
+        ("data.synthetic.class_mean_scale",
+         {"data": {"synthetic": dict(SYNTHETIC, class_mean_scale=1e308)}}),
     ],
 )
 def test_mistyped_config_value_is_a_located_config_error(
@@ -531,6 +534,20 @@ def test_an_overflowing_mixing_step_prints_only_the_located_error(smoke_config, 
     assert done.returncode == 2
     assert done.stderr.splitlines() == [
         "error: client 0, round 0, mixing phase, epoch 1: non-finite activations in layer 0"]
+
+
+def test_an_overflowing_weight_step_prints_only_the_located_error(smoke_config, tmp_path):
+    """Class means up to 1e100 at lr_w 1e300, one step per phase: the weight step
+    overflows lr * gradient, and the train loss reports it; numpy warns of neither."""
+    _, raw = smoke_config
+    path = tmp_path / "diverge.json"
+    data = {"synthetic": dict(raw["data"]["synthetic"], class_mean_scale=1e100)}
+    path.write_text(json.dumps(dict(raw, method="fedavg", branches=1, lr_w=1e300,
+                                    local_epochs=1, batch_size=1000, data=data)))
+    done = run_in_subprocess(path, 1)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: client 0, round 0, train loss: non-finite activations in layer 0"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -8,6 +8,7 @@ import os
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,11 @@ def tiny_client(seed=3, n=6, in_dim=2, classes=2, branches=2, client_id=0):
     return fed.ClientState(client_id, shard, test, alpha)
 
 
+def mixed(client, model, round_index, config):
+    """The client's mixing phase on model, as client_local_learning and fine_tune take it."""
+    return fed.mixing_phase([client], [model], round_index, config)[0]
+
+
 # -------------------------------------------------------------------- sampling
 
 def test_sample_full_participation_is_everyone():
@@ -63,7 +69,7 @@ def test_zero_learning_rates_are_a_no_op():
     model = nn.init_network([2, 2], 2, seed=1)
     before_alpha = client.alpha.logits.copy()
     cfg = make_config(local_epochs=3, lr_alpha=0.0, lr_w=0.0, batch_size=4, seed=3)
-    update = fed.client_local_learning(client, model, 0, cfg)
+    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
     for got, want in zip(update.model.layers, model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.biases, want.biases)
@@ -77,7 +83,7 @@ def test_single_branch_matches_plain_local_sgd_bitwise():
     epochs, lr_w, batch_size = 2, 0.2, 4
     cfg = make_config(local_epochs=epochs, lr_alpha=0.7, lr_w=lr_w, batch_size=batch_size,
                       seed=5)
-    update = fed.client_local_learning(client, model, 1, cfg)
+    update = fed.client_local_learning(client, model, 1, cfg, mixed(client, model, 1, cfg))
 
     # plain SGD over the same batch order, written against bare numpy
     w = model.layers[0].weights[0].copy()
@@ -118,7 +124,7 @@ def test_two_phase_single_step_matches_hand_oracle():
     client.alpha = nn.AlphaParams(np.array([[0.4, -0.1]]), 1)
     model = nn.Network([nn.MultiBranchDense(w.copy(), bias.copy())])
     cfg = make_config(local_epochs=1, lr_alpha=lr_a, lr_w=lr_w, batch_size=8, seed=9)
-    update = fed.client_local_learning(client, model, 0, cfg)
+    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
 
     def ce_dz(weights, biases, mix):
         wc = mix[0] * weights[0] + mix[1] * weights[1]
@@ -160,7 +166,7 @@ def test_local_learning_persists_alpha_and_copies_model():
     model = nn.init_network([2, 2], 3, seed=4)
     w_before = model.layers[0].weights.copy()
     cfg = make_config(local_epochs=2, lr_alpha=0.5, lr_w=0.1, batch_size=4, seed=13)
-    update = fed.client_local_learning(client, model, 0, cfg)
+    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
     np.testing.assert_array_equal(model.layers[0].weights, w_before)
     assert np.any(client.alpha.logits != 0.0)
     np.testing.assert_array_equal(update.alpha_values, client.alpha.values())
@@ -363,7 +369,8 @@ def test_single_client_round_equals_local_training(config_factory):
     assert server.round == 1 and len(reports) == 1
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
-    update = fed.client_local_learning(fresh_clients[0], fresh_server.model, 0, cfg)
+    client, model = fresh_clients[0], fresh_server.model
+    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
     for got, want in zip(server.model.layers, update.model.layers):
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-14)
         np.testing.assert_allclose(got.biases, want.biases, rtol=1e-14)
@@ -474,21 +481,26 @@ def diverge_mixing(method, server, clients):
     return 1
 
 
-@pytest.mark.parametrize("method,overrides,message", [
+@pytest.mark.parametrize("method,overrides,message,fine_tuning", [
     ("pfedmb", dict(lr_w=1e200),
+     "client 0, round 0, weight phase, epoch 0: non-finite activations in layer 1",
      "client 0, round 0, weight phase, epoch 0: non-finite activations in layer 1"),
     ("local", dict(lr_w=1e300, local_epochs=1, batch_size=1000),
-     "client 0, round 0, train loss: non-finite activations in layer 1"),
+     "client 0, round 0, train loss: non-finite activations in layer 1",
+     "client 0, round 0, evaluation: non-finite activations in layer 1"),
 ])
 def test_an_earlier_clients_failure_is_raised_before_a_later_mixing_failure(
-        config_factory, method, overrides, message):
-    """Clients fail in canonical order: client 0's weight phase or train loss, under
-    a huge lr_w, is raised although a later client's mixing phase fails too."""
+        config_factory, monkeypatch, method, overrides, message, fine_tuning):
+    """Clients fail in canonical order: client 0's weight phase, or what first runs its
+    new branches (the train loss in a round, the evaluation in fine-tuning), under a
+    huge lr_w, is raised although a later client's mixing phase fails too."""
     cfg = config_factory(method=method, **overrides)
     server, clients = fed.setup_experiment(cfg)
     later = diverge_mixing(method, server, clients)
+    client = clients[later]
+    model = client.current_model(server)
     with pytest.raises(NumericError, match=f"^client {later}, round 0, mixing phase, epoch 0: "):
-        fed.client_local_learning(clients[later], clients[later].current_model(server), 0, cfg)
+        fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
 
     server, clients = fed.setup_experiment(cfg)
     diverge_mixing(method, server, clients)
@@ -496,17 +508,29 @@ def test_an_earlier_clients_failure_is_raised_before_a_later_mixing_failure(
         fed.run_round(server, clients, cfg)
     assert str(raised.value) == message
 
+    setup = fed.setup_experiment
+
+    def diverged_setup(config):
+        server, clients = setup(config)
+        diverge_mixing(method, server, clients)
+        return server, clients
+
+    monkeypatch.setattr(fed, "setup_experiment", diverged_setup)
+    with pytest.raises(NumericError) as raised:
+        fed.run_experiment(dataclasses.replace(cfg, rounds=0))
+    assert str(raised.value) == fine_tuning
+
 
 def dirichlet_shaped_clients(shared, rows=None):
     """25 clients and a 64-128-20 network of 4 branches: the dirichlet_ragged bench shapes.
 
-    Shards hold `rows` rows each, or from 20 to 199.
+    Shards hold `rows` rows each, or in turn 40, 150 and 199 rows: 9, 8 and 8 clients.
     """
     rng = np.random.default_rng(5)
     model = nn.init_network([64, 128, 20], 4, seed=5)
     clients = []
     for cid in range(25):
-        n = rows or int(rng.integers(20, 200))
+        n = rows or (40, 150, 199)[cid % 3]
         shard = LabeledDataset(rng.normal(size=(n, 64)), rng.integers(0, 20, size=n), 20)
         alpha = nn.AlphaParams(rng.normal(size=(1 if shared else 2, 4)), 2, shared)
         clients.append(fed.ClientState(cid, shard, shard, alpha))
@@ -515,11 +539,16 @@ def dirichlet_shaped_clients(shared, rows=None):
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch, shared):
-    """Chunked, unchunked and one-client stacks train every client's logits to the same bits;
-    ragged shards make batches of several lengths in one step."""
+    """Chunked, unchunked and one-client stacks train every client's logits to the same bits.
+
+    Clients of one shard size stack, also in their ragged last batches; clients of
+    another size do not, although most of their batches have the same length.
+    """
     model, clients = dirichlet_shaped_clients(shared)
     cfg = make_config(local_epochs=2, batch_size=64, lr_alpha=1.0)
     stacks, kernel = [], nn.loss_and_grads
+    sizes = Counter(client.num_samples for client in clients)
+    steps = {n: cfg.local_epochs * -(-n // cfg.batch_size) for n in sizes}
 
     def spy(net, alpha, batch, wrt):
         stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
@@ -531,8 +560,10 @@ def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch,
         with monkeypatch.context() as patch:
             patch.setattr(nn, "loss_and_grads", spy)
             runs.append(fed.mixing_phase(clients, [model] * len(clients), 0, cfg))
-        if budget == default:  # full batches are split into several chunks
-            assert 1 < max(stacks) < len(clients)
+        if budget == default:  # every size group is split into several chunks
+            assert 1 < max(stacks) < min(sizes.values())
+        if budget == sys.maxsize:  # one stack per size group and step
+            assert sorted(stacks) == sorted(k for n, k in sizes.items() for _ in range(steps[n]))
         stacks.clear()
     for client, *alphas in zip(clients, *runs):
         assert np.any(alphas[0].logits != client.alpha.logits)
@@ -555,14 +586,30 @@ def test_a_lockstep_mixing_step_peaks_near_its_stack_budget():
     assert peak < 3 * fed.MIXING_STACK_BYTES, peak
 
 
+def test_fine_tuning_mixes_equal_shards_in_stacked_calls(config_factory, monkeypatch):
+    """run_experiment fine-tunes every client's mixing phase in one lockstep call: clients
+    with equal shards on the server's branches share each step's kernel call."""
+    stacks, kernel = [], nn.loss_and_grads
+
+    def spy(net, alpha, batch, wrt):
+        if wrt == nn.WRT_ALPHA:
+            stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
+        return kernel(net, alpha, batch, wrt)
+
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    _, _, clients = fed.run_experiment(config_factory(rounds=0))
+    assert len({client.num_samples for client in clients}) == 1
+    assert stacks and set(stacks) == {len(clients)}
+
+
 def run_keeping_fine_tuned(monkeypatch, config):
     """run_experiment's (result, server, clients) plus the network that each
     fine_tune call returned, in call order."""
     networks = []
     fine_tune = fed.fine_tune
 
-    def spy(client, model, cfg):
-        networks.append(fine_tune(client, model, cfg))
+    def spy(client, model, cfg, alpha):
+        networks.append(fine_tune(client, model, cfg, alpha))
         return networks[-1]
 
     with monkeypatch.context() as patch:
@@ -602,10 +649,10 @@ def test_experiment_holds_one_fine_tuned_network_at_a_time(config_factory, monke
     refs = []
     fine_tune = fed.fine_tune
 
-    def spy(client, model, config):
+    def spy(client, model, config, alpha):
         gc.collect()
         assert [i for i, ref in enumerate(refs) if ref() is not None] == []
-        network = fine_tune(client, model, config)
+        network = fine_tune(client, model, config, alpha)
         refs.append(weakref.ref(network))
         return network
 
@@ -668,7 +715,8 @@ def test_local_only_clients_are_isolated(config_factory):
         models = [server.model.copy() for _ in clients]
         for t in range(cfg.rounds):
             for i, client in enumerate(clients):
-                update = fed.client_local_learning(client, models[i], t, cfg)
+                update = fed.client_local_learning(client, models[i], t, cfg,
+                                                   mixed(client, models[i], t, cfg))
                 models[i] = update.model
         return models
 
@@ -697,8 +745,9 @@ def test_zero_rounds_plus_fine_tune_is_pure_local_training(config_factory, monke
     assert result.per_round_mean_test_accuracy == []
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
+    model = fresh_server.model
     assert_same_networks(personalized, [
-        fed.client_local_learning(fresh, fresh_server.model, 0, cfg).model
+        fed.client_local_learning(fresh, model, 0, cfg, mixed(fresh, model, 0, cfg)).model
         for fresh in fresh_clients
     ])
 
@@ -707,8 +756,9 @@ def test_fine_tune_zero_rates_is_identity(config_factory):
     cfg = config_factory(rounds=1)
     server, clients, _ = fed.run_training(cfg)
     before = clients[0].alpha.logits.copy()
-    model = fed.fine_tune(clients[0], server.model,
-                          dataclasses.replace(cfg, local_epochs=2, lr_alpha=0.0, lr_w=0.0))
+    cfg = dataclasses.replace(cfg, local_epochs=2, lr_alpha=0.0, lr_w=0.0)
+    model = fed.fine_tune(clients[0], server.model, cfg,
+                          mixed(clients[0], server.model, cfg.rounds, cfg))
     for got, want in zip(model.layers, server.model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
     np.testing.assert_array_equal(clients[0].alpha.logits, before)
@@ -727,7 +777,7 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
 
     before = evaluate_client(model, client.alpha, shard)
     cfg = make_config(rounds=0, local_epochs=5, lr_alpha=0.1, lr_w=0.1, batch_size=16, seed=1)
-    tuned = fed.fine_tune(client, model, cfg)
+    tuned = fed.fine_tune(client, model, cfg, mixed(client, model, cfg.rounds, cfg))
     after = evaluate_client(tuned, client.alpha, shard)
     assert after >= before
     assert after == 1.0

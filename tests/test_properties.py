@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
@@ -139,10 +139,17 @@ def run_configs(draw) -> dict:
     }
 
 
+# the last fine-tuning weight step overflows, and the evaluation finds it
+@example(raw={"method": "local", "clients": 2, "sample_size": 1, "rounds": 0, "branches": 2,
+              "lr_alpha": 0.5, "lr_w": 1e300, "shared_alpha": False, "hidden_dims": [4],
+              "data": {"synthetic": {"num_classes": 2, "input_dim": 2, "samples_per_class": 10}},
+              "partition": {"scheme": "dirichlet", "beta": 1.0}, "seed": 0,
+              "local_epochs": 1, "batch_size": 1000})
 @settings(max_examples=150)
 @given(raw=run_configs())
 def test_every_valid_run_completes_or_fails_located(raw):
-    """Exit 0 with all three result files, or exit 2 with one located error line."""
+    """Exit 0 with all three result files, or exit 2 with one located error line;
+    a numeric failure names its client and round."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         path.write_text(json.dumps(raw))
@@ -154,4 +161,5 @@ def test_every_valid_run_completes_or_fails_located(raw):
         else:
             lines = err.getvalue().splitlines()
             assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert "non-finite" not in lines[0] or lines[0].startswith("error: client "), lines
             assert not (out / "final.json").exists()
