@@ -140,7 +140,7 @@ def cmd_gradcheck(args) -> int:
         print("mixing group:      identically zero (single branch), skipped")
     else:
         print(f"mixing group:      max rel err {report.alpha_error:.3e}")
-    print(f"tolerance:         {report.tolerance:.0e}")
+    print(f"tolerance:         {nn.GRADCHECK_TOLERANCE:.0e}")
     print(f"result:            {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

@@ -161,18 +161,24 @@ def _mixing_chunk(chunk: list, model: nn.Network, round_index: int, config) -> l
         for steps in zip(*(_batches(c, round_index, ALPHA_PHASE, config) for c in chunk)):
             x = np.concatenate([c.shard.features[idx] for c, (_, idx) in zip(chunk, steps)])
             y = np.concatenate([c.shard.labels[idx] for c, (_, idx) in zip(chunk, steps)])
-            try:
-                _, grads = nn.loss_and_grads(model, alpha, (x, y), nn.WRT_ALPHA)
+            try:  # a stack's error is dropped: the rerun locates each client's
+                _, grads = _at(chunk[0], round_index, f"mixing phase, epoch {steps[0][0]}",
+                               nn.loss_and_grads, model, alpha, (x, y), nn.WRT_ALPHA)
             except NumericError as exc:
                 if stacked:
                     return [_mixing_chunk([c], model, round_index, config)[0] for c in chunk]
-                return [_failed(chunk[0], round_index, f"mixing phase, epoch {steps[0][0]}", exc)]
+                return [exc]
             alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
     return [replace(alpha, logits=z) for z in alpha.logits] if stacked else [alpha]
 
 
-def _failed(client: ClientState, round_index: int, stage: str, exc) -> NumericError:
-    return NumericError(f"client {client.client_id}, round {round_index}, {stage}: {exc}")
+def _at(client: ClientState, round_index: int, stage: str, fn, *args):
+    """fn(*args); a NumericError it raises is re-raised naming the client, round and stage."""
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        where = f"client {client.client_id}, round {round_index}, {stage}"
+        raise NumericError(f"{where}: {exc}") from None
 
 
 def client_local_learning(
@@ -192,10 +198,8 @@ def client_local_learning(
     x, y, model = client.shard.features, client.shard.labels, global_model
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch, idx in _batches(client, round_index, WEIGHT_PHASE, config):
-            try:
-                _, grads = nn.loss_and_grads(model, alpha, (x[idx], y[idx]), wrt=nn.WRT_W)
-            except NumericError as exc:
-                raise _failed(client, round_index, f"weight phase, epoch {epoch}", exc) from None
+            _, grads = _at(client, round_index, f"weight phase, epoch {epoch}",
+                           nn.loss_and_grads, model, alpha, (x[idx], y[idx]), nn.WRT_W)
             model = nn.step_network(model, grads, config.lr_w)
 
     client.alpha = alpha
@@ -221,23 +225,24 @@ def aggregate(
     # per layer: coefficient mass per branch, weight sum, bias sum
     sums = [(np.zeros(prev.num_branches), np.zeros_like(prev.weights), np.zeros_like(prev.biases))
             for prev in previous_global.layers]
-    total = 0
-    for u in updates:
-        total += u.num_samples
-        for (denom, w_acc, b_acc), layer, alpha_l in zip(sums, u.model.layers, alpha_of(u)):
-            coeffs = u.num_samples * alpha_l
-            denom += coeffs
-            w_acc += coeffs[:, None, None] * layer.weights
-            b_acc += coeffs[:, None] * layer.biases
-    floor = DEAD_BRANCH_FLOOR * total
-    layers = []
-    for prev, (denom, w_acc, b_acc) in zip(previous_global.layers, sums):
-        dead = denom < floor
-        safe = np.where(dead, 1.0, denom)
-        layers.append(nn.MultiBranchDense(
-            np.where(dead[:, None, None], prev.weights, w_acc / safe[:, None, None]),
-            np.where(dead[:, None], prev.biases, b_acc / safe[:, None]),
-        ))
+    total, layers = 0, []
+    # an overflowing sum is reported by the round's evaluation, not by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in updates:
+            total += u.num_samples
+            for (denom, w_acc, b_acc), layer, alpha_l in zip(sums, u.model.layers, alpha_of(u)):
+                coeffs = u.num_samples * alpha_l
+                denom += coeffs
+                w_acc += coeffs[:, None, None] * layer.weights
+                b_acc += coeffs[:, None] * layer.biases
+        floor = DEAD_BRANCH_FLOOR * total
+        for prev, (denom, w_acc, b_acc) in zip(previous_global.layers, sums):
+            dead = denom < floor
+            safe = np.where(dead, 1.0, denom)
+            layers.append(nn.MultiBranchDense(
+                np.where(dead[:, None, None], prev.weights, w_acc / safe[:, None, None]),
+                np.where(dead[:, None], prev.biases, b_acc / safe[:, None]),
+            ))
     return nn.Network(layers)
 
 
@@ -257,20 +262,15 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
         update = client_local_learning(client, model, t, config, alpha)
         if strategy is None:
             client.local_model = update.model
-        try:
-            losses.append(nn.batch_loss(update.model, client.alpha,
-                                        client.shard.features, client.shard.labels))
-        except NumericError as exc:
-            raise _failed(client, t, "train loss", exc) from None
+        losses.append(_at(client, t, "train loss", nn.batch_loss, update.model, client.alpha,
+                          client.shard.features, client.shard.labels))
         updates.append(update)
     if strategy is not None:
         server.model = aggregate(updates, strategy, server.model)
     server.round = t + 1
 
-    accuracies = [
-        metrics.evaluate_client(c.current_model(server), c.alpha, c.test_shard)
-        for c in clients
-    ]
+    accuracies = [_at(c, t, "evaluation", metrics.evaluate_client,
+                      c.current_model(server), c.alpha, c.test_shard) for c in clients]
     return RoundReport(
         sampled=sampled,
         train_losses=losses,
@@ -335,22 +335,17 @@ def run_experiment(config):
     accuracies, alphas = [], mixing_phase(clients, models, config.rounds, config)
     for client, model, alpha in zip(clients, models, alphas):
         tuned = fine_tune(client, model, config, alpha)
-        try:
-            accuracies.append(metrics.evaluate_client(tuned, client.alpha, client.test_shard))
-        except NumericError as exc:
-            raise _failed(client, config.rounds, "evaluation", exc) from None
+        accuracies.append(_at(client, config.rounds, "evaluation", metrics.evaluate_client,
+                              tuned, client.alpha, client.test_shard))
         del tuned  # one fine-tuned network alive at a time
 
-    semantic = config.semantic_dict()
     result = metrics.ExperimentResult(
-        method=config.method,
         per_round_mean_test_accuracy=[float(np.mean(r.test_accuracies)) for r in reports],
         per_round_mean_train_loss=[float(np.mean(r.train_losses)) for r in reports],
         final_client_accuracies=accuracies,
         final_alpha=[c.alpha.values() for c in clients],
         alpha_trajectory=[r.alpha_values for r in reports],
-        config_fingerprint=metrics.config_fingerprint(semantic),
-        config=semantic,
+        config=config.semantic_dict(),
     )
     return result, server, clients
 

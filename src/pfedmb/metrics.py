@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +84,12 @@ def alpha_similarity(alphas, group_labels=None):
 class ExperimentResult:
     """Everything a finished experiment reports; emitted files derive from this only."""
 
-    method: str
     per_round_mean_test_accuracy: list
     per_round_mean_train_loss: list
     final_client_accuracies: list
     final_alpha: list                 # per client, (num_layers, B) simplex rows
     alpha_trajectory: list            # per round, (N, num_layers, B) array
-    config_fingerprint: str
-    config: dict = field(default_factory=dict)
+    config: dict                      # ExperimentConfig.semantic_dict(), method included
 
     @property
     def final_mean_accuracy(self) -> float:
@@ -108,7 +106,7 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
     raised error drops this call's new files and puts the kept ones back,
     final.json last.  Kept files that a killed call left are deleted first.
     """
-    out = Path(output_dir)
+    out, method = Path(output_dir), result.config["method"]
     out.mkdir(parents=True, exist_ok=True)
 
     rounds_path = out / "rounds.csv"
@@ -116,7 +114,7 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
     for t, (acc, loss) in enumerate(
         zip(result.per_round_mean_test_accuracy, result.per_round_mean_train_loss)
     ):
-        rounds.append(f"{t},{result.method},{_fmt(acc)},{_fmt(loss)}")
+        rounds.append(f"{t},{method},{_fmt(acc)},{_fmt(loss)}")
 
     traj_path = out / "alpha_trajectory.csv"
     traj = ["round,client,layer,branch,alpha"]
@@ -130,9 +128,9 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
     final_path = out / "final.json"
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "method": result.method,
+        "method": method,
         "mean_convention": MEAN_CONVENTION,
-        "config_fingerprint": result.config_fingerprint,
+        "config_fingerprint": config_fingerprint(result.config),
         "config": result.config,
         "per_round_mean_test_accuracy": [
             _round10(v) for v in result.per_round_mean_test_accuracy

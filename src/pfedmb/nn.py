@@ -30,6 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError, UsageError
 
 SIMPLEX_ATOL = 1e-9
+GRADCHECK_TOLERANCE = 1e-4  # gradient_check passes at or below this relative error
 
 WRT_W = "w"
 WRT_ALPHA = "alpha"
@@ -394,24 +395,17 @@ class GradCheckReport:
 
     w_error: float
     alpha_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.w_error <= self.tolerance and self.alpha_error <= self.tolerance
+        return self.w_error <= GRADCHECK_TOLERANCE and self.alpha_error <= GRADCHECK_TOLERANCE
 
 
 def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
-def gradient_check(
-    net: Network,
-    alpha: AlphaParams,
-    batch,
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
+def gradient_check(net: Network, alpha: AlphaParams, batch, h: float = 1e-5) -> GradCheckReport:
     """Compare loss_and_grads, one call per group, against central finite differences.
 
     Perturbs every branch weight, bias, and mixing logit by +-h and reports
@@ -445,4 +439,4 @@ def gradient_check(
     for idx in np.ndindex(alpha.logits.shape):
         a_err = max(a_err, _rel_err(d_logits[idx], central(alpha.logits, idx)))
 
-    return GradCheckReport(w_error=w_err, alpha_error=a_err, tolerance=tolerance)
+    return GradCheckReport(w_error=w_err, alpha_error=a_err)

@@ -91,7 +91,7 @@ def test_criterion_1_gradient_exactness():
     y = rng.integers(0, 4, size=8)
 
     started = time.perf_counter()
-    report = nn.gradient_check(net, alpha, (x, y), h=1e-5, tolerance=1e-4)
+    report = nn.gradient_check(net, alpha, (x, y), h=1e-5)
     elapsed = time.perf_counter() - started
 
     ok = report.w_error < 1e-4 and report.alpha_error < 1e-4 and elapsed < 5.0

@@ -468,6 +468,23 @@ def test_a_diverging_mixing_phase_names_the_lowest_failing_client(
     assert str(raised.value) == message
 
 
+def test_an_overflowing_aggregation_is_quiet_and_the_round_evaluation_names_it(config_factory):
+    """Branches at 1e308 keep every client's forward pass and train loss finite, but
+    n_i * alpha_i * W overflows in aggregate: no numpy warning, and the round's
+    evaluation raises the first client's located error."""
+    cfg = config_factory(
+        clients=2, sample_size=2, hidden_dims=(), lr_alpha=0.0, lr_w=0.0,
+        data={"synthetic": {"num_classes": 2, "input_dim": 1, "class_mean_scale": 0.5,
+                            "noise_std": 0.1, "samples_per_class": 30}},
+        partition={"scheme": "paired_clusters", "num_pairs": 1, "classes_per_pair": 2},
+    )
+    server, clients = fed.setup_experiment(cfg)
+    server.model.layers[0].weights[...] = 1e308
+    with pytest.raises(NumericError) as raised:
+        fed.run_round(server, clients, cfg)
+    assert str(raised.value) == "client 0, round 0, evaluation: non-finite activations in layer 0"
+
+
 def diverge_mixing(method, server, clients):
     """Make a later client's mixing phase fail; returns its id.
 
@@ -640,7 +657,7 @@ def test_partial_participation_experiment_end_to_end(config_factory, monkeypatch
 
     replay, _, _, again = run_keeping_fine_tuned(monkeypatch, cfg)
     assert replay.final_client_accuracies == result.final_client_accuracies
-    assert replay.config_fingerprint == result.config_fingerprint
+    assert replay.config == result.config
     assert_same_networks(again, personalized)
 
 

@@ -211,7 +211,7 @@ def test_gradient_check_passes_on_zero_net():
 
 def test_gradient_check_random_net_meets_tolerance():
     net, alpha, x, y = random_problem(7)
-    report = gradient_check(net, alpha, (x, y), h=1e-5, tolerance=1e-4)
+    report = gradient_check(net, alpha, (x, y), h=1e-5)
     assert report.w_error < 1e-4
     assert report.alpha_error < 1e-4
     assert report.passed

@@ -10,6 +10,7 @@ from pathlib import Path
 import pfedmb
 
 LINE_BUDGET = 2100
+MAX_LINE_LENGTH = 99
 PACKAGE = Path(pfedmb.__file__).parent
 
 
@@ -17,6 +18,15 @@ def test_package_stays_within_its_line_budget():
     files = sorted(PACKAGE.glob("*.py"))
     lines = sum(len(p.read_text().splitlines()) for p in files)
     assert len(files) > 1 and lines <= LINE_BUDGET, f"{lines} lines in src/pfedmb"
+
+
+def test_no_line_is_joined_to_meet_the_budget():
+    """The budget counts lines, so it must not be met by joining them into wide ones."""
+    wide = [f"{path.name}:{i}: {len(line)} characters"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE_LENGTH]
+    assert not wide, f"lines over {MAX_LINE_LENGTH} characters: {wide}"
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -113,14 +113,12 @@ def test_alpha_similarity_validation():
 def sample_result(rounds=2):
     traj = [np.full((2, 1, 2), 0.5) for _ in range(rounds)]
     return ExperimentResult(
-        method="pfedmb",
         per_round_mean_test_accuracy=[0.5 + 0.1 * t for t in range(rounds)],
         per_round_mean_train_loss=[1.0 / (t + 1) for t in range(rounds)],
         final_client_accuracies=[0.625, 0.875],
         final_alpha=[np.array([[0.25, 0.75]]), np.array([[0.5, 0.5]])],
         alpha_trajectory=traj,
-        config_fingerprint="abc123",
-        config={"seed": 0},
+        config={"method": "pfedmb", "seed": 0},
     )
 
 
@@ -175,7 +173,7 @@ def test_final_json_reports_means_consistently(tmp_path):
     doc = json.loads((tmp_path / "final.json").read_text())
     assert doc["final_mean_test_accuracy"] == pytest.approx(0.75, abs=1e-12)
     assert doc["final_per_client_test_accuracy"] == [0.625, 0.875]
-    assert doc["config_fingerprint"] == "abc123"
+    assert doc["config_fingerprint"] == config_fingerprint({"method": "pfedmb", "seed": 0})
     assert doc["mean_convention"] == "unweighted over clients"
 
 

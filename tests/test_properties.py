@@ -110,13 +110,17 @@ def run_configs(draw) -> dict:
     method = draw(st.sampled_from(METHODS))
     num_classes = draw(st.integers(2, 4))
     scheme = draw(st.sampled_from(sorted(SCHEMES)))
+    # class counts keep the partition's rules; the examples below break each of them once
     if scheme == "paired_clusters":
-        clients = 2 * draw(st.integers(1, 2))
-        part = {"num_pairs": clients // 2, "classes_per_pair": draw(st.integers(1, 2))}
+        pairs = draw(st.integers(1, 2))
+        clients = 2 * pairs
+        part = {"num_pairs": pairs, "classes_per_pair": draw(st.integers(1, num_classes // pairs))}
     else:
         clients = draw(st.integers(1, 4))
+        # size_heterogeneous's clients must cover every class between them
+        low = -(-num_classes // clients) if scheme == "size_heterogeneous" else 1
         part = ({"beta": draw(st.floats(0.05, 10.0))} if scheme == "dirichlet"
-                else {"k": draw(st.integers(1, num_classes))})
+                else {"k": draw(st.integers(low, num_classes))})
     lr = st.floats(0.0, 1e6)
     return {
         "method": method,
@@ -139,6 +143,17 @@ def run_configs(draw) -> dict:
     }
 
 
+SMALL = {"method": "pfedmb", "clients": 2, "sample_size": 2, "rounds": 1, "branches": 2,
+         "lr_alpha": 0.5, "lr_w": 0.1, "shared_alpha": False, "hidden_dims": [4],
+         "data": {"synthetic": {"num_classes": 3, "input_dim": 2, "samples_per_class": 10}},
+         "seed": 0, "local_epochs": 1, "batch_size": 8}
+
+
+# one config per class-count rule of the partition, which no draw breaks
+@example(raw=dict(SMALL, partition={"scheme": "random_k_classes", "k": 4}))
+@example(raw=dict(SMALL, partition={"scheme": "size_heterogeneous", "k": 1}))
+@example(raw=dict(SMALL, partition={"scheme": "paired_clusters", "num_pairs": 1,
+                                    "classes_per_pair": 4}))
 # the last fine-tuning weight step overflows, and the evaluation finds it
 @example(raw={"method": "local", "clients": 2, "sample_size": 1, "rounds": 0, "branches": 2,
               "lr_alpha": 0.5, "lr_w": 1e300, "shared_alpha": False, "hidden_dims": [4],
