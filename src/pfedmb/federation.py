@@ -13,9 +13,10 @@ trains its own model every round and nothing is aggregated.
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
-Each pass (a round, or fine-tuning) trains its clients' mixing phases in one
-lockstep call, grouped by model and shard size, then their weight phases in
-canonical (ascending id) order; config.threads is accepted but ignored.
+A round trains its clients' mixing phases in one lockstep call, grouped by model
+and shard size, then their weight phases in another, and finishes each client in
+canonical (ascending id) order; fine-tuning mixes in lockstep and trains weights
+per client.  config.threads is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ CHECKPOINT_SCHEMA_VERSION = 3
 
 DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
 MIXING_STACK_BYTES = 1 << 20  # per stacked mixing call: combined weights and layer outputs
+WEIGHT_STACK_BYTES = 1 << 20  # per stacked weight call: the clients' branches
 
 
 class AggregationStrategy(Enum):
@@ -132,44 +134,81 @@ def _batches(client: ClientState, round_index: int, phase: int, config):
 def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
     """Phase 1 of local learning in lockstep: client i's mixing logits on fixed models[i].
 
-    Clients with one model and shard size draw batches of equal lengths, so they train
-    as one stack per MIXING_STACK_BYTES, bit for bit as if alone.  Returns per client
-    its new AlphaParams, or the located NumericError that ended its phase.
+    Returns per client its new AlphaParams, or the located NumericError that ended its
+    phase; a client with one branch keeps its logits, whose gradient is exactly 0.
     """
-    groups, out = {}, {}
-    for i, (client, model) in enumerate(zip(clients, models)):
-        if client.alpha.num_branches > 1:
+    return _lockstep(clients, models, [c.alpha for c in clients], ALPHA_PHASE, round_index, config)
+
+
+def weight_phase(clients: list, models: list, alphas: list, round_index: int, config) -> list:
+    """Phase 2 of local learning in lockstep: client i's branches from models[i], alphas[i] fixed.
+
+    alphas is what mixing_phase returned for the clients.  Returns per client its trained
+    network, or the located NumericError that ended either phase.
+    """
+    return _lockstep(clients, models, alphas, WEIGHT_PHASE, round_index, config)
+
+
+def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index: int,
+              config) -> list:
+    """phase for each client whose alphas[i] is AlphaParams (with branches to mix, in the
+    mixing phase); every other client's result is its alphas[i].
+
+    Clients with one model and shard size draw batches of equal lengths, so they train as
+    one stack per MIXING_STACK_BYTES or WEIGHT_STACK_BYTES, bit for bit as if alone.
+    """
+    weights, groups, out = phase == WEIGHT_PHASE, {}, {}
+    for i, (client, model, alpha) in enumerate(zip(clients, models, alphas)):
+        if isinstance(alpha, nn.AlphaParams) and (weights or alpha.num_branches > 1):
             groups.setdefault((id(model), client.num_samples), []).append(i)
     for (_, n), group in groups.items():
         model, rows = models[group[0]], min(n, config.batch_size)
-        per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
-        size = max(1, MIXING_STACK_BYTES // per_client)
+        if weights:  # the branches, which each step's gradients and new values match
+            per_client = 8 * sum(layer.weights.size + layer.biases.size for layer in model.layers)
+        else:  # combined weights and layer outputs
+            per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
+        size = max(1, (WEIGHT_STACK_BYTES if weights else MIXING_STACK_BYTES) // per_client)
         for k in range(0, len(group), size):
             chunk = group[k : k + size]
-            alphas = _mixing_chunk([clients[i] for i in chunk], model, round_index, config)
-            out.update(zip(chunk, alphas))
-    return [out.get(i, c.alpha) for i, c in enumerate(clients)]
+            out.update(zip(chunk, _train_chunk([clients[i] for i in chunk], model,
+                                               [alphas[i] for i in chunk], phase,
+                                               round_index, config)))
+    return [out.get(i, alpha) for i, alpha in enumerate(alphas)]
 
 
-def _mixing_chunk(chunk: list, model: nn.Network, round_index: int, config) -> list:
-    """Mixing phases of chunk's clients, one call per step; a stack that raises is rerun
+def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round_index: int,
+                 config) -> list:
+    """chunk's phase, one kernel call and one step per SGD step; per client its new
+    AlphaParams, or its trained network in the weight phase.  Two or more clients train
+    their logits (and branches) stacked over a leading axis; a stack that raises is rerun
     client by client from the start, on the same streams, to locate each error."""
-    stacked, alpha = len(chunk) > 1, chunk[0].alpha
+    weights, stacked, alpha, net = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model
+    stage, wrt = ("weight phase", nn.WRT_W) if weights else ("mixing phase", nn.WRT_ALPHA)
     if stacked:
-        alpha = replace(alpha, logits=np.stack([c.alpha.logits for c in chunk]))
+        alpha = replace(alpha, logits=np.stack([a.logits for a in alphas]))
+        net = nn.broadcast_network(model, len(chunk)) if weights else model
     with np.errstate(over="ignore", invalid="ignore"):  # may run before an earlier client fails
-        for steps in zip(*(_batches(c, round_index, ALPHA_PHASE, config) for c in chunk)):
+        for steps in zip(*(_batches(c, round_index, phase, config) for c in chunk)):
             x = np.concatenate([c.shard.features[idx] for c, (_, idx) in zip(chunk, steps)])
             y = np.concatenate([c.shard.labels[idx] for c, (_, idx) in zip(chunk, steps)])
             try:  # a stack's error is dropped: the rerun locates each client's
-                _, grads = _at(chunk[0], round_index, f"mixing phase, epoch {steps[0][0]}",
-                               nn.loss_and_grads, model, alpha, (x, y), nn.WRT_ALPHA)
+                _, grads = _at(chunk[0], round_index, f"{stage}, epoch {steps[0][0]}",
+                               nn.loss_and_grads, net, alpha, (x, y), wrt)
             except NumericError as exc:
-                if stacked:
-                    return [_mixing_chunk([c], model, round_index, config)[0] for c in chunk]
-                return [exc]
-            alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
-    return [replace(alpha, logits=z) for z in alpha.logits] if stacked else [alpha]
+                if not stacked:
+                    return [exc]
+                return [_train_chunk([c], model, [a], phase, round_index, config)[0]
+                        for c, a in zip(chunk, alphas)]
+            if weights:
+                net = nn.step_network(net, grads, config.lr_w)
+            else:
+                alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
+    if not stacked:  # a phase takes at least one step, so net is never model
+        return [net if weights else alpha]
+    if weights:
+        return [nn.Network([nn.MultiBranchDense(layer.weights[s], layer.biases[s])
+                            for layer in net.layers]) for s in range(len(chunk))]
+    return [replace(alpha, logits=z) for z in alpha.logits]
 
 
 def _at(client: ClientState, round_index: int, stage: str, fn, *args):
@@ -182,28 +221,18 @@ def _at(client: ClientState, round_index: int, stage: str, fn, *args):
 
 
 def client_local_learning(
-    client: ClientState, global_model: nn.Network, round_index: int, config, alpha
+    client: ClientState, trained, round_index: int, config, alpha
 ) -> ClientUpdate:
-    """Phase 2 of local learning; persists the client's new mixing logits.
+    """Finish one client's local learning in canonical order; persists its new mixing logits.
 
-    alpha is what mixing_phase (phase 1, the mixing logits trained with the
-    received branches held fixed) returned for this client; an error is raised
-    here.  Phase 2 holds alpha fixed and runs config.local_epochs epochs of
-    mini-batch SGD on all branch weights and biases.
+    alpha is what mixing_phase returned for the client, and trained what weight_phase
+    returned: the branches trained with alpha held fixed, or the located NumericError
+    of either phase, which is raised here.
     """
-    if isinstance(alpha, NumericError):
-        raise alpha
-    # nn never mutates its inputs, and the weight phase takes at least one step;
-    # an overflowing step is reported by the next forward pass, not by numpy
-    x, y, model = client.shard.features, client.shard.labels, global_model
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, idx in _batches(client, round_index, WEIGHT_PHASE, config):
-            _, grads = _at(client, round_index, f"weight phase, epoch {epoch}",
-                           nn.loss_and_grads, model, alpha, (x[idx], y[idx]), nn.WRT_W)
-            model = nn.step_network(model, grads, config.lr_w)
-
+    if isinstance(trained, NumericError):
+        raise trained
     client.alpha = alpha
-    return ClientUpdate(client.num_samples, model, alpha.values())
+    return ClientUpdate(client.num_samples, trained, alpha.values())
 
 
 def aggregate(
@@ -257,9 +286,11 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
 
     members = [clients[cid] for cid in sampled]
     models = [client.current_model(server) for client in members]
+    alphas = mixing_phase(members, models, t, config)
+    trained = weight_phase(members, models, alphas, t, config)
     updates, losses = [], []
-    for client, model, alpha in zip(members, models, mixing_phase(members, models, t, config)):
-        update = client_local_learning(client, model, t, config, alpha)
+    for client, network, alpha in zip(members, trained, alphas):
+        update = client_local_learning(client, network, t, config, alpha)
         if strategy is None:
             client.local_model = update.model
         losses.append(_at(client, t, "train loss", nn.batch_loss, update.model, client.alpha,
@@ -318,9 +349,11 @@ def fine_tune(client: ClientState, global_model: nn.Network, config, alpha) -> n
 
     The weight phase of one more local pass on the client's own data, keyed as
     round config.rounds, given alpha from mixing_phase for that round; returns
-    the personalized network.
+    the personalized network.  It trains this client alone, so a caller that drops
+    each result holds one tuned network at a time.
     """
-    return client_local_learning(client, global_model, config.rounds, config, alpha).model
+    trained = weight_phase([client], [global_model], [alpha], config.rounds, config)[0]
+    return client_local_learning(client, trained, config.rounds, config, alpha).model
 
 
 def run_experiment(config):

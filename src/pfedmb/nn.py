@@ -17,7 +17,7 @@ forward, batch_loss and loss_and_grads check a batch once and share one forward
 pass and one cross entropy.  loss_and_grads differentiates one parameter group
 per call, the one a local-learning phase trains, and returns it in the form
 step_network or step_alpha takes.  Everything is float64.  No operation mutates
-its inputs.  Logits with a leading axis run S clients' mixing steps in one call.
+its inputs.  Logits with a leading axis run S clients' steps of either phase in one call.
 """
 
 from __future__ import annotations
@@ -69,15 +69,15 @@ class MultiBranchDense:
 
     @property
     def num_branches(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-3]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[2]
+        return self.weights.shape[-1]
 
     def copy(self) -> "MultiBranchDense":
         return MultiBranchDense(self.weights.copy(), self.biases.copy())
@@ -190,7 +190,7 @@ def init_network(layer_dims, num_branches: int, seed) -> Network:
 
 
 def _combine(layer: MultiBranchDense, a: np.ndarray) -> tuple:
-    w = np.einsum("...b,boi->...oi", a, layer.weights)  # a: ([S,] B)
+    w = np.einsum("...b,...boi->...oi", a, layer.weights)  # a: ([S,] B), weights: ([S,] B, o, i)
     return w, (a[..., None, :] @ layer.biases)[..., 0, :]
 
 
@@ -248,7 +248,7 @@ def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED, stacked
     if alpha.logits.ndim == 3:
         clients = alpha.logits.shape[0]
         if not stacked:
-            raise UsageError("only loss_and_grads(..., 'alpha') takes a client axis of logits")
+            raise UsageError("only loss_and_grads takes a client axis of logits")
         if not clients or x.shape[0] % clients:
             raise UsageError(f"{x.shape[0]} rows do not split into {clients} equal client batches")
         x = x.reshape(clients, -1, x.shape[1])  # S batches, back to back
@@ -307,11 +307,13 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
     its branch parameters, as step_network takes it; wrt "alpha" gives
     (loss, d_logits) shaped like AlphaParams.logits (summed over layers when the
     logits are shared), as step_alpha takes it.  The other group is neither
-    computed nor allocated.  wrt "alpha" takes S clients' logits with S batches back to back.
+    computed nor allocated.  Either group takes S clients' logits (S, rows, B) with S
+    batches back to back; "w" then takes S clients' branches (S, B, out, in), as
+    broadcast_network makes them, and returns S clients' gradients.
     """
     if wrt not in (WRT_W, WRT_ALPHA):
         raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
-    x, labels = _check_batch(net, alpha, *batch, stacked=wrt == WRT_ALPHA)
+    x, labels = _check_batch(net, alpha, *batch, stacked=True)
     # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         avals = alpha.values()
@@ -332,8 +334,9 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
             db_combined = dz.sum(axis=-2)
             if wrt == WRT_W:
                 # z depends on branch b only through alpha_b * (W_b, b_b)
-                d_weights[l] = avals[l][:, None, None] * dw_combined[None, :, :]
-                d_biases[l] = avals[l][:, None] * db_combined[None, :]
+                a = avals[..., l, :]
+                d_weights[l] = a[..., None, None] * dw_combined[..., None, :, :]
+                d_biases[l] = a[..., None] * db_combined[..., None, :]
             else:
                 # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
                 d_values[..., l, :] = np.einsum("...oi,boi->...b", dw_combined, layer.weights)
@@ -381,6 +384,15 @@ def step_network(net: Network, grads: tuple, learning_rate: float) -> Network:
         ])
     except ValueError as exc:  # not a pair, or not one array per layer
         raise ConfigurationError(f"gradients do not fit {net.num_layers} layers: {exc}") from None
+
+
+def broadcast_network(net: Network, clients: int) -> Network:
+    """net's branches as S clients' read-only (S, B, out, in) views, with no copy, as
+    loss_and_grads "w" takes them; step_network returns each client's own branches."""
+    return _trusted(Network, layers=[_trusted(
+        MultiBranchDense, weights=np.broadcast_to(layer.weights, (clients, *layer.weights.shape)),
+        biases=np.broadcast_to(layer.biases, (clients, *layer.biases.shape)),
+    ) for layer in net.layers])
 
 
 def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float) -> AlphaParams:

@@ -312,6 +312,10 @@ BLAS_CONFIG = {
     "partition": {"scheme": "dirichlet", "beta": 0.5},
     "seed": 3,
 }
+# the same shapes on 10 equal 160-row shards: every chunk of sampled clients trains
+# both phases as stacked calls, at 128 rows per client and step
+BLAS_STACKED_CONFIG = dict(
+    BLAS_CONFIG, partition={"scheme": "paired_clusters", "num_pairs": 5, "classes_per_pair": 4})
 
 # user-mode clock ticks of the BLAS worker threads across a loop of each
 # matmul of a training step at `rows` rows, each loop started once the pool is
@@ -360,21 +364,43 @@ def test_blas_splits_the_criterion_8_matmuls_across_two_threads(config_factory):
     assert sum(len(c.shard) >= BLAS_SPLIT_ROWS for c in clients) > len(clients) // 2
 
 
-def test_criterion_8_byte_identical_across_blas_thread_counts(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(BLAS_CONFIG))
-    outs = [tmp_path / f"blas{threads}" for threads in (1, 2)]
-    for threads, out in zip((1, 2), outs):
-        done = subprocess.run(
-            [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(cfg), "--out", str(out)],
-            env=blas_env(threads), capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+def test_the_stacked_criterion_8_config_trains_both_phases_in_stacks(monkeypatch):
+    """Its first round makes stacked calls of both gradient groups on 128-row batches."""
+    stacks, kernel = set(), nn.loss_and_grads
 
-    a, b = outs
-    same = all(
-        (a / name).read_bytes() == (b / name).read_bytes()
-        for name in ("rounds.csv", "final.json", "alpha_trajectory.csv")
-    )
+    def spy(net, alpha, batch, wrt):
+        if alpha.logits.ndim == 3:
+            stacks.add((wrt, len(alpha.logits), len(batch[0]) // len(alpha.logits)))
+        return kernel(net, alpha, batch, wrt)
+
+    cfg = ExperimentConfig(**dict(BLAS_STACKED_CONFIG, rounds=1), output_dir="unused")
+    server, clients = fed.setup_experiment(cfg)
+    assert {c.num_samples for c in clients} == {160}
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    fed.run_round(server, clients, cfg)
+    for wrt in (nn.WRT_ALPHA, nn.WRT_W):
+        assert any(w == wrt and s > 1 and rows == BLAS_SPLIT_ROWS for w, s, rows in stacks)
+
+
+def test_criterion_8_byte_identical_across_blas_thread_counts(tmp_path):
+    same = True
+    for name, config in (("dirichlet", BLAS_CONFIG), ("stacked", BLAS_STACKED_CONFIG)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        outs = [tmp_path / f"{name}_blas{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            done = subprocess.run(
+                [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(cfg),
+                 "--out", str(out)],
+                env=blas_env(threads), capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+
+        a, b = outs
+        same = same and all(
+            (a / result).read_bytes() == (b / result).read_bytes()
+            for result in ("rounds.csv", "final.json", "alpha_trajectory.csv")
+        )
     _report(8, same, "rounds.csv, final.json, alpha_trajectory.csv byte-identical "
-                     "across 1 and 2 BLAS threads at h=128 with 128-row batches")
+                     "across 1 and 2 BLAS threads at h=128 with 128-row batches, "
+                     "on ragged shards and on equal shards trained in stacks")

@@ -42,8 +42,15 @@ def tiny_client(seed=3, n=6, in_dim=2, classes=2, branches=2, client_id=0):
 
 
 def mixed(client, model, round_index, config):
-    """The client's mixing phase on model, as client_local_learning and fine_tune take it."""
+    """The client's mixing phase on model, as weight_phase and fine_tune take it."""
     return fed.mixing_phase([client], [model], round_index, config)[0]
+
+
+def learned(client, model, round_index, config):
+    """client_local_learning after the client's mixing and weight phases on model."""
+    alpha = mixed(client, model, round_index, config)
+    trained = fed.weight_phase([client], [model], [alpha], round_index, config)[0]
+    return fed.client_local_learning(client, trained, round_index, config, alpha)
 
 
 # -------------------------------------------------------------------- sampling
@@ -69,7 +76,7 @@ def test_zero_learning_rates_are_a_no_op():
     model = nn.init_network([2, 2], 2, seed=1)
     before_alpha = client.alpha.logits.copy()
     cfg = make_config(local_epochs=3, lr_alpha=0.0, lr_w=0.0, batch_size=4, seed=3)
-    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
+    update = learned(client, model, 0, cfg)
     for got, want in zip(update.model.layers, model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.biases, want.biases)
@@ -83,7 +90,7 @@ def test_single_branch_matches_plain_local_sgd_bitwise():
     epochs, lr_w, batch_size = 2, 0.2, 4
     cfg = make_config(local_epochs=epochs, lr_alpha=0.7, lr_w=lr_w, batch_size=batch_size,
                       seed=5)
-    update = fed.client_local_learning(client, model, 1, cfg, mixed(client, model, 1, cfg))
+    update = learned(client, model, 1, cfg)
 
     # plain SGD over the same batch order, written against bare numpy
     w = model.layers[0].weights[0].copy()
@@ -124,7 +131,7 @@ def test_two_phase_single_step_matches_hand_oracle():
     client.alpha = nn.AlphaParams(np.array([[0.4, -0.1]]), 1)
     model = nn.Network([nn.MultiBranchDense(w.copy(), bias.copy())])
     cfg = make_config(local_epochs=1, lr_alpha=lr_a, lr_w=lr_w, batch_size=8, seed=9)
-    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
+    update = learned(client, model, 0, cfg)
 
     def ce_dz(weights, biases, mix):
         wc = mix[0] * weights[0] + mix[1] * weights[1]
@@ -166,7 +173,7 @@ def test_local_learning_persists_alpha_and_copies_model():
     model = nn.init_network([2, 2], 3, seed=4)
     w_before = model.layers[0].weights.copy()
     cfg = make_config(local_epochs=2, lr_alpha=0.5, lr_w=0.1, batch_size=4, seed=13)
-    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
+    update = learned(client, model, 0, cfg)
     np.testing.assert_array_equal(model.layers[0].weights, w_before)
     assert np.any(client.alpha.logits != 0.0)
     np.testing.assert_array_equal(update.alpha_values, client.alpha.values())
@@ -370,7 +377,7 @@ def test_single_client_round_equals_local_training(config_factory):
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
     client, model = fresh_clients[0], fresh_server.model
-    update = fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
+    update = learned(client, model, 0, cfg)
     for got, want in zip(server.model.layers, update.model.layers):
         np.testing.assert_allclose(got.weights, want.weights, rtol=1e-14)
         np.testing.assert_allclose(got.biases, want.biases, rtol=1e-14)
@@ -468,6 +475,70 @@ def test_a_diverging_mixing_phase_names_the_lowest_failing_client(
     assert str(raised.value) == message
 
 
+def test_a_diverging_weight_stack_names_the_lowest_failing_client(config_factory, monkeypatch):
+    """Four equal shards train their weight phases in one stack.  Features scaled by
+    1e100 and 1e150 overflow client 2's weight phase in epoch 0 and client 1's in
+    epoch 1; the stack is rerun client by client, and the round and fine-tuning
+    raise client 1's located error."""
+    cfg = config_factory()
+    stacks, kernel = [], nn.loss_and_grads
+
+    def spy(net, alpha, batch, wrt):
+        if wrt == nn.WRT_W:
+            stacks.append(len(alpha.logits))
+        return kernel(net, alpha, batch, wrt)
+
+    def diverged_setup(config):
+        server, clients = setup(config)
+        for client, scale in ((clients[1], 1e100), (clients[2], 1e150)):
+            shard = client.shard
+            client.shard = LabeledDataset(shard.features * scale, shard.labels, shard.num_classes)
+        return server, clients
+
+    setup = fed.setup_experiment
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    with pytest.raises(NumericError) as raised:
+        fed.run_round(*diverged_setup(cfg), cfg)
+    assert stacks[0] == cfg.sample_size
+    assert str(raised.value) == ("client 1, round 0, weight phase, epoch 1: "
+                                 "non-finite activations in layer 1")
+
+    monkeypatch.setattr(fed, "setup_experiment", diverged_setup)
+    with pytest.raises(NumericError) as raised:
+        fed.run_experiment(dataclasses.replace(cfg, rounds=0))
+    assert str(raised.value) == ("client 1, round 0, weight phase, epoch 1: "
+                                 "non-finite activations in layer 1")
+
+
+def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, monkeypatch):
+    """Equal shards on the server's branches: each weight step of the round is one "w"
+    call over every sampled client, and client_local_learning still finishes each
+    sampled client once, in ascending id order."""
+    cfg = config_factory(clients=6, sample_size=4, seed=4,
+                         partition={"scheme": "paired_clusters", "num_pairs": 3,
+                                    "classes_per_pair": 1})
+    stacks, finished = [], []
+    kernel, finish = nn.loss_and_grads, fed.client_local_learning
+
+    def spy(net, alpha, batch, wrt):
+        if wrt == nn.WRT_W:
+            stacks.append(len(alpha.logits))
+        return kernel(net, alpha, batch, wrt)
+
+    def finishing(client, trained, round_index, config, alpha):
+        finished.append(client.client_id)
+        return finish(client, trained, round_index, config, alpha)
+
+    server, clients = fed.setup_experiment(cfg)
+    (n,) = {client.num_samples for client in clients}
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    monkeypatch.setattr(fed, "client_local_learning", finishing)
+    report = fed.run_round(server, clients, cfg)
+    assert stacks == [cfg.sample_size] * (cfg.local_epochs * -(-n // cfg.batch_size))
+    assert finished == report.sampled == sorted(report.sampled)
+    assert report.sampled != list(range(cfg.sample_size))
+
+
 def test_an_overflowing_aggregation_is_quiet_and_the_round_evaluation_names_it(config_factory):
     """Branches at 1e308 keep every client's forward pass and train loss finite, but
     n_i * alpha_i * W overflows in aggregate: no numpy warning, and the round's
@@ -517,7 +588,7 @@ def test_an_earlier_clients_failure_is_raised_before_a_later_mixing_failure(
     client = clients[later]
     model = client.current_model(server)
     with pytest.raises(NumericError, match=f"^client {later}, round 0, mixing phase, epoch 0: "):
-        fed.client_local_learning(client, model, 0, cfg, mixed(client, model, 0, cfg))
+        learned(client, model, 0, cfg)
 
     server, clients = fed.setup_experiment(cfg)
     diverge_mixing(method, server, clients)
@@ -732,8 +803,7 @@ def test_local_only_clients_are_isolated(config_factory):
         models = [server.model.copy() for _ in clients]
         for t in range(cfg.rounds):
             for i, client in enumerate(clients):
-                update = fed.client_local_learning(client, models[i], t, cfg,
-                                                   mixed(client, models[i], t, cfg))
+                update = learned(client, models[i], t, cfg)
                 models[i] = update.model
         return models
 
@@ -764,7 +834,7 @@ def test_zero_rounds_plus_fine_tune_is_pure_local_training(config_factory, monke
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
     model = fresh_server.model
     assert_same_networks(personalized, [
-        fed.client_local_learning(fresh, model, 0, cfg, mixed(fresh, model, 0, cfg)).model
+        learned(fresh, model, 0, cfg).model
         for fresh in fresh_clients
     ])
 

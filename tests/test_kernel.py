@@ -215,13 +215,40 @@ def test_a_stacked_mixing_call_equals_one_call_per_client_bit_for_bit(problem):
         np.testing.assert_array_equal(stepped[k], nn.step_alpha(alpha, d, 0.7).logits)
 
 
-def test_only_the_mixing_gradient_takes_stacked_logits():
+@given(stacked_problems())
+def test_a_stacked_weight_call_equals_one_call_per_client_bit_for_bit(problem):
+    """S clients' weight steps from shared branches, then from their own: each client's
+    loss, gradients and stepped branches have the bits of its own call."""
+    weights, biases, logits, shared, x, y = problem
+    clients = logits.shape[0]
+    net, stacked = as_nn(weights, biases, logits, shared)
+    stacked_net = nn.broadcast_network(net, clients)
+    alphas = [nn.AlphaParams(z, len(weights), shared) for z in logits]
+    batches = list(zip(np.split(x, clients), np.split(y, clients)))
+    own = [net] * clients
+    for _ in range(2):
+        losses, (d_weights, d_biases) = nn.loss_and_grads(stacked_net, stacked, (x, y), "w")
+        stacked_net = nn.step_network(stacked_net, (d_weights, d_biases), 0.7)
+        assert losses.shape == (clients,)
+        for k, (alpha, batch) in enumerate(zip(alphas, batches)):
+            loss, grads = nn.loss_and_grads(own[k], alpha, batch, "w")
+            own[k] = nn.step_network(own[k], grads, 0.7)
+            assert losses[k] == loss
+            for got, want in zip((d_weights, d_biases), grads):
+                for layer_got, layer_want in zip(got, want):
+                    np.testing.assert_array_equal(layer_got[k], layer_want)
+            for got, want in zip(stacked_net.layers, own[k].layers):
+                np.testing.assert_array_equal(got.weights[k], want.weights)
+                np.testing.assert_array_equal(got.biases[k], want.biases)
+
+
+def test_only_loss_and_grads_takes_stacked_logits():
     weights, biases, _, x, y = make_problem(3, (4, 5, 3), False, 6)
     net, stacked = as_nn(weights, biases, np.zeros((3, 2, 3)), False)
-    with pytest.raises(UsageError, match="5 rows do not split into 3 equal client batches"):
-        nn.loss_and_grads(net, stacked, (x[:5], y[:5]), "alpha")
-    for refused in (lambda: nn.loss_and_grads(net, stacked, (x, y), "w"),
-                    lambda: nn.forward(net, stacked, x),
+    for wrt in ("alpha", "w"):
+        with pytest.raises(UsageError, match="5 rows do not split into 3 equal client batches"):
+            nn.loss_and_grads(net, stacked, (x[:5], y[:5]), wrt)
+    for refused in (lambda: nn.forward(net, stacked, x),
                     lambda: nn.batch_loss(net, stacked, x, y)):
         with pytest.raises(UsageError, match="client axis"):
             refused()

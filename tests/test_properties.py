@@ -113,10 +113,10 @@ def run_configs(draw) -> dict:
     # class counts keep the partition's rules; the examples below break each of them once
     if scheme == "paired_clusters":
         pairs = draw(st.integers(1, 2))
-        clients = 2 * pairs
+        clients, holders = 2 * pairs, 2  # a pair shares each of its classes
         part = {"num_pairs": pairs, "classes_per_pair": draw(st.integers(1, num_classes // pairs))}
     else:
-        clients = draw(st.integers(1, 4))
+        clients = holders = draw(st.integers(1, 4))
         # size_heterogeneous's clients must cover every class between them
         low = -(-num_classes // clients) if scheme == "size_heterogeneous" else 1
         part = ({"beta": draw(st.floats(0.05, 10.0))} if scheme == "dirichlet"
@@ -134,7 +134,9 @@ def run_configs(draw) -> dict:
         "hidden_dims": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)),
         "data": {"synthetic": {"num_classes": num_classes,
                                "input_dim": draw(st.integers(1, 4)),
-                               "samples_per_class": draw(st.integers(10, 30))}},
+                               # a class's val and test splits, 1/6 of it each, can
+                               # give each client that holds it a sample
+                               "samples_per_class": draw(st.integers(6 * holders, 30))}},
         "partition": {"scheme": scheme, **part},
         "seed": draw(st.integers(0, 3)),
         "local_epochs": draw(st.integers(1, 2)),

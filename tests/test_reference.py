@@ -256,6 +256,19 @@ def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
         assert_equals_reference(raw)
 
 
+# likewise, every client's weight phase in its own call, or all of a shard size's in one
+@pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
+@settings(max_examples=60)
+@example(raw=FLOOR_HIT)
+@example(raw=MIXED_FAILURES)
+@example(raw=dict(FLOOR_HIT, lr_w=1e300))
+@given(raw=run_configs())
+def test_any_weight_stack_budget_equals_the_reference(budget, raw):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(federation, "WEIGHT_STACK_BYTES", budget)
+        assert_equals_reference(raw)
+
+
 def assert_equals_reference(raw):
     config = ExperimentConfig(**raw, output_dir="unused")
     want, got = outcome(reference_run, config), outcome(program_run, config)
