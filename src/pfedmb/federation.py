@@ -122,13 +122,15 @@ def sample_clients(seed: int, num_clients: int, sample_size: int, round_index: i
     return [int(i) for i in np.sort(ids)]
 
 
-def _batches(client: ClientState, round_index: int, phase: int, config):
-    """(epoch, row indices) of each mini-batch of one client's phase, from its own stream."""
-    rng = _rng(config.seed, CLIENT_STREAM, client.client_id, round_index, phase)
+def _batches(chunk: list, round_index: int, phase: int, config):
+    """(epoch, (S, rows) indices into the chunk's equal shards back to back) of each
+    lockstep mini-batch of its phase; client s draws row s from its own stream."""
+    n = chunk[0].num_samples
+    rngs = [_rng(config.seed, CLIENT_STREAM, c.client_id, round_index, phase) for c in chunk]
     for epoch in range(config.local_epochs):
-        perm = rng.permutation(client.num_samples)
-        for start in range(0, client.num_samples, config.batch_size):
-            yield epoch, perm[start : start + config.batch_size]
+        perms = np.stack([rng.permutation(n) + s * n for s, rng in enumerate(rngs)])
+        for start in range(0, n, config.batch_size):
+            yield epoch, perms[:, start : start + config.batch_size]
 
 
 def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
@@ -144,7 +146,8 @@ def weight_phase(clients: list, models: list, alphas: list, round_index: int, co
     """Phase 2 of local learning in lockstep: client i's branches from models[i], alphas[i] fixed.
 
     alphas is what mixing_phase returned for the clients.  Returns per client its trained
-    network, or the located NumericError that ended either phase.
+    network and its train loss on its whole shard (None when fine-tuning, in round
+    config.rounds), or the located NumericError that ended either phase or the loss.
     """
     return _lockstep(clients, models, alphas, WEIGHT_PHASE, round_index, config)
 
@@ -163,7 +166,7 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
             groups.setdefault((id(model), client.num_samples), []).append(i)
     for (_, n), group in groups.items():
         model, rows = models[group[0]], min(n, config.batch_size)
-        if weights:  # the branches, which each step's gradients and new values match
+        if weights:  # the branches, matched by a stack's private copy and its gradients
             per_client = 8 * sum(layer.weights.size + layer.biases.size for layer in model.layers)
         else:  # combined weights and layer outputs
             per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
@@ -178,36 +181,49 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
 
 def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round_index: int,
                  config) -> list:
-    """chunk's phase, one kernel call and one step per SGD step; per client its new
-    AlphaParams, or its trained network in the weight phase.  Two or more clients train
-    their logits (and branches) stacked over a leading axis; a stack that raises is rerun
-    client by client from the start, on the same streams, to locate each error."""
-    weights, stacked, alpha, net = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model
+    """chunk's phase, one kernel call and one step per SGD step; per client what mixing_phase
+    or weight_phase returns.  Two or more clients train stacked over a leading axis, the
+    weight phase on a private copy of the branches stepped in place; a stack that raises
+    is rerun client by client from the start, on the same streams, to locate each error."""
+    weights, stacked, alpha, net, out = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model, ()
     stage, wrt = ("weight phase", nn.WRT_W) if weights else ("mixing phase", nn.WRT_ALPHA)
+    x_all = np.concatenate([c.shard.features for c in chunk])  # the shards, back to back
+    y_all = np.concatenate([c.shard.labels for c in chunk])
     if stacked:
         alpha = replace(alpha, logits=np.stack([a.logits for a in alphas]))
-        net = nn.broadcast_network(model, len(chunk)) if weights else model
-    with np.errstate(over="ignore", invalid="ignore"):  # may run before an earlier client fails
-        for steps in zip(*(_batches(c, round_index, phase, config) for c in chunk)):
-            x = np.concatenate([c.shard.features[idx] for c, (_, idx) in zip(chunk, steps)])
-            y = np.concatenate([c.shard.labels[idx] for c, (_, idx) in zip(chunk, steps)])
-            try:  # a stack's error is dropped: the rerun locates each client's
-                _, grads = _at(chunk[0], round_index, f"{stage}, epoch {steps[0][0]}",
-                               nn.loss_and_grads, net, alpha, (x, y), wrt)
-            except NumericError as exc:
-                if not stacked:
-                    return [exc]
-                return [_train_chunk([c], model, [a], phase, round_index, config)[0]
-                        for c, a in zip(chunk, alphas)]
-            if weights:
-                net = nn.step_network(net, grads, config.lr_w)
-            else:
-                alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
+    if stacked and weights:  # one (S, B, ...) copy of each branch array and its gradient
+        net = nn.Network([nn.MultiBranchDense(*(np.stack([p] * len(chunk)) for p in (
+            layer.weights, layer.biases))) for layer in model.layers])
+        params = [layer.weights for layer in net.layers] + [layer.biases for layer in net.layers]
+        buffers = [np.empty_like(p) for p in params]
+        out = (buffers[: net.num_layers], buffers[net.num_layers :]),
+    try:  # a stack's error is dropped: the rerun locates each client's
+        with np.errstate(over="ignore", invalid="ignore"):  # may run past a failing client
+            for epoch, rows in _batches(chunk, round_index, phase, config):
+                _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}",
+                               nn.loss_and_grads, net, alpha,
+                               (x_all[rows].reshape(-1, x_all.shape[1]), y_all[rows].ravel()),
+                               wrt, *out)
+                if out:  # step_network's rounding: lr * g, then W - lr * g
+                    for p, g in zip(params, [*grads[0], *grads[1]]):
+                        p -= np.multiply(g, config.lr_w, out=g)
+                elif weights:
+                    net = nn.step_network(net, grads, config.lr_w)
+                else:
+                    alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
+        loss = _at(chunk[0], round_index, "train loss", nn.batch_loss, net, alpha, x_all,
+                   y_all) if weights and round_index < config.rounds else None
+    except NumericError as exc:
+        if not stacked:
+            return [exc]
+        return [_train_chunk([c], model, [a], phase, round_index, config)[0]
+                for c, a in zip(chunk, alphas)]
     if not stacked:  # a phase takes at least one step, so net is never model
-        return [net if weights else alpha]
+        return [(net, loss) if weights else alpha]
     if weights:
-        return [nn.Network([nn.MultiBranchDense(layer.weights[s], layer.biases[s])
-                            for layer in net.layers]) for s in range(len(chunk))]
+        return [(nn.Network([nn.MultiBranchDense(layer.weights[s], layer.biases[s])
+                             for layer in net.layers]), loss if loss is None else float(loss[s]))
+                for s in range(len(chunk))]
     return [replace(alpha, logits=z) for z in alpha.logits]
 
 
@@ -220,19 +236,17 @@ def _at(client: ClientState, round_index: int, stage: str, fn, *args):
         raise NumericError(f"{where}: {exc}") from None
 
 
-def client_local_learning(
-    client: ClientState, trained, round_index: int, config, alpha
-) -> ClientUpdate:
+def client_local_learning(client: ClientState, trained, alpha) -> ClientUpdate:
     """Finish one client's local learning in canonical order; persists its new mixing logits.
 
     alpha is what mixing_phase returned for the client, and trained what weight_phase
-    returned: the branches trained with alpha held fixed, or the located NumericError
-    of either phase, which is raised here.
+    returned: the branches trained with alpha held fixed and their train loss, or the
+    located NumericError of either phase or of the train loss, which is raised here.
     """
     if isinstance(trained, NumericError):
         raise trained
     client.alpha = alpha
-    return ClientUpdate(client.num_samples, trained, alpha.values())
+    return ClientUpdate(client.num_samples, trained[0], alpha.values())
 
 
 def aggregate(
@@ -279,23 +293,18 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
     """One communication round of config.method; advances the server in place."""
     t = server.round
     strategy = STRATEGY_FOR_METHOD[config.method]
-    if strategy is None:
-        sampled = list(range(len(clients)))
-    else:
-        sampled = sample_clients(config.seed, len(clients), config.sample_size, t)
+    sampled = list(range(len(clients))) if strategy is None else sample_clients(
+        config.seed, len(clients), config.sample_size, t)
 
     members = [clients[cid] for cid in sampled]
     models = [client.current_model(server) for client in members]
     alphas = mixing_phase(members, models, t, config)
     trained = weight_phase(members, models, alphas, t, config)
-    updates, losses = [], []
-    for client, network, alpha in zip(members, trained, alphas):
-        update = client_local_learning(client, network, t, config, alpha)
+    updates = []
+    for client, result, alpha in zip(members, trained, alphas):
+        updates.append(client_local_learning(client, result, alpha))
         if strategy is None:
-            client.local_model = update.model
-        losses.append(_at(client, t, "train loss", nn.batch_loss, update.model, client.alpha,
-                          client.shard.features, client.shard.labels))
-        updates.append(update)
+            client.local_model = updates[-1].model
     if strategy is not None:
         server.model = aggregate(updates, strategy, server.model)
     server.round = t + 1
@@ -304,7 +313,7 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
                       c.current_model(server), c.alpha, c.test_shard) for c in clients]
     return RoundReport(
         sampled=sampled,
-        train_losses=losses,
+        train_losses=[loss for _, loss in trained],  # every client finished: no errors
         test_accuracies=accuracies,
         alpha_values=np.stack([c.alpha.values() for c in clients]),
     )
@@ -353,7 +362,7 @@ def fine_tune(client: ClientState, global_model: nn.Network, config, alpha) -> n
     each result holds one tuned network at a time.
     """
     trained = weight_phase([client], [global_model], [alpha], config.rounds, config)[0]
-    return client_local_learning(client, trained, config.rounds, config, alpha).model
+    return client_local_learning(client, trained, alpha).model
 
 
 def run_experiment(config):

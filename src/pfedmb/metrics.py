@@ -132,15 +132,9 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
         "mean_convention": MEAN_CONVENTION,
         "config_fingerprint": config_fingerprint(result.config),
         "config": result.config,
-        "per_round_mean_test_accuracy": [
-            _round10(v) for v in result.per_round_mean_test_accuracy
-        ],
-        "per_round_mean_train_loss": [
-            _round10(v) for v in result.per_round_mean_train_loss
-        ],
-        "final_per_client_test_accuracy": [
-            _round10(v) for v in result.final_client_accuracies
-        ],
+        "per_round_mean_test_accuracy": [_round10(v) for v in result.per_round_mean_test_accuracy],
+        "per_round_mean_train_loss": [_round10(v) for v in result.per_round_mean_train_loss],
+        "final_per_client_test_accuracy": [_round10(v) for v in result.final_client_accuracies],
         "final_mean_test_accuracy": _round10(result.final_mean_accuracy),
         "final_alpha": [
             [[_round10(v) for v in row] for row in np.asarray(a)]

@@ -16,8 +16,8 @@ perturb logits, not alpha.
 forward, batch_loss and loss_and_grads check a batch once and share one forward
 pass and one cross entropy.  loss_and_grads differentiates one parameter group
 per call, the one a local-learning phase trains, and returns it in the form
-step_network or step_alpha takes.  Everything is float64.  No operation mutates
-its inputs.  Logits with a leading axis run S clients' steps of either phase in one call.
+step_network or step_alpha takes.  Everything is float64.  No operation mutates its
+inputs but loss_and_grads' out buffers.  A leading axis of logits runs S clients at once.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MultiBranchDense:
-    """One layer's B branches: weights (B, out_dim, in_dim), biases (B, out_dim)."""
+    """One layer's B branches: weights ([S,] B, out_dim, in_dim), biases ([S,] B, out_dim);
+    the leading axis stacks S clients' branches, as loss_and_grads "w" takes them."""
 
     weights: np.ndarray
     biases: np.ndarray
@@ -56,11 +57,9 @@ class MultiBranchDense:
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.biases = np.ascontiguousarray(self.biases, dtype=np.float64)
-        if self.weights.ndim != 3:
-            raise ConfigurationError("branch weights must have shape (B, out_dim, in_dim)")
-        if self.biases.ndim != 2:
-            raise ConfigurationError("branch biases must have shape (B, out_dim)")
-        if self.biases.shape != self.weights.shape[:2]:
+        if self.weights.ndim not in (3, 4):
+            raise ConfigurationError("branch weights must have shape ([S,] B, out_dim, in_dim)")
+        if self.biases.shape != self.weights.shape[:-1]:
             raise ConfigurationError(
                 f"bias shape {self.biases.shape} does not match weights {self.weights.shape}"
             )
@@ -245,10 +244,12 @@ def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED, stacked
             f"alpha for {alpha.num_layers} layers x {alpha.num_branches} branches does not "
             f"fit a network with {net.num_layers} layers x {net.num_branches} branches"
         )
+    if any(layer.weights.shape[:-3] not in ((), alpha.logits.shape[:-2]) for layer in net.layers):
+        raise UsageError("stacked branches need logits stacked for as many clients")
     if alpha.logits.ndim == 3:
         clients = alpha.logits.shape[0]
         if not stacked:
-            raise UsageError("only loss_and_grads takes a client axis of logits")
+            raise UsageError("only loss_and_grads and batch_loss take a client axis")
         if not clients or x.shape[0] % clients:
             raise UsageError(f"{x.shape[0]} rows do not split into {clients} equal client batches")
         x = x.reshape(clients, -1, x.shape[1])  # S batches, back to back
@@ -293,14 +294,16 @@ def _nll(logits: np.ndarray, labels: np.ndarray) -> tuple:
     return -picked.reshape(logits.shape[:-1]).sum(axis=-1) / logits.shape[-2], logp
 
 
-def batch_loss(net: Network, alpha: AlphaParams, x, labels) -> float:
-    """Mean softmax cross entropy of the batch, no gradients; raises NumericError if non-finite."""
-    x, labels = _check_batch(net, alpha, x, labels)
+def batch_loss(net: Network, alpha: AlphaParams, x, labels):
+    """Mean softmax cross entropy of the batch, no gradients; raises NumericError if non-finite.
+    With S clients' logits and batches, as loss_and_grads takes them, the (S,) losses."""
+    x, labels = _check_batch(net, alpha, x, labels, stacked=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_nll(_forward(net, alpha.values(), x)[0][-1], labels)[0])
+        loss = _nll(_forward(net, alpha.values(), x)[0][-1], labels)[0]
+    return loss if loss.ndim else float(loss)
 
 
-def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
+def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
     """Mean cross entropy plus the exact reverse-mode gradient of one parameter group.
 
     wrt "w" gives (loss, (d_weights, d_biases)), one array per layer shaped like
@@ -308,8 +311,8 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
     (loss, d_logits) shaped like AlphaParams.logits (summed over layers when the
     logits are shared), as step_alpha takes it.  The other group is neither
     computed nor allocated.  Either group takes S clients' logits (S, rows, B) with S
-    batches back to back; "w" then takes S clients' branches (S, B, out, in), as
-    broadcast_network makes them, and returns S clients' gradients.
+    batches back to back; "w" then takes S clients' branches (S, B, out, in), and writes
+    the gradients into out, (d_weights, d_biases) arrays shaped like them, if given.
     """
     if wrt not in (WRT_W, WRT_ALPHA):
         raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
@@ -325,7 +328,7 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
         dz.reshape(-1, dz.shape[-1])[np.arange(labels.shape[0]), labels] -= 1.0
         dz /= x.shape[-2]
 
-        d_weights, d_biases = [None] * net.num_layers, [None] * net.num_layers
+        d_weights, d_biases = (list(g) for g in out or ([None] * net.num_layers,) * 2)
         # the alpha phase sets every row
         d_values = np.empty(avals.shape) if wrt == WRT_ALPHA else None
         for l in reversed(range(net.num_layers)):
@@ -335,8 +338,9 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
             if wrt == WRT_W:
                 # z depends on branch b only through alpha_b * (W_b, b_b)
                 a = avals[..., l, :]
-                d_weights[l] = a[..., None, None] * dw_combined[..., None, :, :]
-                d_biases[l] = a[..., None] * db_combined[..., None, :]
+                d_weights[l] = np.multiply(a[..., None, None], dw_combined[..., None, :, :],
+                                           out=d_weights[l])
+                d_biases[l] = np.multiply(a[..., None], db_combined[..., None, :], out=d_biases[l])
             else:
                 # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
                 d_values[..., l, :] = np.einsum("...oi,boi->...b", dw_combined, layer.weights)
@@ -384,15 +388,6 @@ def step_network(net: Network, grads: tuple, learning_rate: float) -> Network:
         ])
     except ValueError as exc:  # not a pair, or not one array per layer
         raise ConfigurationError(f"gradients do not fit {net.num_layers} layers: {exc}") from None
-
-
-def broadcast_network(net: Network, clients: int) -> Network:
-    """net's branches as S clients' read-only (S, B, out, in) views, with no copy, as
-    loss_and_grads "w" takes them; step_network returns each client's own branches."""
-    return _trusted(Network, layers=[_trusted(
-        MultiBranchDense, weights=np.broadcast_to(layer.weights, (clients, *layer.weights.shape)),
-        biases=np.broadcast_to(layer.biases, (clients, *layer.biases.shape)),
-    ) for layer in net.layers])
 
 
 def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float) -> AlphaParams:

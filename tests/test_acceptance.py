@@ -368,10 +368,10 @@ def test_the_stacked_criterion_8_config_trains_both_phases_in_stacks(monkeypatch
     """Its first round makes stacked calls of both gradient groups on 128-row batches."""
     stacks, kernel = set(), nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt):
+    def spy(net, alpha, batch, wrt, *out):
         if alpha.logits.ndim == 3:
             stacks.add((wrt, len(alpha.logits), len(batch[0]) // len(alpha.logits)))
-        return kernel(net, alpha, batch, wrt)
+        return kernel(net, alpha, batch, wrt, *out)
 
     cfg = ExperimentConfig(**dict(BLAS_STACKED_CONFIG, rounds=1), output_dir="unused")
     server, clients = fed.setup_experiment(cfg)

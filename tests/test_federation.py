@@ -50,7 +50,7 @@ def learned(client, model, round_index, config):
     """client_local_learning after the client's mixing and weight phases on model."""
     alpha = mixed(client, model, round_index, config)
     trained = fed.weight_phase([client], [model], [alpha], round_index, config)[0]
-    return fed.client_local_learning(client, trained, round_index, config, alpha)
+    return fed.client_local_learning(client, trained, alpha)
 
 
 # -------------------------------------------------------------------- sampling
@@ -446,9 +446,9 @@ def test_a_single_branch_run_skips_the_mixing_phase(config_factory, monkeypatch)
     groups = []
     kernel = nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt):
+    def spy(net, alpha, batch, wrt, *out):
         groups.append(wrt)
-        return kernel(net, alpha, batch, wrt)
+        return kernel(net, alpha, batch, wrt, *out)
 
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     fed.run_experiment(config_factory(method="fedavg", branches=1))
@@ -483,10 +483,10 @@ def test_a_diverging_weight_stack_names_the_lowest_failing_client(config_factory
     cfg = config_factory()
     stacks, kernel = [], nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt):
+    def spy(net, alpha, batch, wrt, *out):
         if wrt == nn.WRT_W:
             stacks.append(len(alpha.logits))
-        return kernel(net, alpha, batch, wrt)
+        return kernel(net, alpha, batch, wrt, *out)
 
     def diverged_setup(config):
         server, clients = setup(config)
@@ -520,14 +520,14 @@ def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, m
     stacks, finished = [], []
     kernel, finish = nn.loss_and_grads, fed.client_local_learning
 
-    def spy(net, alpha, batch, wrt):
+    def spy(net, alpha, batch, wrt, *out):
         if wrt == nn.WRT_W:
             stacks.append(len(alpha.logits))
-        return kernel(net, alpha, batch, wrt)
+        return kernel(net, alpha, batch, wrt, *out)
 
-    def finishing(client, trained, round_index, config, alpha):
+    def finishing(client, trained, alpha):
         finished.append(client.client_id)
-        return finish(client, trained, round_index, config, alpha)
+        return finish(client, trained, alpha)
 
     server, clients = fed.setup_experiment(cfg)
     (n,) = {client.num_samples for client in clients}
@@ -537,6 +537,82 @@ def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, m
     assert stacks == [cfg.sample_size] * (cfg.local_epochs * -(-n // cfg.batch_size))
     assert finished == report.sampled == sorted(report.sampled)
     assert report.sampled != list(range(cfg.sample_size))
+
+
+def test_a_stacked_weight_phase_trains_a_private_copy_of_the_branches(config_factory,
+                                                                       monkeypatch):
+    """A paired round steps its 4-client weight stack in place: the server model it
+    received keeps every byte, and no trained network shares memory with it."""
+    cfg = config_factory()
+    server, clients = fed.setup_experiment(cfg)
+    received = server.model
+    before = [bytes(a) for layer in received.layers for a in (layer.weights, layer.biases)]
+    trained, finish = [], fed.client_local_learning
+
+    def finishing(client, result, alpha):
+        trained.append(result[0])
+        return finish(client, result, alpha)
+
+    monkeypatch.setattr(fed, "client_local_learning", finishing)
+    fed.run_round(server, clients, cfg)
+    assert [bytes(a) for layer in received.layers for a in (layer.weights, layer.biases)] \
+        == before
+    assert len(trained) == cfg.sample_size
+    for network in trained:
+        for layer, kept in zip(network.layers, received.layers):
+            assert layer.weights.shape == kept.weights.shape
+            assert not any(np.shares_memory(a, b) for a in (layer.weights, layer.biases)
+                           for b in (kept.weights, kept.biases))
+
+
+def test_every_step_of_a_weight_stack_writes_into_the_same_buffers(config_factory,
+                                                                   monkeypatch):
+    """The stacked "w" calls of one chunk all receive one set of gradient arrays, and
+    return them."""
+    cfg = config_factory()
+    buffers, kernel = [], nn.loss_and_grads
+
+    def spy(net, alpha, batch, wrt, *out):
+        loss, grads = kernel(net, alpha, batch, wrt, *out)
+        if wrt == nn.WRT_W and alpha.logits.ndim == 3:
+            (given,) = out
+            assert all(g is b for got, want in zip(grads, given) for g, b in zip(got, want))
+            buffers.append([id(b) for group in given for b in group])
+        return loss, grads
+
+    server, clients = fed.setup_experiment(cfg)
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    fed.run_round(server, clients, cfg)
+    assert len(buffers) > 1 and all(ids == buffers[0] for ids in buffers)
+    assert len(set(buffers[0])) == 2 * len(server.model.layers)
+
+
+def test_a_stack_whose_train_losses_overflow_names_the_lowest_failing_client(
+        config_factory, monkeypatch):
+    """One full-shard step per phase trains four equal shards in one stack without a
+    fault; the features of clients 1 and 2, scaled by 1e120 and 1e150, overflow their
+    train losses afterwards.  The stack's one batch_loss call raises, each client's loss
+    is located alone, and the round raises client 1's, as a loss per client would."""
+    cfg = config_factory(local_epochs=1, batch_size=1000)
+    calls, batch_loss = [], nn.batch_loss
+
+    def spy(net, alpha, x, labels):
+        calls.append([len(alpha.logits) if alpha.logits.ndim == 3 else 1, "raised"])
+        loss = batch_loss(net, alpha, x, labels)
+        calls[-1][1] = "finite"
+        return loss
+
+    server, clients = fed.setup_experiment(cfg)
+    for client, scale in ((clients[1], 1e120), (clients[2], 1e150)):
+        shard = client.shard
+        client.shard = LabeledDataset(shard.features * scale, shard.labels, shard.num_classes)
+    monkeypatch.setattr(nn, "batch_loss", spy)
+    with pytest.raises(NumericError) as raised:
+        fed.run_round(server, clients, cfg)
+    assert str(raised.value) == ("client 1, round 0, train loss: "
+                                 "non-finite activations in layer 1")
+    assert calls == [[4, "raised"], [1, "finite"], [1, "raised"], [1, "raised"],
+                     [1, "finite"]]
 
 
 def test_an_overflowing_aggregation_is_quiet_and_the_round_evaluation_names_it(config_factory):
@@ -638,9 +714,9 @@ def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch,
     sizes = Counter(client.num_samples for client in clients)
     steps = {n: cfg.local_epochs * -(-n // cfg.batch_size) for n in sizes}
 
-    def spy(net, alpha, batch, wrt):
+    def spy(net, alpha, batch, wrt, *out):
         stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
-        return kernel(net, alpha, batch, wrt)
+        return kernel(net, alpha, batch, wrt, *out)
 
     runs, default = [], fed.MIXING_STACK_BYTES
     for budget in (default, 0, sys.maxsize):
@@ -679,10 +755,10 @@ def test_fine_tuning_mixes_equal_shards_in_stacked_calls(config_factory, monkeyp
     with equal shards on the server's branches share each step's kernel call."""
     stacks, kernel = [], nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt):
+    def spy(net, alpha, batch, wrt, *out):
         if wrt == nn.WRT_ALPHA:
             stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
-        return kernel(net, alpha, batch, wrt)
+        return kernel(net, alpha, batch, wrt, *out)
 
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     _, _, clients = fed.run_experiment(config_factory(rounds=0))

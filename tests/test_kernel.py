@@ -3,7 +3,8 @@
 The oracle below uses numpy only, never pfedmb.nn: a change to the kernel that
 moves a single bit of a loss, a gradient or a stepped parameter fails here,
 not only in the golden result hashes.  A call over S clients' stacked mixing
-logits is pinned against S single calls the same way.
+logits, or a loss over S clients' batches, is pinned against S single calls the
+same way.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfedmb import nn
-from pfedmb.errors import NumericError, UsageError
+from pfedmb.errors import ConfigurationError, NumericError, UsageError
 
 # (branches, layer dims, shared mixing row, batch rows): the three bench shapes
 SHAPES = [
@@ -217,12 +218,14 @@ def test_a_stacked_mixing_call_equals_one_call_per_client_bit_for_bit(problem):
 
 @given(stacked_problems())
 def test_a_stacked_weight_call_equals_one_call_per_client_bit_for_bit(problem):
-    """S clients' weight steps from shared branches, then from their own: each client's
-    loss, gradients and stepped branches have the bits of its own call."""
+    """S clients' weight steps from a stacked copy of one network, then from their own
+    branches: each client's loss, gradients and stepped branches have the bits of its
+    own call."""
     weights, biases, logits, shared, x, y = problem
     clients = logits.shape[0]
     net, stacked = as_nn(weights, biases, logits, shared)
-    stacked_net = nn.broadcast_network(net, clients)
+    stacked_net, _ = as_nn([np.stack([w] * clients) for w in weights],
+                           [np.stack([b] * clients) for b in biases], logits, shared)
     alphas = [nn.AlphaParams(z, len(weights), shared) for z in logits]
     batches = list(zip(np.split(x, clients), np.split(y, clients)))
     own = [net] * clients
@@ -242,13 +245,83 @@ def test_a_stacked_weight_call_equals_one_call_per_client_bit_for_bit(problem):
                 np.testing.assert_array_equal(got.biases[k], want.biases)
 
 
-def test_only_loss_and_grads_takes_stacked_logits():
+@pytest.mark.parametrize("clients", [2, 3, 10])
+@pytest.mark.parametrize("own_branches", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
+def test_a_stacked_batch_loss_equals_one_call_per_client_bit_for_bit(
+        branches, dims, shared, rows, own_branches, clients):
+    """S clients' losses on one network, or on their own stacked (S, B, out, in) branches,
+    in one call: each has the bits of the client's own batch_loss call."""
+    problems = [make_problem(branches, dims, shared, rows, seed=k) for k in range(clients)]
+    weights, biases = problems[0][:2]
+    if own_branches:
+        weights, biases = ([np.stack(arrays) for arrays in zip(*(p[i] for p in problems))]
+                           for i in (0, 1))
+    logits = np.stack([p[2] for p in problems])
+    x, y = (np.concatenate([p[i] for p in problems]) for i in (3, 4))
+    net, stacked = as_nn(weights, biases, logits, shared)
+    losses = nn.batch_loss(net, stacked, x, y)
+    assert losses.shape == (clients,)
+    for k, (_, _, own_logits, own_x, own_y) in enumerate(problems):
+        own = ([w[k] for w in weights], [b[k] for b in biases]) if own_branches else (
+            weights, biases)
+        assert losses[k] == nn.batch_loss(*as_nn(*own, own_logits, shared), own_x, own_y)
+
+
+@pytest.mark.parametrize("clients", [1, 3])
+@pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
+def test_a_weight_call_writes_into_the_buffers_it_is_given(branches, dims, shared, rows,
+                                                           clients):
+    """loss_and_grads(..., "w", out) returns the very arrays of out, holding the bits of
+    the call that allocates its gradients; one client, or a stack of three."""
+    weights, biases, logits, x, y = make_problem(branches, dims, shared, rows, seed=3)
+    if clients > 1:
+        rng = np.random.default_rng(4)
+        weights, biases = ([np.stack([p + rng.normal(scale=0.1, size=p.shape)
+                                      for _ in range(clients)]) for p in arrays]
+                           for arrays in (weights, biases))
+        logits = np.stack([logits + k for k in range(clients)])
+        x, y = np.concatenate([x] * clients), np.concatenate([y] * clients)
+    net, alpha = as_nn(weights, biases, logits, shared)
+    loss, grads = nn.loss_and_grads(net, alpha, (x, y), "w")
+    out = tuple([np.full_like(g, np.nan) for g in group] for group in grads)
+    got_loss, got = nn.loss_and_grads(net, alpha, (x, y), "w", out)
+    np.testing.assert_array_equal(got_loss, loss)
+    for given, returned, want in zip(out, got, grads):
+        assert len(returned) == len(want) == len(weights)
+        for buffer, g, w in zip(given, returned, want):
+            assert g is buffer
+            np.testing.assert_array_equal(g, w)
+
+
+def test_forward_refuses_stacked_logits():
+    """Both gradient groups and batch_loss split a stacked batch into equal client
+    batches; forward, which serves evaluation, takes no client axis."""
     weights, biases, _, x, y = make_problem(3, (4, 5, 3), False, 6)
     net, stacked = as_nn(weights, biases, np.zeros((3, 2, 3)), False)
-    for wrt in ("alpha", "w"):
+    for call in (lambda: nn.loss_and_grads(net, stacked, (x[:5], y[:5]), "alpha"),
+                 lambda: nn.loss_and_grads(net, stacked, (x[:5], y[:5]), "w"),
+                 lambda: nn.batch_loss(net, stacked, x[:5], y[:5])):
         with pytest.raises(UsageError, match="5 rows do not split into 3 equal client batches"):
-            nn.loss_and_grads(net, stacked, (x[:5], y[:5]), wrt)
-    for refused in (lambda: nn.forward(net, stacked, x),
-                    lambda: nn.batch_loss(net, stacked, x, y)):
-        with pytest.raises(UsageError, match="client axis"):
-            refused()
+            call()
+    with pytest.raises(UsageError, match="client axis"):
+        nn.forward(net, stacked, x)
+
+
+def test_stacked_branches_need_logits_stacked_for_as_many_clients():
+    """A layer's leading client axis must match the logits': a network stacked for three
+    clients refuses one client's logits and two clients' logits alike."""
+    weights, biases, logits, x, y = make_problem(3, (4, 5, 3), False, 6)
+    stacked_net, _ = as_nn([np.stack([w] * 3) for w in weights],
+                           [np.stack([b] * 3) for b in biases], logits, False)
+    for z in (logits, np.stack([logits] * 2)):
+        alpha = nn.AlphaParams(z, 2, False)
+        for call in (lambda: nn.forward(stacked_net, alpha, x),
+                     lambda: nn.batch_loss(stacked_net, alpha, x, y),
+                     lambda: nn.loss_and_grads(stacked_net, alpha, (x, y), "w")):
+            with pytest.raises(UsageError, match="stacked for as many clients"):
+                call()
+    with pytest.raises(ConfigurationError, match="shape"):
+        nn.MultiBranchDense(np.zeros((1, 2, 3, 4, 5)), np.zeros((1, 2, 3, 4)))
+    with pytest.raises(ConfigurationError, match="bias shape"):
+        nn.MultiBranchDense(np.zeros((2, 3, 4, 5)), np.zeros((3, 4)))

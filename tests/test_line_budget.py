@@ -53,6 +53,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_no_function_takes_a_parameter_it_never_reads():
+    """A parameter the body never reads costs its callers an argument and the
+    signature a line; self and cls are exempt."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}({name})"
+                       for name in params if name not in read | {"self", "cls"}]
+    assert not unread, f"parameters never read: {unread}"
+
+
 def test_every_top_level_name_has_a_caller_outside_tests():
     """A function, class or constant that only tests use still costs lines; delete it.
 
