@@ -47,7 +47,7 @@ CHECKPOINT_SCHEMA_VERSION = 3
 
 DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
 MIXING_STACK_BYTES = 1 << 20  # per stacked mixing call: combined weights and layer outputs
-WEIGHT_STACK_BYTES = 1 << 20  # per stacked weight call: the clients' branches
+WEIGHT_STACK_BYTES = 1 << 20  # per multi-step weight stack: its branches and gradients
 
 
 class AggregationStrategy(Enum):
@@ -166,11 +166,12 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
             groups.setdefault((id(model), client.num_samples), []).append(i)
     for (_, n), group in groups.items():
         model, rows = models[group[0]], min(n, config.batch_size)
-        if weights:  # the branches, matched by a stack's private copy and its gradients
+        multi_step = weights and (config.local_epochs > 1 or n > config.batch_size)
+        if multi_step:  # the stack's branches, and the buffers its later steps write
             per_client = 8 * sum(layer.weights.size + layer.biases.size for layer in model.layers)
-        else:  # combined weights and layer outputs
+        else:  # combined weights and layer outputs: all that a one-step stack reads
             per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
-        size = max(1, (WEIGHT_STACK_BYTES if weights else MIXING_STACK_BYTES) // per_client)
+        size = max(1, (WEIGHT_STACK_BYTES if multi_step else MIXING_STACK_BYTES) // per_client)
         for k in range(0, len(group), size):
             chunk = group[k : k + size]
             out.update(zip(chunk, _train_chunk([clients[i] for i in chunk], model,
@@ -182,31 +183,35 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
 def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round_index: int,
                  config) -> list:
     """chunk's phase, one kernel call and one step per SGD step; per client what mixing_phase
-    or weight_phase returns.  Two or more clients train stacked over a leading axis, the
-    weight phase on a private copy of the branches stepped in place; a stack that raises
-    is rerun client by client from the start, on the same streams, to locate each error."""
+    or weight_phase returns.  Two or more clients train stacked over a leading axis; a weight
+    stack's first step reads the received branches and writes the stack, and later steps
+    step it in place.  A stack that raises is rerun client by client from the start, on
+    the same streams, to locate each error."""
     weights, stacked, alpha, net, out = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model, ()
     stage, wrt = ("weight phase", nn.WRT_W) if weights else ("mixing phase", nn.WRT_ALPHA)
     x_all = np.concatenate([c.shard.features for c in chunk])  # the shards, back to back
     y_all = np.concatenate([c.shard.labels for c in chunk])
     if stacked:
         alpha = replace(alpha, logits=np.stack([a.logits for a in alphas]))
-    if stacked and weights:  # one (S, B, ...) copy of each branch array and its gradient
-        net = nn.Network([nn.MultiBranchDense(*(np.stack([p] * len(chunk)) for p in (
-            layer.weights, layer.biases))) for layer in model.layers])
-        params = [layer.weights for layer in net.layers] + [layer.biases for layer in net.layers]
-        buffers = [np.empty_like(p) for p in params]
-        out = (buffers[: net.num_layers], buffers[net.num_layers :]),
+    if stacked and weights:  # (S, B, ...) gradient buffers; the first step's become the stack
+        out = ([np.empty((len(chunk), *layer.weights.shape)) for layer in model.layers],
+               [np.empty((len(chunk), *layer.biases.shape)) for layer in model.layers]),
     try:  # a stack's error is dropped: the rerun locates each client's
         with np.errstate(over="ignore", invalid="ignore"):  # may run past a failing client
-            for epoch, rows in _batches(chunk, round_index, phase, config):
+            for step, (epoch, rows) in enumerate(_batches(chunk, round_index, phase, config)):
+                if out and step == 1:  # the first set is the stack; later steps write a second
+                    out = tuple([np.empty_like(g) for g in group] for group in out[0]),
                 _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}",
                                nn.loss_and_grads, net, alpha,
                                (x_all[rows].reshape(-1, x_all.shape[1]), y_all[rows].ravel()),
                                wrt, *out)
                 if out:  # step_network's rounding: lr * g, then W - lr * g
-                    for p, g in zip(params, [*grads[0], *grads[1]]):
-                        p -= np.multiply(g, config.lr_w, out=g)
+                    for layer, d_w, d_b in zip(net.layers, *grads):
+                        for p, g in ((layer.weights, d_w), (layer.biases, d_b)):
+                            g *= config.lr_w
+                            np.subtract(p, g, out=p if step else g)
+                    if not step:  # its buffers now hold the stepped branches
+                        net = nn.Network([nn.MultiBranchDense(*p) for p in zip(*grads)])
                 elif weights:
                     net = nn.step_network(net, grads, config.lr_w)
                 else:

@@ -110,20 +110,14 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
 
     rounds_path = out / "rounds.csv"
-    rounds = ["round,method,mean_test_acc,mean_train_loss"]
-    for t, (acc, loss) in enumerate(
-        zip(result.per_round_mean_test_accuracy, result.per_round_mean_train_loss)
-    ):
-        rounds.append(f"{t},{method},{_fmt(acc)},{_fmt(loss)}")
+    rounds = ["round,method,mean_test_acc,mean_train_loss"] + [
+        f"{t},{method},{_fmt(acc)},{_fmt(loss)}" for t, (acc, loss) in enumerate(
+            zip(result.per_round_mean_test_accuracy, result.per_round_mean_train_loss))]
 
     traj_path = out / "alpha_trajectory.csv"
-    traj = ["round,client,layer,branch,alpha"]
-    for t, snapshot in enumerate(result.alpha_trajectory):
-        arr = np.asarray(snapshot)
-        for i in range(arr.shape[0]):
-            for l in range(arr.shape[1]):
-                for b in range(arr.shape[2]):
-                    traj.append(f"{t},{i},{l},{b},{_fmt(arr[i, l, b])}")
+    traj = ["round,client,layer,branch,alpha"] + [  # (client, layer, branch) in C order
+        f"{t},{i},{l},{b},{_fmt(v)}" for t, snapshot in enumerate(result.alpha_trajectory)
+        for (i, l, b), v in np.ndenumerate(np.asarray(snapshot))]
 
     final_path = out / "final.json"
     doc = {

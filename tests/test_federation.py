@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import make_config
 from pfedmb import federation as fed
 from pfedmb import metrics, nn
+from pfedmb.config import parse_config
 from pfedmb.data import LabeledDataset
 from pfedmb.errors import NumericError, ParseError, PfedmbError, UsageError
 from test_config import JSON_VALUES
@@ -539,22 +540,35 @@ def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, m
     assert report.sampled != list(range(cfg.sample_size))
 
 
-def test_a_stacked_weight_phase_trains_a_private_copy_of_the_branches(config_factory,
-                                                                       monkeypatch):
-    """A paired round steps its 4-client weight stack in place: the server model it
-    received keeps every byte, and no trained network shares memory with it."""
-    cfg = config_factory()
+@pytest.mark.parametrize("overrides", [{}, dict(local_epochs=1, batch_size=1000)],
+                         ids=["multi_step", "one_step"])
+def test_a_stacked_weight_phase_reads_the_server_branches_and_never_writes_them(
+        config_factory, monkeypatch, overrides):
+    """A paired round's 4-client weight stack starts from the server model it received:
+    the first stacked "w" call gets the model's own arrays.  The model keeps every byte,
+    and no trained network shares memory with it."""
+    cfg = config_factory(**overrides)
     server, clients = fed.setup_experiment(cfg)
     received = server.model
     before = [bytes(a) for layer in received.layers for a in (layer.weights, layer.biases)]
-    trained, finish = [], fed.client_local_learning
+    trained, nets = [], []
+    kernel, finish = nn.loss_and_grads, fed.client_local_learning
+
+    def spy(net, alpha, batch, wrt, *out):
+        if wrt == nn.WRT_W and alpha.logits.ndim == 3:
+            nets.append(net)
+        return kernel(net, alpha, batch, wrt, *out)
 
     def finishing(client, result, alpha):
         trained.append(result[0])
         return finish(client, result, alpha)
 
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
     monkeypatch.setattr(fed, "client_local_learning", finishing)
     fed.run_round(server, clients, cfg)
+    assert nets and all(got.weights is want.weights and got.biases is want.biases
+                        for got, want in zip(nets[0].layers, received.layers))
+    assert all(net is not received for net in nets[1:])
     assert [bytes(a) for layer in received.layers for a in (layer.weights, layer.biases)] \
         == before
     assert len(trained) == cfg.sample_size
@@ -565,26 +579,39 @@ def test_a_stacked_weight_phase_trains_a_private_copy_of_the_branches(config_fac
                            for b in (kept.weights, kept.biases))
 
 
-def test_every_step_of_a_weight_stack_writes_into_the_same_buffers(config_factory,
-                                                                   monkeypatch):
-    """The stacked "w" calls of one chunk all receive one set of gradient arrays, and
-    return them."""
+def test_a_weight_stack_becomes_its_first_steps_buffers_and_reuses_a_second_set(
+        config_factory, monkeypatch):
+    """The first stacked "w" call of a chunk writes gradients into buffers that the step
+    turns into the chunk's stack, of which the trained arrays are views; every later call
+    receives, and returns, one second set of buffers."""
     cfg = config_factory()
-    buffers, kernel = [], nn.loss_and_grads
+    buffers, trained = [], []
+    kernel, finish = nn.loss_and_grads, fed.client_local_learning
 
     def spy(net, alpha, batch, wrt, *out):
         loss, grads = kernel(net, alpha, batch, wrt, *out)
         if wrt == nn.WRT_W and alpha.logits.ndim == 3:
             (given,) = out
             assert all(g is b for got, want in zip(grads, given) for g, b in zip(got, want))
-            buffers.append([id(b) for group in given for b in group])
+            buffers.append([b for group in given for b in group])
         return loss, grads
+
+    def finishing(client, result, alpha):
+        trained.append(result[0])
+        return finish(client, result, alpha)
 
     server, clients = fed.setup_experiment(cfg)
     monkeypatch.setattr(nn, "loss_and_grads", spy)
+    monkeypatch.setattr(fed, "client_local_learning", finishing)
     fed.run_round(server, clients, cfg)
-    assert len(buffers) > 1 and all(ids == buffers[0] for ids in buffers)
-    assert len(set(buffers[0])) == 2 * len(server.model.layers)
+    first, second, *later = [[id(b) for b in step] for step in buffers]
+    assert later and all(ids == second for ids in later)
+    assert len(set(first + second)) == 4 * len(server.model.layers)
+    assert len(trained) == cfg.sample_size
+    for network in trained:  # the stack holds every layer's weights, then its biases
+        arrays = [layer.weights for layer in network.layers]
+        arrays += [layer.biases for layer in network.layers]
+        assert all(a.base is stack for a, stack in zip(arrays, buffers[0], strict=True))
 
 
 def test_a_stack_whose_train_losses_overflow_names_the_lowest_failing_client(
@@ -748,6 +775,166 @@ def test_a_lockstep_mixing_step_peaks_near_its_stack_budget():
     finally:
         tracemalloc.stop()
     assert peak < 3 * fed.MIXING_STACK_BYTES, peak
+
+
+def deep_shaped_clients(count=12, rows=40):
+    """`count` clients of `rows` rows each and a 32-64-64-64-10 network of 8 branches:
+    the deep_server bench shapes."""
+    rng = np.random.default_rng(7)
+    model = nn.init_network([32, 64, 64, 64, 10], 8, seed=7)
+    clients = []
+    for cid in range(count):
+        shard = LabeledDataset(rng.normal(size=(rows, 32)), rng.integers(0, 10, size=rows), 10)
+        alpha = nn.AlphaParams(rng.normal(size=(4, 8)), 4)
+        clients.append(fed.ClientState(cid, shard, shard, alpha))
+    return model, clients
+
+
+# one SGD step per phase, as in deep_server: a batch holds a whole shard
+DEEP_ONE_STEP = dict(method="pfedmb_plain_agg", clients=12, sample_size=12, local_epochs=1,
+                     batch_size=512, lr_w=0.5, partition={"scheme": "dirichlet", "beta": 0.5})
+
+
+def width(alpha):
+    """How many clients a kernel call trains: the length of a stacked logits axis, or 1."""
+    return len(alpha.logits) if alpha.logits.ndim == 3 else 1
+
+
+def deep_round(monkeypatch, budget):
+    """One round of 12 deep-shaped clients under DEEP_ONE_STEP, with MIXING_STACK_BYTES
+    at budget: per client its trained network and train loss, and the width of each
+    "w" and batch_loss call."""
+    model, clients = deep_shaped_clients()
+    server, trained, calls = fed.ServerState(model), [], {"w": [], "loss": []}
+    kernel, loss_of, finish = nn.loss_and_grads, nn.batch_loss, fed.client_local_learning
+
+    def spy(net, alpha, batch, wrt, *out):
+        if wrt == nn.WRT_W:
+            calls["w"].append(width(alpha))
+        return kernel(net, alpha, batch, wrt, *out)
+
+    def loss_spy(net, alpha, x, labels):
+        calls["loss"].append(width(alpha))
+        return loss_of(net, alpha, x, labels)
+
+    def finishing(client, result, alpha):
+        trained.append(result[0])
+        return finish(client, result, alpha)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+        patch.setattr(nn, "loss_and_grads", spy)
+        patch.setattr(nn, "batch_loss", loss_spy)
+        patch.setattr(fed, "client_local_learning", finishing)
+        report = fed.run_round(server, clients, make_config(**DEEP_ONE_STEP))
+    return trained, report.train_losses, calls
+
+
+def test_a_one_step_weight_stack_equals_one_client_per_call_at_deep_shapes(monkeypatch):
+    """A one-step weight phase is sized like a mixing phase: 12 equal deep-shaped shards
+    stack by 6, and each stack's train losses take one batch_loss call.  The trained
+    branches and train losses equal those of one client per call bit for bit."""
+    trained, losses, calls = deep_round(monkeypatch, fed.MIXING_STACK_BYTES)
+    alone, alone_losses, alone_calls = deep_round(monkeypatch, 0)
+    assert calls == {"w": [6, 6], "loss": [6, 6]}
+    assert alone_calls == {"w": [1] * 12, "loss": [1] * 12}
+    assert losses == alone_losses
+    assert_same_networks(trained, alone)
+
+
+def overflow_weight_step(model, clients):
+    """Put 1e308 in branch 7 of layers 0 and 1, weighed 1/8 by client 1's mixing and
+    about 1e-305 by every other client's: client 1's first forward pass overflows."""
+    for layer in model.layers[:2]:
+        layer.weights[7] = 1e308
+    for client in clients:
+        client.alpha.logits[:2] = 0.0
+        if client.client_id != 1:
+            client.alpha.logits[:2, 7] = -700.0
+
+
+def overflow_train_loss(_, clients):
+    """Scale client 1's features by 1e150: its step is finite, its stepped branches are not."""
+    shard = clients[1].shard
+    clients[1].shard = LabeledDataset(shard.features * 1e150, shard.labels, shard.num_classes)
+
+
+@pytest.mark.parametrize("diverge,stage", [(overflow_weight_step, "weight phase, epoch 0"),
+                                           (overflow_train_loss, "train loss")])
+def test_a_failing_one_step_stack_is_located_as_one_client_per_call(monkeypatch, diverge,
+                                                                     stage):
+    """Client 1 overflows in the first of two 6-client stacks.  The stack is rerun
+    client by client, and every client's result, client 1's located error included,
+    equals that of one client per call."""
+    cfg, kernel, results = make_config(**DEEP_ONE_STEP), nn.loss_and_grads, []
+    for budget in (fed.MIXING_STACK_BYTES, 0):
+        model, clients = deep_shaped_clients()
+        diverge(model, clients)
+        calls = []
+
+        def spy(net, alpha, batch, wrt, *out):
+            calls.append(width(alpha))
+            return kernel(net, alpha, batch, wrt, *out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            patch.setattr(nn, "loss_and_grads", spy)
+            results.append(fed.weight_phase(clients, [model] * len(clients),
+                                            [c.alpha for c in clients], 0, cfg))
+        assert calls == ([6] + [1] * 6 + [6] if budget else [1] * 12)
+    stacked, alone = results
+    assert isinstance(stacked[1], NumericError) and isinstance(alone[1], NumericError)
+    assert str(stacked[1]) == str(alone[1])
+    assert str(stacked[1]).startswith(f"client 1, round 0, {stage}: non-finite activations")
+    for got, want in zip(stacked[:1] + stacked[2:], alone[:1] + alone[2:]):
+        assert got[1] == want[1]
+        assert_same_networks([got[0]], [want[0]])
+
+
+def test_a_one_step_weight_phase_peaks_near_one_client_per_call(monkeypatch):
+    """Twelve deep-shaped clients' one-step weight phase, stacked by 6, holds its trained
+    branches and no more than MIXING_STACK_BYTES of stepping beyond one client per call:
+    no copy of the branches, and no second buffer set."""
+    model, clients = deep_shaped_clients()
+    cfg, alphas, peaks = make_config(**DEEP_ONE_STEP), [c.alpha for c in clients], []
+    for budget in (0, fed.MIXING_STACK_BYTES):
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            fed.weight_phase(clients, [model] * len(clients), alphas, 0, cfg)
+            tracemalloc.start()
+            try:
+                trained = fed.weight_phase(clients, [model] * len(clients), alphas, 0, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert all(not isinstance(result, NumericError) for result in trained)
+        del trained
+    assert peaks[1] <= peaks[0] + fed.MIXING_STACK_BYTES, peaks
+
+
+def test_each_bench_workload_stacks_its_weight_phases(monkeypatch):
+    """One round of each workload in bench/workloads.json: paired_paper trains its 10
+    clients' weight phases in one stack, deep_server at least 90 of its 100 in stacks
+    of 2 to 7 (7 where shards hold 38 rows or fewer), and dirichlet_ragged in stacks of
+    at most 3.  A budget change that un-stacks a workload fails here."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
+    kernel, chunks = nn.loss_and_grads, {}
+
+    def spy(net, alpha, batch, wrt, *out):
+        if wrt == nn.WRT_W and net is server.model:  # the first step of a chunk
+            chunks[name].append(width(alpha))
+        return kernel(net, alpha, batch, wrt, *out)
+
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    for name, workload in json.loads(path.read_text()).items():
+        cfg = parse_config(overrides=dict(workload["config"], seed=0, output_dir="unused"))
+        server, clients = fed.setup_experiment(cfg)
+        chunks[name] = []
+        fed.run_round(server, clients, cfg)
+        assert sum(chunks[name]) == cfg.sample_size, name
+    assert chunks["paired_paper"] == [10]
+    assert sum(s for s in chunks["deep_server"] if 2 <= s <= 7) >= 90, chunks["deep_server"]
+    assert max(chunks["dirichlet_ragged"]) <= 3, chunks["dirichlet_ragged"]
 
 
 def test_fine_tuning_mixes_equal_shards_in_stacked_calls(config_factory, monkeypatch):

@@ -226,6 +226,11 @@ MIXED_FAILURES = dict(  # one class per client, class means up to 8.5e307
     partition={"scheme": "random_k_classes", "k": 1},
 )
 
+ONE_STEP_STACK = dict(  # equal shards, each a single batch
+    FLOOR_HIT, local_epochs=1, batch_size=120,
+    partition={"scheme": "paired_clusters", "num_pairs": 2, "classes_per_pair": 1},
+)
+
 
 @settings(max_examples=300)
 @example(raw=FLOOR_HIT)
@@ -256,16 +261,22 @@ def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
         assert_equals_reference(raw)
 
 
-# likewise, every client's weight phase in its own call, or all of a shard size's in one
+# likewise, every client's weight phase in its own call, or all of a shard size's in one;
+# a weight phase of one SGD step is sized by MIXING_STACK_BYTES, so both budgets are set
 @pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
 @settings(max_examples=60)
 @example(raw=FLOOR_HIT)
 @example(raw=MIXED_FAILURES)
 @example(raw=dict(FLOOR_HIT, lr_w=1e300))
+# one step per phase on four 7-row shards, three sampled: a one-step stack, whose train
+# losses overflow under lr_w 1e300
+@example(raw=ONE_STEP_STACK)
+@example(raw=dict(ONE_STEP_STACK, lr_w=1e300))
 @given(raw=run_configs())
 def test_any_weight_stack_budget_equals_the_reference(budget, raw):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(federation, "WEIGHT_STACK_BYTES", budget)
+        patch.setattr(federation, "MIXING_STACK_BYTES", budget)
         assert_equals_reference(raw)
 
 
