@@ -8,7 +8,6 @@ config and seed; output paths never change the emitted bytes.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 from pathlib import Path
@@ -172,19 +171,7 @@ _COMMANDS = {
 }
 
 
-def _keep_freed_heap() -> None:
-    """Pin glibc malloc's dynamic thresholds at their ceilings, so that what one training
-    step frees stays in the heap for the next instead of being trimmed and faulted in
-    again: blocks under 32 MiB come from the heap, whose top is trimmed past 64 MiB free."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD; setting it freezes the mmap threshold
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

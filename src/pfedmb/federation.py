@@ -21,6 +21,7 @@ per client.  config.threads is accepted but ignored.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import reprlib
 from dataclasses import dataclass, replace
@@ -65,7 +66,8 @@ STRATEGY_FOR_METHOD = {
 
 
 def _rng(*key) -> np.random.Generator:
-    return np.random.default_rng([int(k) for k in key])
+    # a uint32 array where every part fits one word: the list's seed words, read faster
+    return np.random.default_rng(np.array(key, np.uint32) if max(key) < 1 << 32 else list(key))
 
 
 @dataclass
@@ -123,14 +125,16 @@ def sample_clients(seed: int, num_clients: int, sample_size: int, round_index: i
 
 
 def _batches(chunk: list, round_index: int, phase: int, config):
-    """(epoch, (S, rows) indices into the chunk's equal shards back to back) of each
-    lockstep mini-batch of its phase; client s draws row s from its own stream."""
+    """(epoch, flat indices into the chunk's equal shards back to back) of each lockstep
+    mini-batch of its phase; client s's order in epoch e is its stream's e-th permutation."""
     n = chunk[0].num_samples
-    rngs = [_rng(config.seed, CLIENT_STREAM, c.client_id, round_index, phase) for c in chunk]
+    rows = np.tile(np.arange(len(chunk) * n).reshape(-1, n), (config.local_epochs, 1, 1))
+    for s, client in enumerate(chunk):  # every epoch's order at once, in place
+        key = config.seed, CLIENT_STREAM, client.client_id, round_index, phase
+        _rng(*key).permuted(rows[:, s], axis=1, out=rows[:, s])
     for epoch in range(config.local_epochs):
-        perms = np.stack([rng.permutation(n) + s * n for s, rng in enumerate(rngs)])
         for start in range(0, n, config.batch_size):
-            yield epoch, perms[:, start : start + config.batch_size]
+            yield epoch, rows[epoch, :, start : start + config.batch_size].ravel()
 
 
 def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
@@ -201,10 +205,9 @@ def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round
             for step, (epoch, rows) in enumerate(_batches(chunk, round_index, phase, config)):
                 if out and step == 1:  # the first set is the stack; later steps write a second
                     out = tuple([np.empty_like(g) for g in group] for group in out[0]),
+                batch = x_all.take(rows, axis=0), y_all.take(rows)
                 _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}",
-                               nn.loss_and_grads, net, alpha,
-                               (x_all[rows].reshape(-1, x_all.shape[1]), y_all[rows].ravel()),
-                               wrt, *out)
+                               nn.loss_and_grads, net, alpha, batch, wrt, *out)
                 if out:  # step_network's rounding: lr * g, then W - lr * g
                     for layer, d_w, d_b in zip(net.layers, *grads):
                         for p, g in ((layer.weights, d_w), (layer.biases, d_b)):
@@ -370,6 +373,16 @@ def fine_tune(client: ClientState, global_model: nn.Network, config, alpha) -> n
     return client_local_learning(client, trained, alpha).model
 
 
+def _keep_freed_heap() -> None:
+    """Pin glibc malloc's dynamic thresholds at their ceilings, so that what one training
+    step frees stays in the heap for the next instead of being trimmed and faulted in
+    again: blocks under 32 MiB come from the heap, whose top is trimmed past 64 MiB free."""
+    mallopt = getattr(ctypes.pythonapi, "mallopt", None)  # the process's symbols, libc's too
+    if mallopt is not None:
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD; setting it freezes the mmap threshold
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def run_experiment(config):
     """End-to-end run of the configured method, fine-tuning included.
 
@@ -377,6 +390,7 @@ def run_experiment(config):
     every client, then per client fine_tune, whose network is evaluated and dropped
     before the next is trained; a caller who wants the networks fine-tunes as this does.
     """
+    _keep_freed_heap()
     server, clients, reports = run_training(config)
     models = [client.current_model(server) for client in clients]
     accuracies, alphas = [], mixing_phase(clients, models, config.rounds, config)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,16 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def blas_env(threads):
     """subprocess_env with the child's BLAS held to `threads` threads."""
     return subprocess_env(**{name: str(threads) for name in BLAS_THREAD_VARS})
+
+
+def child_minor_faults(args) -> int:
+    """Minor page faults of one child `python *args` with BLAS at 1 thread; it must exit 0."""
+    resource = pytest.importorskip("resource")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    done = subprocess.run([sys.executable, *args], env=blas_env(1), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
 
 def corrupt_kernel(monkeypatch, group):

@@ -20,7 +20,7 @@ from pfedmb.cli import _overrides, build_parser, main
 from pfedmb.config import parse_config
 from pfedmb.errors import NumericError
 
-from conftest import blas_env, corrupt_kernel, subprocess_env
+from conftest import blas_env, child_minor_faults, corrupt_kernel, subprocess_env
 
 
 @pytest.fixture
@@ -616,16 +616,10 @@ def test_a_run_keeps_its_freed_heap_instead_of_faulting_it_in_every_step(tmp_pat
     """Forty-nine more rounds of paired_paper, 490 more stacked kernel calls, take fewer
     than 2,000 more minor page faults: freed memory stays in the heap for the next step.
     Where glibc trims the heap top as steps free it, they take ten thousand or more."""
-    resource = pytest.importorskip("resource")
     path = tmp_path / "paired.json"
     path.write_text(json.dumps(PAIRED_PAPER))
-    faults = {}
-    for rounds in (1, 50):
-        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        done = subprocess.run(
-            [sys.executable, "-m", "pfedmb.cli", "run", "--config", str(path),
-             "--rounds", str(rounds), "--out", str(tmp_path / f"out{rounds}")],
-            env=blas_env(1), capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        faults[rounds] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    faults = {rounds: child_minor_faults(["-m", "pfedmb.cli", "run", "--config", str(path),
+                                          "--rounds", str(rounds),
+                                          "--out", str(tmp_path / f"out{rounds}")])
+              for rounds in (1, 50)}
     assert faults[50] - faults[1] < 2000, faults

@@ -280,6 +280,17 @@ def test_any_weight_stack_budget_equals_the_reference(budget, raw):
         assert_equals_reference(raw)
 
 
+# run_configs draws seeds 0-3, whose keys fit one uint32 word each: these seed from the
+# list of ints, on ragged shards and on equal shards that stack in both phases
+@pytest.mark.parametrize("seed", [2**32 + 3, 2**64 + 7])
+@pytest.mark.parametrize("raw", [FLOOR_HIT, dict(ONE_STEP_STACK, local_epochs=2, batch_size=4)],
+                         ids=["ragged", "stacked"])
+def test_a_run_at_a_seed_of_two_words_or_more_equals_the_reference(raw, seed):
+    config = ExperimentConfig(**dict(raw, seed=seed), output_dir="unused")
+    assert not isinstance(outcome(reference_run, config), tuple)  # the run trains
+    assert_equals_reference(dict(raw, seed=seed))
+
+
 def assert_equals_reference(raw):
     config = ExperimentConfig(**raw, output_dir="unused")
     want, got = outcome(reference_run, config), outcome(program_run, config)
