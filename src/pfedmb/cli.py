@@ -61,11 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         for p in parsers:
             p.add_argument(flag, **kwargs)
-    compare.add_argument(
-        "--methods",
-        default="local,fedavg,pfedmb_plain_agg,pfedmb",
-        help="comma-separated methods to compare",
-    )
+    compare.add_argument("--methods", default="local,fedavg,pfedmb_plain_agg,pfedmb",
+                         help="comma-separated methods to compare")
     return parser
 
 

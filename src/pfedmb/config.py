@@ -118,13 +118,9 @@ class ExperimentConfig:
 
     def semantic_dict(self) -> dict:
         """Everything that determines results; excludes output_dir and the no-op threads."""
-        semantic = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("output_dir", "threads")
-        }
-        semantic["hidden_dims"] = list(self.hidden_dims)
-        return semantic
+        semantic = {f.name: getattr(self, f.name) for f in fields(self)
+                    if f.name not in ("output_dir", "threads")}
+        return dict(semantic, hidden_dims=list(self.hidden_dims))
 
     def make_dataset(self) -> datamod.LabeledDataset:
         if self.synthetic_spec is not None:

@@ -21,13 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ParseError,
-    PartitionError,
-    ValidationError,
-    field_violations,
-)
+from .errors import (ConfigurationError, ParseError, PartitionError, ValidationError,
+                     field_violations)
 from .nn import _trusted, integral_labels
 
 MAX_PARTITION_ATTEMPTS = 100
@@ -56,9 +51,7 @@ class LabeledDataset:
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be >= 1")
         if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ConfigurationError(
-                f"labels must lie in [0, {self.num_classes})"
-            )
+            raise ConfigurationError(f"labels must lie in [0, {self.num_classes})")
         self.labels = np.ascontiguousarray(labels, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -104,11 +97,8 @@ class SyntheticTaskSpec:
 def generate_synthetic(spec: SyntheticTaskSpec) -> LabeledDataset:
     """Balanced dataset: per class c, points mean_c + N(0, noise_std^2 I)."""
     rng = np.random.default_rng(spec.seed)
-    means = rng.uniform(
-        -spec.class_mean_scale,
-        spec.class_mean_scale,
-        size=(spec.num_classes, spec.input_dim),
-    )
+    scale = spec.class_mean_scale
+    means = rng.uniform(-scale, scale, size=(spec.num_classes, spec.input_dim))
     c, n_c = spec.num_classes, spec.samples_per_class
     points = rng.normal(0.0, spec.noise_std, size=(c, n_c, spec.input_dim))
     points += means[:, None, :]
@@ -227,14 +217,10 @@ def _check_class_count(spec: PartitionSpec, num_classes: int) -> None:
     if isinstance(s, (RandomKClasses, SizeHeterogeneous)) and s.k > num_classes:
         raise ConfigurationError(f"k={s.k} must lie in [1, {num_classes}]")
     if isinstance(s, SizeHeterogeneous) and n * s.k < num_classes:
-        raise ConfigurationError(
-            f"{n} clients x {s.k} classes cannot cover {num_classes} classes"
-        )
+        raise ConfigurationError(f"{n} clients x {s.k} classes cannot cover {num_classes} classes")
     if isinstance(s, PairedClusters) and s.num_pairs * s.classes_per_pair > num_classes:
-        raise ConfigurationError(
-            f"{s.num_pairs} pairs x {s.classes_per_pair} classes exceed "
-            f"{num_classes} available classes"
-        )
+        raise ConfigurationError(f"{s.num_pairs} pairs x {s.classes_per_pair} classes exceed "
+                                 f"{num_classes} available classes")
 
 
 def _class_weights(spec: PartitionSpec, num_classes: int, rng) -> np.ndarray:
@@ -288,9 +274,7 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
     for attempt in range(MAX_PARTITION_ATTEMPTS):
         rng = np.random.default_rng((spec.seed, attempt))
         weights = _class_weights(spec, dataset.num_classes, rng)
-        if isinstance(spec.scheme, SizeHeterogeneous) and (
-            weights.sum(axis=1) == 0.0
-        ).any():
+        if isinstance(spec.scheme, SizeHeterogeneous) and (weights.sum(axis=1) == 0.0).any():
             continue  # some class unowned; all of its samples must be assigned
 
         owner = np.full(len(dataset), 3 * n)

@@ -14,9 +14,9 @@ Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
 A round trains its clients' mixing phases in one lockstep call, grouped by model
-and shard size, then their weight phases in another, and finishes each client in
-canonical (ascending id) order; fine-tuning mixes in lockstep and trains weights
-per client.  config.threads is accepted but ignored.
+and batches per epoch, then their weight phases in another, and finishes each
+client in canonical (ascending id) order; fine-tuning mixes in lockstep and trains
+weights per client.  config.threads is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -125,16 +125,24 @@ def sample_clients(seed: int, num_clients: int, sample_size: int, round_index: i
 
 
 def _batches(chunk: list, round_index: int, phase: int, config):
-    """(epoch, flat indices into the chunk's equal shards back to back) of each lockstep
-    mini-batch of its phase; client s's order in epoch e is its stream's e-th permutation."""
-    n = chunk[0].num_samples
+    """(epoch, flat indices into the chunk's shards back to back, s) of each lockstep
+    mini-batch of its phase; client s's order in epoch e is its stream's e-th permutation.
+    s is None for a batch of every client: all of an equal chunk's, and each epoch's full
+    batches of a ragged one (unequal shards of as many batches), whose rest is s's alone."""
+    sizes, bs = [c.num_samples for c in chunk], config.batch_size
+    n = max(sizes)
     rows = np.tile(np.arange(len(chunk) * n).reshape(-1, n), (config.local_epochs, 1, 1))
+    full = n if min(sizes) == n else (n - 1) // bs * bs  # rows of an epoch that train stacked
+    if full < n:  # client s's rows start after the shards before it, not at s * n
+        rows -= (np.arange(0, len(chunk) * n, n) - np.cumsum([0] + sizes[:-1]))[:, None]
     for s, client in enumerate(chunk):  # every epoch's order at once, in place
         key = config.seed, CLIENT_STREAM, client.client_id, round_index, phase
-        _rng(*key).permuted(rows[:, s], axis=1, out=rows[:, s])
+        _rng(*key).permuted(rows[:, s, : sizes[s]], axis=1, out=rows[:, s, : sizes[s]])
     for epoch in range(config.local_epochs):
-        for start in range(0, n, config.batch_size):
-            yield epoch, rows[epoch, :, start : start + config.batch_size].ravel()
+        for start in range(0, full, bs):
+            yield epoch, rows[epoch, :, start : start + bs].ravel(), None
+        for s in range(len(chunk) if full < n else 0):
+            yield epoch, rows[epoch, s, full : sizes[s]], s
 
 
 def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
@@ -161,16 +169,17 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
     """phase for each client whose alphas[i] is AlphaParams (with branches to mix, in the
     mixing phase); every other client's result is its alphas[i].
 
-    Clients with one model and shard size draw batches of equal lengths, so they train as
-    one stack per MIXING_STACK_BYTES or WEIGHT_STACK_BYTES, bit for bit as if alone.
+    Clients of one model and as many batches per epoch (one size, if a shard fits a batch)
+    train as one stack per MIXING_STACK_BYTES or WEIGHT_STACK_BYTES, bit for bit as if alone.
     """
     weights, groups, out = phase == WEIGHT_PHASE, {}, {}
     for i, (client, model, alpha) in enumerate(zip(clients, models, alphas)):
         if isinstance(alpha, nn.AlphaParams) and (weights or alpha.num_branches > 1):
-            groups.setdefault((id(model), client.num_samples), []).append(i)
-    for (_, n), group in groups.items():
-        model, rows = models[group[0]], min(n, config.batch_size)
-        multi_step = weights and (config.local_epochs > 1 or n > config.batch_size)
+            n, bs = client.num_samples, config.batch_size  # first batch's rows, batch count
+            groups.setdefault((id(model), min(n, bs), -(-n // bs)), []).append(i)
+    for (_, rows, batches), group in groups.items():
+        model = models[group[0]]
+        multi_step = weights and (config.local_epochs > 1 or batches > 1)
         if multi_step:  # the stack's branches, and the buffers its later steps write
             per_client = 8 * sum(layer.weights.size + layer.biases.size for layer in model.layers)
         else:  # combined weights and layer outputs: all that a one-step stack reads
@@ -184,15 +193,23 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
     return [out.get(i, alpha) for i, alpha in enumerate(alphas)]
 
 
+def _branches(net: nn.Network, s: int) -> nn.Network:
+    """Client s's branches in a stack of them, as views."""
+    return nn.Network([nn.MultiBranchDense(layer.weights[s], layer.biases[s])
+                       for layer in net.layers])
+
+
 def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round_index: int,
                  config) -> list:
     """chunk's phase, one kernel call and one step per SGD step; per client what mixing_phase
     or weight_phase returns.  Two or more clients train stacked over a leading axis; a weight
     stack's first step reads the received branches and writes the stack, and later steps
-    step it in place.  A stack that raises is rerun client by client from the start, on
-    the same streams, to locate each error."""
+    step it in place, as a client's own batch of a ragged chunk steps its slice.  A stack
+    that raises is rerun client by client from the start, on the same streams, to locate
+    each error."""
     weights, stacked, alpha, net, out = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model, ()
     stage, wrt = ("weight phase", nn.WRT_W) if weights else ("mixing phase", nn.WRT_ALPHA)
+    lr, loss = config.lr_w if weights else config.lr_alpha, None
     x_all = np.concatenate([c.shard.features for c in chunk])  # the shards, back to back
     y_all = np.concatenate([c.shard.labels for c in chunk])
     if stacked:
@@ -202,25 +219,36 @@ def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round
                [np.empty((len(chunk), *layer.biases.shape)) for layer in model.layers]),
     try:  # a stack's error is dropped: the rerun locates each client's
         with np.errstate(over="ignore", invalid="ignore"):  # may run past a failing client
-            for step, (epoch, rows) in enumerate(_batches(chunk, round_index, phase, config)):
+            for step, (epoch, rows, s) in enumerate(_batches(chunk, round_index, phase, config)):
                 if out and step == 1:  # the first set is the stack; later steps write a second
                     out = tuple([np.empty_like(g) for g in group] for group in out[0]),
                 batch = x_all.take(rows, axis=0), y_all.take(rows)
-                _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}",
-                               nn.loss_and_grads, net, alpha, batch, wrt, *out)
-                if out:  # step_network's rounding: lr * g, then W - lr * g
-                    for layer, d_w, d_b in zip(net.layers, *grads):
-                        for p, g in ((layer.weights, d_w), (layer.biases, d_b)):
-                            g *= config.lr_w
-                            np.subtract(p, g, out=p if step else g)
+                s_net, s_alpha = net, alpha
+                if s is not None:  # client s's own batch, on views of its slice of the stack
+                    s_net = _branches(net, s) if weights else net
+                    s_alpha = replace(alpha, logits=alpha.logits[s])
+                _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}", nn.loss_and_grads,
+                               s_net, s_alpha, batch, wrt, *(out if s is None else ()))
+                if out or s is not None:  # step_network's rounding: lr * g, then W - lr * g
+                    pairs = [(s_alpha.logits, grads)] if not weights else [
+                        p for layer, d_w, d_b in zip(s_net.layers, *grads)
+                        for p in ((layer.weights, d_w), (layer.biases, d_b))]
+                    for p, g in pairs:
+                        g *= lr
+                        np.subtract(p, g, out=p if step else g)
                     if not step:  # its buffers now hold the stepped branches
                         net = nn.Network([nn.MultiBranchDense(*p) for p in zip(*grads)])
                 elif weights:
-                    net = nn.step_network(net, grads, config.lr_w)
+                    net = nn.step_network(net, grads, lr)
                 else:
-                    alpha = nn.step_alpha(alpha, grads, config.lr_alpha)
-        loss = _at(chunk[0], round_index, "train loss", nn.batch_loss, net, alpha, x_all,
-                   y_all) if weights and round_index < config.rounds else None
+                    alpha = nn.step_alpha(alpha, grads, lr)
+        if weights and round_index < config.rounds and len({c.num_samples for c in chunk}) > 1:
+            loss = [nn.batch_loss(_branches(net, s), replace(alpha, logits=alpha.logits[s]),
+                                  c.shard.features, c.shard.labels)  # a ragged chunk's
+                    for s, c in enumerate(chunk)]
+        elif weights and round_index < config.rounds:
+            loss = _at(chunk[0], round_index, "train loss", nn.batch_loss, net, alpha, x_all,
+                       y_all)
     except NumericError as exc:
         if not stacked:
             return [exc]
@@ -228,11 +256,8 @@ def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round
                 for c, a in zip(chunk, alphas)]
     if not stacked:  # a phase takes at least one step, so net is never model
         return [(net, loss) if weights else alpha]
-    if weights:
-        return [(nn.Network([nn.MultiBranchDense(layer.weights[s], layer.biases[s])
-                             for layer in net.layers]), loss if loss is None else float(loss[s]))
-                for s in range(len(chunk))]
-    return [replace(alpha, logits=z) for z in alpha.logits]
+    return [(_branches(net, s), loss if loss is None else float(loss[s])) if weights
+            else replace(alpha, logits=alpha.logits[s]) for s in range(len(chunk))]
 
 
 def _at(client: ClientState, round_index: int, stage: str, fn, *args):

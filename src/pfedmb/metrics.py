@@ -130,10 +130,8 @@ def emit_results(result: ExperimentResult, output_dir) -> list:
         "per_round_mean_train_loss": [_round10(v) for v in result.per_round_mean_train_loss],
         "final_per_client_test_accuracy": [_round10(v) for v in result.final_client_accuracies],
         "final_mean_test_accuracy": _round10(result.final_mean_accuracy),
-        "final_alpha": [
-            [[_round10(v) for v in row] for row in np.asarray(a)]
-            for a in result.final_alpha
-        ],
+        "final_alpha": [[[_round10(v) for v in row] for row in np.asarray(a)]
+                        for a in result.final_alpha],
     }
     aside = {p: p.with_name(f".{p.name}.kept") for p in (final_path, rounds_path, traj_path)}
     for stale in aside.values():

@@ -382,6 +382,32 @@ def test_the_stacked_criterion_8_config_trains_both_phases_in_stacks(monkeypatch
         assert any(w == wrt and s > 1 and rows == BLAS_SPLIT_ROWS for w, s, rows in stacks)
 
 
+def test_the_dirichlet_criterion_8_config_trains_both_phases_in_ragged_stacks(monkeypatch):
+    """Its first round stacks unequal shards of as many 128-row batches in both phases:
+    each epoch's full batches are stacked calls of both gradient groups at 128 rows."""
+    stacks, chunks = set(), []
+    kernel, train_chunk = nn.loss_and_grads, fed._train_chunk
+
+    def spy(net, alpha, batch, wrt, *out):
+        if alpha.logits.ndim == 3:
+            stacks.add((wrt, len(alpha.logits), len(batch[0]) // len(alpha.logits)))
+        return kernel(net, alpha, batch, wrt, *out)
+
+    def chunk_spy(chunk, model, alphas, phase, round_index, config):
+        chunks.append((phase, [client.num_samples for client in chunk]))
+        return train_chunk(chunk, model, alphas, phase, round_index, config)
+
+    cfg = ExperimentConfig(**dict(BLAS_CONFIG, rounds=1), output_dir="unused")
+    server, clients = fed.setup_experiment(cfg)
+    monkeypatch.setattr(nn, "loss_and_grads", spy)
+    monkeypatch.setattr(fed, "_train_chunk", chunk_spy)
+    fed.run_round(server, clients, cfg)
+    for phase in (fed.ALPHA_PHASE, fed.WEIGHT_PHASE):
+        assert any(p == phase and len(set(sizes)) > 1 for p, sizes in chunks), chunks
+    for wrt in (nn.WRT_ALPHA, nn.WRT_W):
+        assert any(w == wrt and s > 1 and rows == BLAS_SPLIT_ROWS for w, s, rows in stacks)
+
+
 def test_criterion_8_byte_identical_across_blas_thread_counts(tmp_path):
     same = True
     for name, config in (("dirichlet", BLAS_CONFIG), ("stacked", BLAS_STACKED_CONFIG)):

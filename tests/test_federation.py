@@ -86,29 +86,42 @@ def test_a_chunks_batches_are_one_permutation_per_epoch_of_each_clients_stream(
         seed, n, epochs, clients, phase, round_index, data):
     """Gathered from the shards back to back, each lockstep batch is client by client
     x[idx] for idx a slice of the epoch's default_rng([seed, CLIENT, id, t, phase])
-    .permutation(n), the e-th drawn from that stream in epoch e."""
+    .permutation(n_s), the e-th drawn from that stream in epoch e.
+
+    A chunk's shards hold as many batches per epoch, and are equal where they fit one
+    batch.  Every batch of equal shards, and each epoch's full batches of unequal ones,
+    is one batch of every client; the rest of a ragged epoch is one batch per client."""
     batch_size = data.draw(st.integers(1, n + 5), label="batch_size")
+    batches = -(-n // batch_size)
+    same_batches = st.integers((batches - 1) * batch_size + 1, batches * batch_size)
+    sizes = [n] + data.draw(st.lists(same_batches if batches > 1 else st.just(n),
+                                     min_size=clients - 1, max_size=clients - 1), label="sizes")
     ids = data.draw(st.lists(st.integers(0, 99), min_size=clients, max_size=clients,
                              unique=True), label="client_ids")
-    chunk = [tiny_client(seed=c, n=n, client_id=c) for c in ids]
+    chunk = [tiny_client(seed=c, n=m, client_id=c) for c, m in zip(ids, sizes)]
     config = make_config(seed=seed, local_epochs=epochs, batch_size=batch_size)
     streams = [np.random.default_rng([seed, fed.CLIENT_STREAM, c, round_index, phase])
                for c in ids]
+    ragged = len(set(sizes)) > 1
+    full = (batches - 1) * batch_size if ragged else n
     want = []
     for epoch in range(epochs):
-        orders = [rng.permutation(n) for rng in streams]
-        for start in range(0, n, batch_size):
-            idx = [order[start : start + batch_size] for order in orders]
-            want.append((epoch, np.concatenate([c.shard.features[i] for c, i in zip(chunk, idx)]),
-                         np.concatenate([c.shard.labels[i] for c, i in zip(chunk, idx)])))
+        orders = [rng.permutation(m) for rng, m in zip(streams, sizes)]
+        want += [(epoch, None, [order[start : start + batch_size] for order in orders])
+                 for start in range(0, full, batch_size)]
+        want += [(epoch, s, [order[full:]]) for s, order in enumerate(orders) if ragged]
     x_all = np.concatenate([c.shard.features for c in chunk])
     y_all = np.concatenate([c.shard.labels for c in chunk])
-    got = [(epoch, x_all.take(rows, axis=0), y_all.take(rows))
-           for epoch, rows in fed._batches(chunk, round_index, phase, config)]
-    assert len(got) == len(want) == epochs * -(-n // batch_size)
-    for (epoch, x, y), (want_epoch, want_x, want_y) in zip(got, want):
-        assert epoch == want_epoch and x.flags.c_contiguous
-        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+    got = [(epoch, s, x_all.take(rows, axis=0), y_all.take(rows))
+           for epoch, rows, s in fed._batches(chunk, round_index, phase, config)]
+    assert len(got) == len(want) == epochs * (batches - 1 + clients if ragged else batches)
+    for (epoch, s, x, y), (want_epoch, want_s, idx) in zip(got, want):
+        members = [chunk[m] for m in (range(clients) if want_s is None else [want_s])]
+        assert (epoch, s) == (want_epoch, want_s) and x.flags.c_contiguous
+        assert np.array_equal(x, np.concatenate([c.shard.features[i]
+                                                 for c, i in zip(members, idx)]))
+        assert np.array_equal(y, np.concatenate([c.shard.labels[i]
+                                                 for c, i in zip(members, idx)]))
 
 
 def test_zero_learning_rates_are_a_no_op():
@@ -550,6 +563,91 @@ def test_a_diverging_weight_stack_names_the_lowest_failing_client(config_factory
                                  "non-finite activations in layer 1")
 
 
+RAGGED_ROWS = (24, 19, 21, 17)  # unequal shards of two 16-row batches an epoch each
+
+
+def cut_shards(clients, rows=RAGGED_ROWS):
+    """Keep the first rows[i] rows of client i's shard."""
+    for client, n in zip(clients, rows):
+        client.shard = client.shard.subset(np.arange(n))
+
+
+def raising_spy(kernel, calls, raised):
+    """nn.loss_and_grads recording (wrt, width, rows) of each call, and of each that raises."""
+    def spy(net, alpha, batch, wrt, *out):
+        calls.append((wrt, width(alpha), len(batch[0])))
+        try:
+            return kernel(net, alpha, batch, wrt, *out)
+        except NumericError:
+            raised.append(calls[-1])
+            raise
+    return spy
+
+
+@pytest.mark.parametrize("layer,alternate,message", [
+    (0, False, "client 1, round 0, mixing phase, epoch 0: non-finite activations in layer 0"),
+    (1, True, "client 0, round 0, mixing phase, epoch 1: non-finite activations in layer 1"),
+])
+def test_a_diverging_ragged_mixing_stack_names_the_lowest_failing_client(
+        config_factory, monkeypatch, layer, alternate, message):
+    """The ragged twin of the mixing test above: shards of 24, 19, 21 and 17 rows mix in
+    one stack, whose full 16-row batches are one call over the 4 clients and whose rest of
+    each epoch is one call per client.  The round raises what one client per call does."""
+    cfg, kernel, messages = config_factory(), nn.loss_and_grads, []
+    for budget in (fed.MIXING_STACK_BYTES, 0):
+        server, clients = fed.setup_experiment(cfg)
+        cut_shards(clients)
+        weights = server.model.layers[layer].weights
+        weights[1] = 1e308 * (np.where(np.indices(weights[1].shape).sum(axis=0) % 2, 1.0, -1.0)
+                              if alternate else 1.0)
+        calls, raised = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            patch.setattr(nn, "loss_and_grads", raising_spy(kernel, calls, raised))
+            with pytest.raises(NumericError) as error:
+                fed.run_round(server, clients, cfg)
+        messages.append(str(error.value))
+        # the stack raises in its first full batch, and is rerun client by client
+        assert (calls[0] == raised[0] == (nn.WRT_ALPHA, 4, 64)) == bool(budget)
+    assert messages == [message, message]
+
+
+@pytest.mark.parametrize("scales,first_raise", [((1e100, 1e150), (nn.WRT_W, 1, 5)),
+                                                ((1e100, 1e100), (nn.WRT_W, 4, 64))],
+                         ids=["in_a_clients_own_batch", "in_a_full_batch"])
+def test_a_diverging_ragged_weight_stack_names_the_lowest_failing_client(
+        config_factory, monkeypatch, scales, first_raise):
+    """The ragged twin of the weight-stack test above, on shards of 24, 19, 21 and 17
+    rows: each epoch's full 16-row batch is one "w" call over the 4 clients, and the rest
+    of it one call per client.  Features of clients 1 and 2 scaled by `scales` make the
+    stack raise first in client 2's own 5-row batch of epoch 0, or in epoch 1's full batch.
+    The stack is rerun client by client, and the round raises client 1's located error of
+    epoch 1, as one client per call does."""
+    cfg, kernel, messages = config_factory(), nn.loss_and_grads, []
+    for budget in (fed.WEIGHT_STACK_BYTES, 0):
+        server, clients = fed.setup_experiment(cfg)
+        cut_shards(clients)
+        for client, scale in zip(clients[1:3], scales):
+            shard = client.shard
+            client.shard = LabeledDataset(shard.features * scale, shard.labels, shard.num_classes)
+        calls, raised = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "WEIGHT_STACK_BYTES", budget)
+            patch.setattr(nn, "loss_and_grads", raising_spy(kernel, calls, raised))
+            with pytest.raises(NumericError) as error:
+                fed.run_round(server, clients, cfg)
+        messages.append(str(error.value))
+        weight_calls = [call for call in calls if call[0] == nn.WRT_W]
+        if budget:
+            assert weight_calls[:4] == [(nn.WRT_W, 4, 64), (nn.WRT_W, 1, 8), (nn.WRT_W, 1, 3),
+                                        (nn.WRT_W, 1, 5)]
+            assert raised[0] == first_raise
+        else:
+            assert {w for _, w, _ in weight_calls} == {1}
+    assert messages == ["client 1, round 0, weight phase, epoch 1: "
+                        "non-finite activations in layer 1"] * 2
+
+
 def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, monkeypatch):
     """Equal shards on the server's branches: each weight step of the round is one "w"
     call over every sampled client, and client_local_learning still finishes each
@@ -771,8 +869,8 @@ def dirichlet_shaped_clients(shared, rows=None):
 def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch, shared):
     """Chunked, unchunked and one-client stacks train every client's logits to the same bits.
 
-    Clients of one shard size stack, also in their ragged last batches; clients of
-    another size do not, although most of their batches have the same length.
+    Clients of one shard size stack, also in their ragged last batches; shards of 40,
+    150 and 199 rows hold 1, 3 and 4 batches an epoch, so no two sizes stack together.
     """
     model, clients = dirichlet_shaped_clients(shared)
     cfg = make_config(local_epochs=2, batch_size=64, lr_alpha=1.0)
@@ -954,8 +1052,9 @@ def test_a_one_step_weight_phase_peaks_near_one_client_per_call(monkeypatch):
 def test_each_bench_workload_stacks_its_weight_phases(monkeypatch):
     """One round of each workload in bench/workloads.json: paired_paper trains its 10
     clients' weight phases in one stack, deep_server at least 90 of its 100 in stacks
-    of 2 to 7 (7 where shards hold 38 rows or fewer), and dirichlet_ragged in stacks of
-    at most 3.  A budget change that un-stacks a workload fails here."""
+    of 2 to 7 (7 where shards hold 38 rows or fewer), and dirichlet_ragged 24 of its 25
+    in stacks of 3, whose shards differ in size but not in batches per epoch.  A budget
+    or grouping change that un-stacks a workload fails here."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
     kernel, chunks = nn.loss_and_grads, {}
 
@@ -973,7 +1072,8 @@ def test_each_bench_workload_stacks_its_weight_phases(monkeypatch):
         assert sum(chunks[name]) == cfg.sample_size, name
     assert chunks["paired_paper"] == [10]
     assert sum(s for s in chunks["deep_server"] if 2 <= s <= 7) >= 90, chunks["deep_server"]
-    assert max(chunks["dirichlet_ragged"]) <= 3, chunks["dirichlet_ragged"]
+    ragged = chunks["dirichlet_ragged"]
+    assert max(ragged) <= 3 and sum(s for s in ragged if s > 1) >= 24, ragged
 
 
 def test_fine_tuning_mixes_equal_shards_in_stacked_calls(config_factory, monkeypatch):

@@ -231,6 +231,10 @@ ONE_STEP_STACK = dict(  # equal shards, each a single batch
     partition={"scheme": "paired_clusters", "num_pairs": 2, "classes_per_pair": 1},
 )
 
+# dirichlet shards of 9, 10, 6 and 17 rows in 5-row batches: clients 0-2 hold two batches
+# an epoch, so in round 0 they train both phases as one ragged stack of three
+RAGGED_STACK = dict(FLOOR_HIT, lr_alpha=0.5, seed=1, local_epochs=2, batch_size=5)
+
 
 @settings(max_examples=300)
 @example(raw=FLOOR_HIT)
@@ -242,6 +246,7 @@ ONE_STEP_STACK = dict(  # equal shards, each a single batch
 # client 1's train loss overflows, and so does client 2's first mixing step:
 # the run raises client 1's error
 @example(raw=MIXED_FAILURES)
+@example(raw=RAGGED_STACK)
 @given(raw=run_configs())
 def test_a_run_equals_the_numpy_reference_bit_for_bit(raw):
     """Every result array and the final server branches are equal, or both raise alike."""
@@ -254,6 +259,7 @@ def test_a_run_equals_the_numpy_reference_bit_for_bit(raw):
 @settings(max_examples=60)
 @example(raw=FLOOR_HIT)
 @example(raw=MIXED_FAILURES)
+@example(raw=RAGGED_STACK)
 @given(raw=run_configs())
 def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
     with pytest.MonkeyPatch.context() as patch:
@@ -272,6 +278,9 @@ def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
 # losses overflow under lr_w 1e300
 @example(raw=ONE_STEP_STACK)
 @example(raw=dict(ONE_STEP_STACK, lr_w=1e300))
+@example(raw=RAGGED_STACK)
+# the ragged stack's weight phase overflows under lr_w 1e300 after its first full batch
+@example(raw=dict(RAGGED_STACK, lr_w=1e300))
 @given(raw=run_configs())
 def test_any_weight_stack_budget_equals_the_reference(budget, raw):
     with pytest.MonkeyPatch.context() as patch:
