@@ -41,7 +41,6 @@ from .federation import (
     load_checkpoint,
     run_experiment,
     run_round,
-    run_training,
     sample_clients,
     save_checkpoint,
     setup_experiment,
@@ -61,7 +60,6 @@ from .nn import (
     gradient_check,
     init_network,
     loss_and_grads,
-    sgd_step,
     uniform_alpha,
 )
 

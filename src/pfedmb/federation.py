@@ -202,11 +202,10 @@ def _branches(net: nn.Network, s: int) -> nn.Network:
 def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round_index: int,
                  config) -> list:
     """chunk's phase, one kernel call and one step per SGD step; per client what mixing_phase
-    or weight_phase returns.  Two or more clients train stacked over a leading axis; a weight
-    stack's first step reads the received branches and writes the stack, and later steps
-    step it in place, as a client's own batch of a ragged chunk steps its slice.  A stack
-    that raises is rerun client by client from the start, on the same streams, to locate
-    each error."""
+    or weight_phase returns.  Two or more clients train stacked over a leading axis.  The
+    first step writes the stepped parameters into its gradients, which later steps step in
+    place, as a client's own batch of a ragged chunk steps its slice.  A stack that raises
+    is rerun client by client from the start, on the same streams, to locate each error."""
     weights, stacked, alpha, net, out = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model, ()
     stage, wrt = ("weight phase", nn.WRT_W) if weights else ("mixing phase", nn.WRT_ALPHA)
     lr, loss = config.lr_w if weights else config.lr_alpha, None
@@ -229,19 +228,12 @@ def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round
                     s_alpha = replace(alpha, logits=alpha.logits[s])
                 _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}", nn.loss_and_grads,
                                s_net, s_alpha, batch, wrt, *(out if s is None else ()))
-                if out or s is not None:  # step_network's rounding: lr * g, then W - lr * g
-                    pairs = [(s_alpha.logits, grads)] if not weights else [
-                        p for layer, d_w, d_b in zip(s_net.layers, *grads)
-                        for p in ((layer.weights, d_w), (layer.biases, d_b))]
-                    for p, g in pairs:
-                        g *= lr
-                        np.subtract(p, g, out=p if step else g)
-                    if not step:  # its buffers now hold the stepped branches
-                        net = nn.Network([nn.MultiBranchDense(*p) for p in zip(*grads)])
-                elif weights:
-                    net = nn.step_network(net, grads, lr)
+                if weights:  # the first step writes into grads; the chunk then owns them
+                    s_net = nn.step_network(s_net, grads, lr, step > 0)
                 else:
-                    alpha = nn.step_alpha(alpha, grads, lr)
+                    s_alpha = nn.step_alpha(s_alpha, grads, lr, step > 0)
+                if s is None:
+                    net, alpha = s_net, s_alpha
         if weights and round_index < config.rounds and len({c.num_samples for c in chunk}) > 1:
             loss = [nn.batch_loss(_branches(net, s), replace(alpha, logits=alpha.logits[s]),
                                   c.shard.features, c.shard.labels)  # a ragged chunk's
@@ -375,17 +367,6 @@ def setup_experiment(config):
     return server, clients
 
 
-def run_training(config):
-    """The full protocol: T rounds of sample/local-learn/aggregate.
-
-    Returns (server, clients, reports); each client's personalized model is
-    (client.current_model(server), client.alpha).
-    """
-    server, clients = setup_experiment(config)
-    reports = [run_round(server, clients, config) for _ in range(config.rounds)]
-    return server, clients, reports
-
-
 def fine_tune(client: ClientState, global_model: nn.Network, config, alpha) -> nn.Network:
     """Post-training local adaptation; the result never reaches the server.
 
@@ -416,7 +397,8 @@ def run_experiment(config):
     before the next is trained; a caller who wants the networks fine-tunes as this does.
     """
     _keep_freed_heap()
-    server, clients, reports = run_training(config)
+    server, clients = setup_experiment(config)
+    reports = [run_round(server, clients, config) for _ in range(config.rounds)]
     models = [client.current_model(server) for client in clients]
     accuracies, alphas = [], mixing_phase(clients, models, config.rounds, config)
     for client, model, alpha in zip(clients, models, alphas):

@@ -17,7 +17,8 @@ forward, batch_loss and loss_and_grads check a batch once and share one forward
 pass and one cross entropy.  loss_and_grads differentiates one parameter group
 per call, the one a local-learning phase trains, and returns it in the form
 step_network or step_alpha takes.  Everything is float64.  No operation mutates its
-inputs but loss_and_grads' out buffers.  A leading axis of logits runs S clients at once.
+inputs but loss_and_grads' out buffers, the gradients a step consumes and the parameters
+a step is told it owns.  A leading axis of logits runs S clients at once.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
         z += b[..., None, :]
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations in layer {l}")
-        ws.append(w)
+        ws.append(w if l else None)  # the backward pass reads no first-layer weights
         acts.append(np.maximum(z, 0.0) if l < net.num_layers - 1 else z)
     return acts, ws
 
@@ -321,10 +322,11 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
     with np.errstate(over="ignore", invalid="ignore"):
         avals = alpha.values()
         acts, ws = _forward(net, avals, x)
-        loss, logp = _nll(acts[-1], labels)
+        loss, logp = _nll(acts.pop(), labels)
 
-        # dL/dz at the output: (softmax - onehot) / n
+        # dL/dz at the output: (softmax - onehot) / n; logp is read no more
         dz = np.exp(logp)
+        del logp
         dz.reshape(-1, dz.shape[-1])[np.arange(labels.shape[0]), labels] -= 1.0
         dz /= x.shape[-2]
 
@@ -348,6 +350,7 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
             if l > 0:
                 dz = dz @ ws[l]
                 dz *= acts[l] > 0.0  # relu(z) > 0 exactly where z > 0
+            acts[l] = ws[l] = None  # past layer l, the pass reads neither again
 
         if wrt == WRT_W:
             return loss, (d_weights, d_biases)
@@ -358,42 +361,28 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
         return loss, v * (d_values - (v * d_values).sum(axis=-1, keepdims=True))
 
 
-def sgd_step(params: np.ndarray, grads, learning_rate: float) -> np.ndarray:
-    """Plain SGD update p - lr*g of one parameter array, as one new C-ordered array."""
-    if learning_rate < 0:
-        raise ConfigurationError(f"learning rate must be >= 0, got {learning_rate}")
-    try:
-        g = np.asarray(grads, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged, or not numbers
-        raise ConfigurationError(f"gradient is not an array of numbers: {exc}") from None
-    if g.shape != params.shape:
-        raise ConfigurationError(
-            f"gradient shape {g.shape} does not match parameter shape {params.shape}"
-        )
-    out = np.multiply(learning_rate, g, out=np.empty(params.shape))
-    return np.subtract(params, out, out=out)
+def _step(params: np.ndarray, grads: np.ndarray, learning_rate: float, own: bool) -> np.ndarray:
+    """Plain SGD params - lr*grads, lr*grads rounded first, into params if own, else grads."""
+    grads *= learning_rate
+    return np.subtract(params, grads, out=params if own else grads)
 
 
-def step_network(net: Network, grads: tuple, learning_rate: float) -> Network:
-    """New network with every branch stepped by plain SGD; sgd_step checks each shape.
-
-    grads is (d_weights, d_biases), as loss_and_grads returns it for wrt "w".
-    """
-    try:
-        d_weights, d_biases = grads
-        return _trusted(Network, layers=[
-            _trusted(MultiBranchDense, weights=sgd_step(layer.weights, d_w, learning_rate),
-                     biases=sgd_step(layer.biases, d_b, learning_rate))
-            for layer, d_w, d_b in zip(net.layers, d_weights, d_biases, strict=True)
-        ])
-    except ValueError as exc:  # not a pair, or not one array per layer
-        raise ConfigurationError(f"gradients do not fit {net.num_layers} layers: {exc}") from None
+def step_network(net: Network, grads: tuple, learning_rate: float, own: bool) -> Network:
+    """net with every branch stepped by plain SGD, consuming grads, the (d_weights, d_biases)
+    of loss_and_grads for wrt "w": in place, returning net, if the caller owns net's arrays;
+    otherwise into grads, returned as a network that leaves net as it was."""
+    layers = [_trusted(MultiBranchDense, weights=_step(layer.weights, d_w, learning_rate, own),
+                       biases=_step(layer.biases, d_b, learning_rate, own))
+              for layer, d_w, d_b in zip(net.layers, *grads)]
+    return net if own else _trusted(Network, layers=layers)
 
 
-def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float) -> AlphaParams:
-    """New mixing logits stepped by plain SGD on the logit gradient; sgd_step checks the shape."""
-    logits = sgd_step(alpha.logits, grads, learning_rate)
-    return _trusted(AlphaParams, logits=logits, num_layers=alpha.num_layers, shared=alpha.shared)
+def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float,
+               own: bool) -> AlphaParams:
+    """Mixing logits stepped by plain SGD on the logit gradient, consumed as step_network's."""
+    logits = _step(alpha.logits, grads, learning_rate, own)
+    return alpha if own else _trusted(AlphaParams, logits=logits, num_layers=alpha.num_layers,
+                                      shared=alpha.shared)
 
 
 @dataclass

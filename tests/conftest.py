@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from pfedmb import nn
+from pfedmb import federation, nn
 from pfedmb.config import ExperimentConfig
 
 # every property test draws the same examples on every run, keeps no example
@@ -57,6 +57,14 @@ def corrupt_kernel(monkeypatch, group):
         return loss, grads
 
     monkeypatch.setattr(nn, "loss_and_grads", corrupted)
+
+
+def run_rounds(config):
+    """A fresh experiment of config through its config.rounds rounds, no fine-tuning:
+    (server, clients, reports), each client's model (current_model(server), alpha)."""
+    server, clients = federation.setup_experiment(config)
+    return server, clients, [federation.run_round(server, clients, config)
+                             for _ in range(config.rounds)]
 
 
 def make_config(**overrides):

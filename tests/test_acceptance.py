@@ -32,7 +32,7 @@ from pfedmb.data import (
 from pfedmb.federation import run_experiment
 from pfedmb.metrics import alpha_similarity
 
-from conftest import blas_env, make_config
+from conftest import blas_env, make_config, run_rounds
 
 SEEDS = (0, 1, 2)
 
@@ -105,8 +105,8 @@ def test_criterion_1_gradient_exactness():
 def test_criterion_2_fedavg_reduction():
     base = dict(clients=4, sample_size=4, rounds=5, branches=1, seed=11,
                 partition={"scheme": "dirichlet", "beta": 1.0})
-    s_b1, c_b1, _ = fed.run_training(make_config(method="pfedmb", **base))
-    s_fa, c_fa, _ = fed.run_training(make_config(method="fedavg", **base))
+    s_b1, c_b1, _ = run_rounds(make_config(method="pfedmb", **base))
+    s_fa, c_fa, _ = run_rounds(make_config(method="fedavg", **base))
 
     identical = all(
         np.array_equal(la.weights, lb.weights) and np.array_equal(la.biases, lb.biases)

@@ -75,7 +75,7 @@ def test_calibrated_noise_keeps_centralized_mlp_in_band():
         for s in range(0, len(x), 64):
             idx = perm[s : s + 64]
             _, g = nn.loss_and_grads(net, alpha, (x[idx], y[idx]), wrt="w")
-            net = nn.step_network(net, g, 0.1)
+            net = nn.step_network(net, g, 0.1, True)  # the test owns net
     acc = evaluate_client(net, alpha, test)
     assert 0.85 <= acc <= 0.95
 

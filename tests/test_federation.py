@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_minor_faults, make_config
+from conftest import child_minor_faults, make_config, run_rounds
 from pfedmb import federation as fed
 from pfedmb import metrics, nn
 from pfedmb.config import parse_config
@@ -425,7 +425,7 @@ def test_single_client_round_equals_local_training(config_factory):
         clients=1, sample_size=1, rounds=1, branches=1,
         partition={"scheme": "random_k_classes", "k": 4},
     )
-    server, clients, reports = fed.run_training(cfg)
+    server, clients, reports = run_rounds(cfg)
     assert server.round == 1 and len(reports) == 1
 
     fresh_server, fresh_clients = fed.setup_experiment(cfg)
@@ -460,8 +460,8 @@ def test_nonsampled_clients_keep_alpha_bitwise(config_factory):
 
 def test_training_replay_is_bit_identical(config_factory):
     cfg = config_factory(clients=4, sample_size=3, rounds=3, seed=42)
-    s1, c1, r1 = fed.run_training(cfg)
-    s2, c2, r2 = fed.run_training(cfg)
+    s1, c1, r1 = run_rounds(cfg)
+    s2, c2, r2 = run_rounds(cfg)
     for la, lb in zip(s1.model.layers, s2.model.layers):
         np.testing.assert_array_equal(la.weights, lb.weights)
         np.testing.assert_array_equal(la.biases, lb.biases)
@@ -474,8 +474,8 @@ def test_training_replay_is_bit_identical(config_factory):
 def test_thread_count_does_not_change_results(config_factory):
     cfg1 = config_factory(rounds=2, threads=1)
     cfg4 = config_factory(rounds=2, threads=4)
-    s1, _, r1 = fed.run_training(cfg1)
-    s4, _, r4 = fed.run_training(cfg4)
+    s1, _, r1 = run_rounds(cfg1)
+    s4, _, r4 = run_rounds(cfg4)
     for la, lb in zip(s1.model.layers, s4.model.layers):
         np.testing.assert_array_equal(la.weights, lb.weights)
     assert [r.test_accuracies for r in r1] == [r.test_accuracies for r in r4]
@@ -483,8 +483,8 @@ def test_thread_count_does_not_change_results(config_factory):
 
 def test_b1_training_equals_fedavg_baseline_bitwise(config_factory):
     cfg = config_factory(branches=1, rounds=3, clients=4, sample_size=4)
-    s_mb, c_mb, _ = fed.run_training(cfg)
-    s_fa, c_fa, _ = fed.run_training(config_factory(
+    s_mb, c_mb, _ = run_rounds(cfg)
+    s_fa, c_fa, _ = run_rounds(config_factory(
         method="fedavg", branches=1, rounds=3, clients=4, sample_size=4
     ))
     for la, lb in zip(s_mb.model.layers, s_fa.model.layers):
@@ -646,6 +646,57 @@ def test_a_diverging_ragged_weight_stack_names_the_lowest_failing_client(
             assert {w for _, w, _ in weight_calls} == {1}
     assert messages == ["client 1, round 0, weight phase, epoch 1: "
                         "non-finite activations in layer 1"] * 2
+
+
+def received_bytes(server, clients):
+    """Every array a phase receives: the server's branches, each client's own branches
+    under `local`, and each client's mixing logits."""
+    nets = [server.model] + [c.local_model for c in clients if c.local_model is not None]
+    arrays = [a for net in nets for layer in net.layers for a in (layer.weights, layer.biases)]
+    return [bytes(a) for a in arrays + [c.alpha.logits for c in clients]]
+
+
+def both_phases(server, clients, config, round_index):
+    """Each client's mixing_phase and weight_phase result, without finishing any client;
+    at round config.rounds the weight phases run one client at a time, as fine_tune's."""
+    models = [client.current_model(server) for client in clients]
+    alphas = fed.mixing_phase(clients, models, round_index, config)
+    if round_index < config.rounds:
+        trained = fed.weight_phase(clients, models, alphas, round_index, config)
+    else:
+        trained = [fed.weight_phase([c], [m], [a], round_index, config)[0]
+                   for c, m, a in zip(clients, models, alphas)]
+    return [str(t) if isinstance(t, NumericError) else
+            ([bytes(layer.weights) + bytes(layer.biases) for layer in t[0].layers], t[1],
+             bytes(a.logits)) for t, a in zip(trained, alphas)]
+
+
+@pytest.mark.parametrize("case", ["equal", "ragged", "fine_tuning", "local", "raising"])
+def test_stepping_in_place_never_writes_into_what_a_phase_received(monkeypatch, case):
+    """Both phases of four clients, one client per call and then stacked: equal shards,
+    the ragged shards of 24, 19, 21 and 17 rows, fine-tuning, `local`, and a stack in
+    which client 1's features, scaled by 1e100, overflow its weight phase in epoch 1, so
+    that the stack is rerun client by client.  No byte that a phase received changes,
+    and both ways train the same bits, so the rerun read untouched originals."""
+    cfg = make_config(method="local" if case == "local" else "pfedmb")
+    server, clients = fed.setup_experiment(cfg)
+    if case == "ragged":
+        cut_shards(clients)
+    if case == "raising":
+        shard = clients[1].shard
+        clients[1].shard = LabeledDataset(shard.features * 1e100, shard.labels,
+                                          shard.num_classes)
+    round_index = cfg.rounds if case == "fine_tuning" else 0
+    before, results = received_bytes(server, clients), []
+    for budget in (0, fed.WEIGHT_STACK_BYTES):
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            patch.setattr(fed, "WEIGHT_STACK_BYTES", budget)
+            results.append(both_phases(server, clients, cfg, round_index))
+        assert received_bytes(server, clients) == before
+    assert results[0] == results[1]
+    failed = [isinstance(r, str) for r in results[1]]
+    assert failed == [case == "raising" and i == 1 for i in range(len(clients))], results[1]
 
 
 def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, monkeypatch):
@@ -1177,7 +1228,7 @@ def test_run_experiment_keeps_its_freed_heap_without_the_cli(tmp_path):
 
 def test_training_t0_returns_initial_state(config_factory):
     cfg = config_factory(rounds=0)
-    server, clients, reports = fed.run_training(cfg)
+    server, clients, reports = run_rounds(cfg)
     assert reports == []
     assert server.round == 0
     fresh, _ = fed.setup_experiment(cfg)
@@ -1233,7 +1284,7 @@ def test_local_only_clients_are_isolated(config_factory):
     base = run_with(None)
     poked = run_with(3)
 
-    _, lib_clients, reports = fed.run_training(cfg)
+    _, lib_clients, reports = run_rounds(cfg)
     assert [r.sampled for r in reports] == [list(range(cfg.clients))] * cfg.rounds
     for want, client in zip(base, lib_clients):
         for la, lb in zip(want.layers, client.local_model.layers):
@@ -1264,7 +1315,7 @@ def test_zero_rounds_plus_fine_tune_is_pure_local_training(config_factory, monke
 
 def test_fine_tune_zero_rates_is_identity(config_factory):
     cfg = config_factory(rounds=1)
-    server, clients, _ = fed.run_training(cfg)
+    server, clients, _ = run_rounds(cfg)
     before = clients[0].alpha.logits.copy()
     cfg = dataclasses.replace(cfg, local_epochs=2, lr_alpha=0.0, lr_w=0.0)
     model = fed.fine_tune(clients[0], server.model, cfg,
@@ -1323,10 +1374,10 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
     """Saved after any k of T rounds and resumed, a run ends bit-equal to a straight one."""
     cfg = config_factory(method=method, branches=1 if method == "fedavg" else 2,
                          rounds=4, clients=4, sample_size=3, seed=17)
-    server, clients, _ = fed.run_training(cfg)
+    server, clients, _ = run_rounds(cfg)
     path = tmp_path / "ckpt.json"
 
-    part_server, part_clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=0))
+    part_server, part_clients, _ = run_rounds(dataclasses.replace(cfg, rounds=0))
     for k in range(cfg.rounds + 1):
         fed.save_checkpoint(part_server, part_clients, cfg, path)
         doc = json.loads(path.read_text())
@@ -1356,7 +1407,7 @@ def _assert_no_shared_memory(server, clients):
 @pytest.mark.parametrize("method, shared_alpha", [("local", False), ("pfedmb", True)])
 def test_checkpoint_restores_into_unshared_arrays(tmp_path, config_factory, method, shared_alpha):
     cfg = config_factory(method=method, shared_alpha=shared_alpha, rounds=2)
-    server, clients, _ = fed.run_training(cfg)
+    server, clients, _ = run_rounds(cfg)
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(server, clients, cfg, path)
     resumed_server, resumed_clients = fed.load_checkpoint(path, cfg)
@@ -1392,7 +1443,7 @@ def test_resume_under_another_config_names_both_fingerprints(
 ):
     cfg = config_factory(**saved)
     other = config_factory(**resumed)
-    server, clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=1))
+    server, clients, _ = run_rounds(dataclasses.replace(cfg, rounds=1))
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(server, clients, cfg, path)
     with pytest.raises(ParseError) as err:
@@ -1411,7 +1462,7 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(
     tmp_path, config_factory, monkeypatch, failing
 ):
     cfg = config_factory(rounds=1)
-    server, clients, _ = fed.run_training(cfg)
+    server, clients, _ = run_rounds(cfg)
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(server, clients, cfg, path)
     earlier = path.read_bytes()
@@ -1504,7 +1555,7 @@ MALFORMED = {
     "damage, located", list(MALFORMED.values()), ids=list(MALFORMED)
 )
 def test_malformed_checkpoint_raises_located_parse_error(tmp_path, damage, located):
-    server, clients, _ = fed.run_training(MALFORMED_CONFIG)
+    server, clients, _ = run_rounds(MALFORMED_CONFIG)
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(server, clients, MALFORMED_CONFIG, path)
     path.write_text(json.dumps(damage(json.loads(path.read_text()))))
@@ -1520,7 +1571,7 @@ def saved_checkpoints(tmp_path_factory):
     saved = {}
     for method in ("pfedmb", "local"):
         cfg = make_config(method=method, rounds=1)
-        server, clients, _ = fed.run_training(cfg)
+        server, clients, _ = run_rounds(cfg)
         fed.save_checkpoint(server, clients, cfg, path)
         saved[method] = (json.loads(path.read_text()), cfg)
     return saved, path
@@ -1563,8 +1614,8 @@ def test_any_checkpoint_bytes_load_or_raise_a_parse_error_naming_the_path(
 
 def test_checkpoint_with_a_utf8_bom_resumes_bit_exact(tmp_path):
     cfg = make_config(rounds=2)
-    server, clients, _ = fed.run_training(cfg)
-    part_server, part_clients, _ = fed.run_training(dataclasses.replace(cfg, rounds=0))
+    server, clients, _ = run_rounds(cfg)
+    part_server, part_clients, _ = run_rounds(dataclasses.replace(cfg, rounds=0))
     fed.run_round(part_server, part_clients, cfg)
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(part_server, part_clients, cfg, path)

@@ -12,7 +12,6 @@ from pfedmb.nn import (
     gradient_check,
     init_network,
     loss_and_grads,
-    sgd_step,
     step_alpha,
     step_network,
     uniform_alpha,
@@ -140,56 +139,34 @@ def test_vertex_alpha_trains_only_the_active_branch():
         assert np.any(d_weights[l][1] != 0.0)
 
 
-def test_sgd_step_basics():
-    p = np.array([1.0])
-    assert sgd_step(p, np.array([0.5]), 0.1)[0] == pytest.approx(0.95, abs=0)
-    np.testing.assert_array_equal(sgd_step(p, np.zeros(1), 0.3), p)
-    # two steps with fixed g == one step with doubled rate
-    g = np.array([0.2])
-    np.testing.assert_allclose(
-        sgd_step(sgd_step(p, g, 0.1), g, 0.1), sgd_step(p, g, 0.2), rtol=0, atol=1e-16
-    )
-    with pytest.raises(ConfigurationError):
-        sgd_step(p, np.zeros(2), 0.1)
-    with pytest.raises(ConfigurationError):
-        sgd_step(p, g, -0.1)
-
-
-@pytest.mark.parametrize("dims", [(4, 5, 3), (4, 5, 6, 3)], ids=["2-layer", "3-layer"])
-@pytest.mark.parametrize("probe", ["alpha-given-w", "w-given-alpha", "w-given-one-layer"])
-def test_a_step_given_the_wrong_gradient_form_raises_configuration_error(dims, probe):
-    net, alpha, x, y = random_problem(9, dims=dims)
-    d_weights, d_biases = loss_and_grads(net, alpha, (x, y), "w")[1]
-    d_logits = loss_and_grads(net, alpha, (x, y), "alpha")[1]
-    with pytest.raises(ConfigurationError):
-        if probe == "alpha-given-w":
-            step_alpha(alpha, (d_weights, d_biases), 0.1)
-        elif probe == "w-given-alpha":
-            step_network(net, d_logits, 0.1)
-        else:
-            step_network(net, (d_weights[:1], d_biases[:1]), 0.1)
-
-
-def test_step_helpers_leave_inputs_untouched():
+def test_step_helpers_keep_their_input_unless_they_own_it():
+    """own False: the input is as it was and the result lives in the gradient arrays;
+    own True: the input itself comes back, stepped in place."""
     net, alpha, x, y = random_problem(5)
     w_before = [layer.weights.copy() for layer in net.layers]
     logits_before = alpha.logits.copy()
-    net2 = step_network(net, loss_and_grads(net, alpha, (x, y), "w")[1], 0.1)
-    alpha2 = step_alpha(alpha, loss_and_grads(net, alpha, (x, y), "alpha")[1], 0.1)
+    net2 = step_network(net, loss_and_grads(net, alpha, (x, y), "w")[1], 0.1, False)
+    alpha2 = step_alpha(alpha, loss_and_grads(net, alpha, (x, y), "alpha")[1], 0.1, False)
     for layer, orig in zip(net.layers, w_before):
         np.testing.assert_array_equal(layer.weights, orig)
     np.testing.assert_array_equal(alpha.logits, logits_before)
-    assert any(
-        np.any(a.weights != b.weights) for a, b in zip(net.layers, net2.layers)
-    )
+    assert any(np.any(a.weights != b.weights) for a, b in zip(net.layers, net2.layers))
     assert np.any(alpha2.logits != alpha.logits)
+
+    w_before = [layer.weights.copy() for layer in net2.layers]
+    logits_before = alpha2.logits.copy()
+    assert step_network(net2, loss_and_grads(net2, alpha2, (x, y), "w")[1], 0.1, True) is net2
+    assert step_alpha(alpha2, loss_and_grads(net2, alpha2, (x, y), "alpha")[1], 0.1,
+                      True) is alpha2
+    assert any(np.any(layer.weights != orig) for layer, orig in zip(net2.layers, w_before))
+    assert np.any(alpha2.logits != logits_before)
 
 
 def test_alpha_stays_on_simplex_under_many_steps():
     net, alpha, x, y = random_problem(6)
     for _ in range(200):
         _, g = loss_and_grads(net, alpha, (x, y), wrt="alpha")
-        alpha = step_alpha(alpha, g, 0.5)
+        alpha = step_alpha(alpha, g, 0.5, False)
         v = alpha.values()
         assert v.min() >= 0.0
         np.testing.assert_allclose(v.sum(axis=1), 1.0, rtol=0, atol=1e-9)

@@ -111,7 +111,7 @@ def test_step_network_equals_the_inline_update_bit_for_bit(branches, dims, share
     net, alpha = as_nn(weights, biases, logits, shared)
     _, grads = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
     lr = 0.05
-    stepped = nn.step_network(net, grads, lr)
+    stepped = nn.step_network(net, grads, lr, False)
     for l, layer in enumerate(stepped.layers):
         # W - lr * (alpha_b * dW_combined), never (lr * alpha_b) * dW_combined
         np.testing.assert_array_equal(layer.weights, weights[l] - lr * d_w[l])
@@ -137,21 +137,24 @@ def test_softmax_runs_once_per_loss_and_grads_call(monkeypatch, wrt, shared):
         assert len(calls) == expected
 
 
-def test_step_network_output_shares_no_memory_with_its_inputs():
+def test_a_step_that_does_not_own_its_input_writes_into_the_gradients():
+    """own False: the stepped parameters share no memory with the input, and each is the
+    gradient array it consumed."""
     weights, biases, logits, x, y = make_problem(*SHAPES[0])
     net, alpha = as_nn(weights, biases, logits, True)
     _, (d_weights, d_biases) = nn.loss_and_grads(net, alpha, (x, y), wrt="w")
-    stepped = nn.step_network(net, (d_weights, d_biases), 0.05)
+    stepped = nn.step_network(net, (d_weights, d_biases), 0.05, False)
     for l, layer in enumerate(stepped.layers):
-        inputs = (net.layers[l].weights, net.layers[l].biases, d_weights[l], d_biases[l])
+        assert layer.weights is d_weights[l] and layer.biases is d_biases[l]
         for out in (layer.weights, layer.biases):
-            assert not any(np.shares_memory(out, arr) for arr in inputs)
+            for arr in (net.layers[l].weights, net.layers[l].biases):
+                assert not np.shares_memory(out, arr)
     assert not np.shares_memory(stepped.layers[0].weights, stepped.layers[0].biases)
 
     _, d_logits = nn.loss_and_grads(net, alpha, (x, y), wrt="alpha")
-    logits = nn.step_alpha(alpha, d_logits, 0.05).logits
+    logits = nn.step_alpha(alpha, d_logits, 0.05, False).logits
+    assert logits is d_logits and not np.shares_memory(logits, alpha.logits)
     assert logits.dtype == np.float64 and logits.flags.c_contiguous
-    assert not any(np.shares_memory(logits, arr) for arr in (alpha.logits, d_logits))
 
 
 def test_the_mixing_phase_allocates_no_branch_gradients():
@@ -206,14 +209,17 @@ def test_a_stacked_mixing_call_equals_one_call_per_client_bit_for_bit(problem):
     clients = logits.shape[0]
     net, stacked = as_nn(weights, biases, logits, shared)
     losses, d_logits = nn.loss_and_grads(net, stacked, (x, y), "alpha")
-    stepped = nn.step_alpha(stacked, d_logits, 0.7).logits
     assert losses.shape == (clients,) and d_logits.shape == logits.shape
+    singles = []
     for k, (bx, by) in enumerate(zip(np.split(x, clients), np.split(y, clients))):
         alpha = nn.AlphaParams(logits[k], len(weights), shared)
         loss, d = nn.loss_and_grads(net, alpha, (bx, by), "alpha")
         assert losses[k] == loss
-        np.testing.assert_array_equal(d_logits[k], d)
-        np.testing.assert_array_equal(stepped[k], nn.step_alpha(alpha, d, 0.7).logits)
+        np.testing.assert_array_equal(d_logits[k], d)  # before the steps consume them
+        singles.append(nn.step_alpha(alpha, d, 0.7, False).logits)
+    stepped = nn.step_alpha(stacked, d_logits, 0.7, False).logits
+    for k, single in enumerate(singles):
+        np.testing.assert_array_equal(stepped[k], single)
 
 
 @given(stacked_problems())
@@ -229,17 +235,18 @@ def test_a_stacked_weight_call_equals_one_call_per_client_bit_for_bit(problem):
     alphas = [nn.AlphaParams(z, len(weights), shared) for z in logits]
     batches = list(zip(np.split(x, clients), np.split(y, clients)))
     own = [net] * clients
-    for _ in range(2):
+    for step in range(2):
         losses, (d_weights, d_biases) = nn.loss_and_grads(stacked_net, stacked, (x, y), "w")
-        stacked_net = nn.step_network(stacked_net, (d_weights, d_biases), 0.7)
         assert losses.shape == (clients,)
         for k, (alpha, batch) in enumerate(zip(alphas, batches)):
             loss, grads = nn.loss_and_grads(own[k], alpha, batch, "w")
-            own[k] = nn.step_network(own[k], grads, 0.7)
             assert losses[k] == loss
-            for got, want in zip((d_weights, d_biases), grads):
+            for got, want in zip((d_weights, d_biases), grads):  # before the steps consume them
                 for layer_got, layer_want in zip(got, want):
                     np.testing.assert_array_equal(layer_got[k], layer_want)
+            own[k] = nn.step_network(own[k], grads, 0.7, step > 0)
+        stacked_net = nn.step_network(stacked_net, (d_weights, d_biases), 0.7, step > 0)
+        for k in range(clients):
             for got, want in zip(stacked_net.layers, own[k].layers):
                 np.testing.assert_array_equal(got.weights[k], want.weights)
                 np.testing.assert_array_equal(got.biases[k], want.biases)

@@ -128,3 +128,18 @@ def test_only_data_reads_an_input_file():
             if builtin_open or json_load or method in ("read_text", "read_bytes"):
                 readers.append(f"{path.name}:{node.lineno}")
     assert not readers, f"reads a file outside data.py: {readers}"
+
+
+def test_only_nn_steps_a_parameter():
+    """An SGD step is np.subtract(p, lr * g, out=...), and nn's step helpers are its one
+    home: no other module calls np.subtract with out=, so a second step path stays out."""
+    steppers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "nn.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "subtract"
+                    and any(keyword.arg == "out" for keyword in node.keywords)):
+                steppers.append(f"{path.name}:{node.lineno}")
+    assert not steppers, f"steps a parameter outside nn.py: {steppers}"

@@ -13,15 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_config
 from pfedmb import federation as fed
 from pfedmb import nn
 from pfedmb.cli import main
-from pfedmb.config import METHODS
+from pfedmb.config import METHODS, ExperimentConfig
 from pfedmb.data import SCHEMES
+from pfedmb.errors import NumericError, PartitionError
 
 ROUNDS = 3
 RESULT_FILES = ("rounds.csv", "final.json", "alpha_trajectory.csv")
@@ -180,3 +181,76 @@ def test_every_valid_run_completes_or_fails_located(raw):
             assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
             assert "non-finite" not in lines[0] or lines[0].startswith("error: client "), lines
             assert not (out / "final.json").exists()
+
+
+
+def spread(error, change, base) -> float:
+    """The largest |error| over the largest |change|, or over 1e-5 of the largest |base|
+    where the change is smaller: each SGD step rounds base by about 1e-16 of it, so the
+    ~100 steps of a phase cannot resolve a smaller change to a relative 1e-9."""
+    scale = max(np.abs(change).max(initial=0.0), 1e-5 * np.abs(base).max(initial=0.0))
+    worst = np.abs(error).max(initial=0.0)
+    return worst / scale if worst else 0.0
+
+
+def rank_one_spreads(raw):
+    """One weight_phase of every client of raw's config at round 0, after its mixing phase.
+
+    Each client's change to branch b of layer l should be alpha_ib * D_il, one D_il per
+    layer, biases too; D_il is taken from the client's largest-alpha branch.  So an
+    aggregation that weighs client i's branch b by n_i * a_ib (a = alpha under pfedmb, 1
+    under plain weighting) should move it by sum_i n_i a_ib alpha_ib D_il / sum_i n_i a_ib.
+    Returns the spread of each array from its law, or None where the partition, a phase
+    or the aggregation fails."""
+    config = ExperimentConfig(**raw, output_dir="unused")
+    try:
+        server, clients = fed.setup_experiment(config)
+    except PartitionError:
+        return None
+    models = [client.current_model(server) for client in clients]
+    alphas = fed.mixing_phase(clients, models, 0, config)
+    trained = fed.weight_phase(clients, models, alphas, 0, config)
+    if any(isinstance(result, NumericError) for result in trained):
+        return None
+    spreads, steps = [], []  # steps: per client, D_il of each layer's weights and biases
+    for model, alpha, (net, _) in zip(models, alphas, trained):
+        a, steps = alpha.values(), steps + [[]]
+        for l, (old, new) in enumerate(zip(model.layers, net.layers)):
+            top = a[l].argmax()
+            for before, after in ((old.weights, new.weights), (old.biases, new.biases)):
+                delta = after - before
+                steps[-1].append(delta[top] / a[l, top])
+                law = np.multiply.outer(a[l], steps[-1][-1])
+                spreads.append(spread(delta - law, delta, before))
+    strategy = fed.STRATEGY_FOR_METHOD[config.method]
+    if strategy is None:  # `local` aggregates nothing
+        return spreads
+    updates = [fed.client_local_learning(*done) for done in zip(clients, trained, alphas)]
+    new = fed.aggregate(updates, strategy, server.model)
+    if not all(np.isfinite(layer.weights).all() for layer in new.layers):
+        return None  # an overflowing aggregation, which the round's evaluation reports
+    n = np.array([client.num_samples for client in clients], dtype=np.float64)
+    for l, (old, agg) in enumerate(zip(server.model.layers, new.layers)):
+        a = np.stack([update.alpha_values[l] for update in updates])  # (clients, B)
+        weight = a if strategy is fed.AggregationStrategy.ALPHA_WEIGHTED else np.ones_like(a)
+        mass = n @ weight
+        live = mass >= fed.DEAD_BRANCH_FLOOR * n.sum()  # a dead branch keeps its value
+        for k, (before, after) in enumerate(((old.weights, agg.weights),
+                                             (old.biases, agg.biases))):
+            d = np.stack([client_steps[2 * l + k] for client_steps in steps])
+            moved = np.einsum("ib,i...->b...", n[:, None] * weight * a, d)
+            want = before + moved / np.where(live, mass, 1.0).reshape(-1, *[1] * (d.ndim - 1))
+            spreads.append(spread((after - want)[live], after - before, before))
+    return spreads
+
+
+@settings(max_examples=150)
+@given(raw=run_configs())
+def test_a_weight_phase_moves_each_branch_by_its_mixing_weight_times_one_step(raw):
+    """The rank-one law of the weight phase, and the aggregation it implies: with alpha
+    fixed, every step moves branch b by lr * alpha_ib times the one combined gradient, so
+    pfedmb's server moves branch b by -lr sum_i n_i alpha_ib**2 G_il / sum_i n_i alpha_ib,
+    where G_il sums client i's combined gradients of layer l."""
+    spreads = rank_one_spreads(raw)
+    assume(spreads is not None)
+    assert max(spreads, default=0.0) <= 1e-9, spreads
