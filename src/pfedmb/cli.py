@@ -137,6 +137,8 @@ def cmd_gradcheck(args) -> int:
         print("mixing group:      identically zero (single branch), skipped")
     else:
         print(f"mixing group:      max rel err {report.alpha_error:.3e}")
+    if report.skipped:
+        print(f"skipped:           {report.skipped} coordinates at a ReLU kink")
     print(f"tolerance:         {nn.GRADCHECK_TOLERANCE:.0e}")
     print(f"result:            {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1

@@ -47,8 +47,7 @@ LOCAL_ONLY = "local"
 CHECKPOINT_SCHEMA_VERSION = 3
 
 DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
-MIXING_STACK_BYTES = 1 << 20  # per stacked mixing call: combined weights and layer outputs
-WEIGHT_STACK_BYTES = 1 << 20  # per multi-step weight stack: its branches and gradients
+STACK_BYTES = 1 << 20  # per stack: a multi-step weight stack's branches, else what a call reads
 
 
 class AggregationStrategy(Enum):
@@ -170,7 +169,7 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
     mixing phase); every other client's result is its alphas[i].
 
     Clients of one model and as many batches per epoch (one size, if a shard fits a batch)
-    train as one stack per MIXING_STACK_BYTES or WEIGHT_STACK_BYTES, bit for bit as if alone.
+    train as one stack per STACK_BYTES, bit for bit as if alone.
     """
     weights, groups, out = phase == WEIGHT_PHASE, {}, {}
     for i, (client, model, alpha) in enumerate(zip(clients, models, alphas)):
@@ -180,11 +179,11 @@ def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index
     for (_, rows, batches), group in groups.items():
         model = models[group[0]]
         multi_step = weights and (config.local_epochs > 1 or batches > 1)
-        if multi_step:  # the stack's branches, and the buffers its later steps write
+        if multi_step:  # the stack's branches, and one step's gradients
             per_client = 8 * sum(layer.weights.size + layer.biases.size for layer in model.layers)
         else:  # combined weights and layer outputs: all that a one-step stack reads
             per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
-        size = max(1, (WEIGHT_STACK_BYTES if multi_step else MIXING_STACK_BYTES) // per_client)
+        size = max(1, STACK_BYTES // per_client)
         for k in range(0, len(group), size):
             chunk = group[k : k + size]
             out.update(zip(chunk, _train_chunk([clients[i] for i in chunk], model,
@@ -206,28 +205,23 @@ def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round
     first step writes the stepped parameters into its gradients, which later steps step in
     place, as a client's own batch of a ragged chunk steps its slice.  A stack that raises
     is rerun client by client from the start, on the same streams, to locate each error."""
-    weights, stacked, alpha, net, out = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model, ()
+    weights, stacked, alpha, net = phase == WEIGHT_PHASE, len(chunk) > 1, alphas[0], model
     stage, wrt = ("weight phase", nn.WRT_W) if weights else ("mixing phase", nn.WRT_ALPHA)
     lr, loss = config.lr_w if weights else config.lr_alpha, None
     x_all = np.concatenate([c.shard.features for c in chunk])  # the shards, back to back
     y_all = np.concatenate([c.shard.labels for c in chunk])
     if stacked:
         alpha = replace(alpha, logits=np.stack([a.logits for a in alphas]))
-    if stacked and weights:  # (S, B, ...) gradient buffers; the first step's become the stack
-        out = ([np.empty((len(chunk), *layer.weights.shape)) for layer in model.layers],
-               [np.empty((len(chunk), *layer.biases.shape)) for layer in model.layers]),
     try:  # a stack's error is dropped: the rerun locates each client's
         with np.errstate(over="ignore", invalid="ignore"):  # may run past a failing client
             for step, (epoch, rows, s) in enumerate(_batches(chunk, round_index, phase, config)):
-                if out and step == 1:  # the first set is the stack; later steps write a second
-                    out = tuple([np.empty_like(g) for g in group] for group in out[0]),
                 batch = x_all.take(rows, axis=0), y_all.take(rows)
                 s_net, s_alpha = net, alpha
                 if s is not None:  # client s's own batch, on views of its slice of the stack
                     s_net = _branches(net, s) if weights else net
                     s_alpha = replace(alpha, logits=alpha.logits[s])
                 _, grads = _at(chunk[0], round_index, f"{stage}, epoch {epoch}", nn.loss_and_grads,
-                               s_net, s_alpha, batch, wrt, *(out if s is None else ()))
+                               s_net, s_alpha, batch, wrt)
                 if weights:  # the first step writes into grads; the chunk then owns them
                     s_net = nn.step_network(s_net, grads, lr, step > 0)
                 else:

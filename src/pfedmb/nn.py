@@ -17,8 +17,8 @@ forward, batch_loss and loss_and_grads check a batch once and share one forward
 pass and one cross entropy.  loss_and_grads differentiates one parameter group
 per call, the one a local-learning phase trains, and returns it in the form
 step_network or step_alpha takes.  Everything is float64.  No operation mutates its
-inputs but loss_and_grads' out buffers, the gradients a step consumes and the parameters
-a step is told it owns.  A leading axis of logits runs S clients at once.
+inputs but the gradients a step consumes and the parameters a step is told it owns.
+A leading axis of logits runs S clients at once.
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def batch_loss(net: Network, alpha: AlphaParams, x, labels):
     return loss if loss.ndim else float(loss)
 
 
-def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
+def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
     """Mean cross entropy plus the exact reverse-mode gradient of one parameter group.
 
     wrt "w" gives (loss, (d_weights, d_biases)), one array per layer shaped like
@@ -312,8 +312,7 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
     (loss, d_logits) shaped like AlphaParams.logits (summed over layers when the
     logits are shared), as step_alpha takes it.  The other group is neither
     computed nor allocated.  Either group takes S clients' logits (S, rows, B) with S
-    batches back to back; "w" then takes S clients' branches (S, B, out, in), and writes
-    the gradients into out, (d_weights, d_biases) arrays shaped like them, if given.
+    batches back to back; "w" then takes S clients' branches (S, B, out, in).
     """
     if wrt not in (WRT_W, WRT_ALPHA):
         raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
@@ -330,7 +329,7 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
         dz.reshape(-1, dz.shape[-1])[np.arange(labels.shape[0]), labels] -= 1.0
         dz /= x.shape[-2]
 
-        d_weights, d_biases = (list(g) for g in out or ([None] * net.num_layers,) * 2)
+        d_weights, d_biases = [None] * net.num_layers, [None] * net.num_layers
         # the alpha phase sets every row
         d_values = np.empty(avals.shape) if wrt == WRT_ALPHA else None
         for l in reversed(range(net.num_layers)):
@@ -340,9 +339,8 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str, out=None):
             if wrt == WRT_W:
                 # z depends on branch b only through alpha_b * (W_b, b_b)
                 a = avals[..., l, :]
-                d_weights[l] = np.multiply(a[..., None, None], dw_combined[..., None, :, :],
-                                           out=d_weights[l])
-                d_biases[l] = np.multiply(a[..., None], db_combined[..., None, :], out=d_biases[l])
+                d_weights[l] = a[..., None, None] * dw_combined[..., None, :, :]
+                d_biases[l] = a[..., None] * db_combined[..., None, :]
             else:
                 # dL/dalpha_b = <dW_combined, W_b> + <db_combined, b_b>
                 d_values[..., l, :] = np.einsum("...oi,boi->...b", dw_combined, layer.weights)
@@ -387,10 +385,13 @@ def step_alpha(alpha: AlphaParams, grads: np.ndarray, learning_rate: float,
 
 @dataclass
 class GradCheckReport:
-    """Max relative error of analytic vs central-difference gradients per group."""
+    """Max relative error of analytic vs central-difference gradients per group, over the
+    coordinates not skipped at a ReLU kink (inf if a group's every one was), and the count
+    of skipped coordinates."""
 
     w_error: float
     alpha_error: float
+    skipped: int
 
     @property
     def passed(self) -> bool:
@@ -405,7 +406,9 @@ def gradient_check(net: Network, alpha: AlphaParams, batch, h: float = 1e-5) -> 
     """Compare loss_and_grads, one call per group, against central finite differences.
 
     Perturbs every branch weight, bias, and mixing logit by +-h and reports
-    the max relative error |a - n| / max(|a|, |n|, 1e-8) per parameter group.
+    the max relative error |a - n| / max(|a|, |n|, 1e-8) per parameter group.  A
+    coordinate whose +h and -h evaluations differ in which ReLU units are active on the
+    batch straddles a kink, where the difference quotient is no derivative: it is skipped.
     """
     if not 0.0 < h <= 1e-2:
         raise ConfigurationError(f"h must be in (0, 1e-2], got {h}")
@@ -416,23 +419,26 @@ def gradient_check(net: Network, alpha: AlphaParams, batch, h: float = 1e-5) -> 
     net = net.copy()
     alpha = alpha.copy()
 
-    def central(arr, idx):
-        orig = arr[idx]
-        arr[idx] = orig + h
-        hi = batch_loss(net, alpha, x, labels)
-        arr[idx] = orig - h
-        lo = batch_loss(net, alpha, x, labels)
-        arr[idx] = orig
-        return (hi - lo) / (2.0 * h)
+    def loss_at(arr, idx, value):
+        """(batch_loss, each hidden layer's active units) with arr[idx] set to value."""
+        arr[idx] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            acts = _forward(net, alpha.values(), x)[0]
+            return float(_nll(acts[-1], labels)[0]), [a > 0.0 for a in acts[1:-1]]
 
-    w_err = 0.0
-    for l, layer in enumerate(net.layers):
-        for arr, darr in ((layer.weights, d_weights[l]), (layer.biases, d_biases[l])):
-            for idx in np.ndindex(arr.shape):
-                w_err = max(w_err, _rel_err(darr[idx], central(arr, idx)))
+    def rel_errors(arr, grads):
+        """Per coordinate of arr, its relative error, or None where +-h straddle a kink."""
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            (hi, on), (lo, off) = loss_at(arr, idx, orig + h), loss_at(arr, idx, orig - h)
+            arr[idx] = orig
+            kink = not all(map(np.array_equal, on, off))
+            yield None if kink else _rel_err(grads[idx], (hi - lo) / (2.0 * h))
 
-    a_err = 0.0
-    for idx in np.ndindex(alpha.logits.shape):
-        a_err = max(a_err, _rel_err(d_logits[idx], central(alpha.logits, idx)))
-
-    return GradCheckReport(w_error=w_err, alpha_error=a_err)
+    w_errs = [err for layer, d_w, d_b in zip(net.layers, d_weights, d_biases)
+              for arr, grads in ((layer.weights, d_w), (layer.biases, d_b))
+              for err in rel_errors(arr, grads)]
+    a_errs = list(rel_errors(alpha.logits, d_logits))
+    w_err, a_err = (max((e for e in errs if e is not None), default=math.inf)
+                    for errs in (w_errs, a_errs))
+    return GradCheckReport(w_err, a_err, (w_errs + a_errs).count(None))

@@ -49,8 +49,8 @@ def corrupt_kernel(monkeypatch, group):
     """
     kernel = nn.loss_and_grads
 
-    def corrupted(net, alpha, batch, wrt, *out):
-        loss, grads = kernel(net, alpha, batch, wrt, *out)
+    def corrupted(net, alpha, batch, wrt):
+        loss, grads = kernel(net, alpha, batch, wrt)
         if wrt == group:
             # the first branch weight of layer 0, or the first mixing logit
             (grads[0][0] if wrt == nn.WRT_W else grads).flat[0] += 1.0

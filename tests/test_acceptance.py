@@ -94,11 +94,13 @@ def test_criterion_1_gradient_exactness():
     report = nn.gradient_check(net, alpha, (x, y), h=1e-5)
     elapsed = time.perf_counter() - started
 
-    ok = report.w_error < 1e-4 and report.alpha_error < 1e-4 and elapsed < 5.0
+    # no coordinate of this network straddles a ReLU kink: every one is compared
+    ok = (report.w_error < 1e-4 and report.alpha_error < 1e-4 and report.skipped == 0
+          and elapsed < 5.0)
     _report(
         1, ok,
         f"w_err={report.w_error:.2e}, alpha_err={report.alpha_error:.2e}, "
-        f"{elapsed:.2f}s (limit 5s)",
+        f"skipped={report.skipped}, {elapsed:.2f}s (limit 5s)",
     )
 
 
@@ -368,10 +370,10 @@ def test_the_stacked_criterion_8_config_trains_both_phases_in_stacks(monkeypatch
     """Its first round makes stacked calls of both gradient groups on 128-row batches."""
     stacks, kernel = set(), nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if alpha.logits.ndim == 3:
             stacks.add((wrt, len(alpha.logits), len(batch[0]) // len(alpha.logits)))
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     cfg = ExperimentConfig(**dict(BLAS_STACKED_CONFIG, rounds=1), output_dir="unused")
     server, clients = fed.setup_experiment(cfg)
@@ -388,10 +390,10 @@ def test_the_dirichlet_criterion_8_config_trains_both_phases_in_ragged_stacks(mo
     stacks, chunks = set(), []
     kernel, train_chunk = nn.loss_and_grads, fed._train_chunk
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if alpha.logits.ndim == 3:
             stacks.add((wrt, len(alpha.logits), len(batch[0]) // len(alpha.logits)))
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     def chunk_spy(chunk, model, alphas, phase, round_index, config):
         chunks.append((phase, [client.num_samples for client in chunk]))

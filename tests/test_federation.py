@@ -499,9 +499,9 @@ def test_a_single_branch_run_skips_the_mixing_phase(config_factory, monkeypatch)
     groups = []
     kernel = nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         groups.append(wrt)
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     fed.run_experiment(config_factory(method="fedavg", branches=1))
@@ -536,10 +536,10 @@ def test_a_diverging_weight_stack_names_the_lowest_failing_client(config_factory
     cfg = config_factory()
     stacks, kernel = [], nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if wrt == nn.WRT_W:
             stacks.append(len(alpha.logits))
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     def diverged_setup(config):
         server, clients = setup(config)
@@ -574,10 +574,10 @@ def cut_shards(clients, rows=RAGGED_ROWS):
 
 def raising_spy(kernel, calls, raised):
     """nn.loss_and_grads recording (wrt, width, rows) of each call, and of each that raises."""
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         calls.append((wrt, width(alpha), len(batch[0])))
         try:
-            return kernel(net, alpha, batch, wrt, *out)
+            return kernel(net, alpha, batch, wrt)
         except NumericError:
             raised.append(calls[-1])
             raise
@@ -594,7 +594,7 @@ def test_a_diverging_ragged_mixing_stack_names_the_lowest_failing_client(
     one stack, whose full 16-row batches are one call over the 4 clients and whose rest of
     each epoch is one call per client.  The round raises what one client per call does."""
     cfg, kernel, messages = config_factory(), nn.loss_and_grads, []
-    for budget in (fed.MIXING_STACK_BYTES, 0):
+    for budget in (fed.STACK_BYTES, 0):
         server, clients = fed.setup_experiment(cfg)
         cut_shards(clients)
         weights = server.model.layers[layer].weights
@@ -602,7 +602,7 @@ def test_a_diverging_ragged_mixing_stack_names_the_lowest_failing_client(
                               if alternate else 1.0)
         calls, raised = [], []
         with monkeypatch.context() as patch:
-            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            patch.setattr(fed, "STACK_BYTES", budget)
             patch.setattr(nn, "loss_and_grads", raising_spy(kernel, calls, raised))
             with pytest.raises(NumericError) as error:
                 fed.run_round(server, clients, cfg)
@@ -624,7 +624,7 @@ def test_a_diverging_ragged_weight_stack_names_the_lowest_failing_client(
     The stack is rerun client by client, and the round raises client 1's located error of
     epoch 1, as one client per call does."""
     cfg, kernel, messages = config_factory(), nn.loss_and_grads, []
-    for budget in (fed.WEIGHT_STACK_BYTES, 0):
+    for budget in (fed.STACK_BYTES, 0):
         server, clients = fed.setup_experiment(cfg)
         cut_shards(clients)
         for client, scale in zip(clients[1:3], scales):
@@ -632,7 +632,7 @@ def test_a_diverging_ragged_weight_stack_names_the_lowest_failing_client(
             client.shard = LabeledDataset(shard.features * scale, shard.labels, shard.num_classes)
         calls, raised = [], []
         with monkeypatch.context() as patch:
-            patch.setattr(fed, "WEIGHT_STACK_BYTES", budget)
+            patch.setattr(fed, "STACK_BYTES", budget)
             patch.setattr(nn, "loss_and_grads", raising_spy(kernel, calls, raised))
             with pytest.raises(NumericError) as error:
                 fed.run_round(server, clients, cfg)
@@ -688,10 +688,9 @@ def test_stepping_in_place_never_writes_into_what_a_phase_received(monkeypatch, 
                                           shard.num_classes)
     round_index = cfg.rounds if case == "fine_tuning" else 0
     before, results = received_bytes(server, clients), []
-    for budget in (0, fed.WEIGHT_STACK_BYTES):
+    for budget in (0, fed.STACK_BYTES):
         with monkeypatch.context() as patch:
-            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
-            patch.setattr(fed, "WEIGHT_STACK_BYTES", budget)
+            patch.setattr(fed, "STACK_BYTES", budget)
             results.append(both_phases(server, clients, cfg, round_index))
         assert received_bytes(server, clients) == before
     assert results[0] == results[1]
@@ -709,10 +708,10 @@ def test_a_paired_round_makes_one_stacked_weight_call_per_step(config_factory, m
     stacks, finished = [], []
     kernel, finish = nn.loss_and_grads, fed.client_local_learning
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if wrt == nn.WRT_W:
             stacks.append(len(alpha.logits))
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     def finishing(client, trained, alpha):
         finished.append(client.client_id)
@@ -742,10 +741,10 @@ def test_a_stacked_weight_phase_reads_the_server_branches_and_never_writes_them(
     trained, nets = [], []
     kernel, finish = nn.loss_and_grads, fed.client_local_learning
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if wrt == nn.WRT_W and alpha.logits.ndim == 3:
             nets.append(net)
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     def finishing(client, result, alpha):
         trained.append(result[0])
@@ -767,21 +766,18 @@ def test_a_stacked_weight_phase_reads_the_server_branches_and_never_writes_them(
                            for b in (kept.weights, kept.biases))
 
 
-def test_a_weight_stack_becomes_its_first_steps_buffers_and_reuses_a_second_set(
-        config_factory, monkeypatch):
-    """The first stacked "w" call of a chunk writes gradients into buffers that the step
-    turns into the chunk's stack, of which the trained arrays are views; every later call
-    receives, and returns, one second set of buffers."""
+def test_a_weight_stack_is_the_gradients_of_its_first_step(config_factory, monkeypatch):
+    """The first stacked "w" call of a chunk returns gradients that the step turns into the
+    chunk's stack, one array per layer's weights and biases, which later steps step in
+    place: every trained network views that stack."""
     cfg = config_factory()
-    buffers, trained = [], []
+    grads_of, trained = [], []
     kernel, finish = nn.loss_and_grads, fed.client_local_learning
 
-    def spy(net, alpha, batch, wrt, *out):
-        loss, grads = kernel(net, alpha, batch, wrt, *out)
+    def spy(net, alpha, batch, wrt):
+        loss, grads = kernel(net, alpha, batch, wrt)
         if wrt == nn.WRT_W and alpha.logits.ndim == 3:
-            (given,) = out
-            assert all(g is b for got, want in zip(grads, given) for g, b in zip(got, want))
-            buffers.append([b for group in given for b in group])
+            grads_of.append([g for group in grads for g in group])
         return loss, grads
 
     def finishing(client, result, alpha):
@@ -792,14 +788,12 @@ def test_a_weight_stack_becomes_its_first_steps_buffers_and_reuses_a_second_set(
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     monkeypatch.setattr(fed, "client_local_learning", finishing)
     fed.run_round(server, clients, cfg)
-    first, second, *later = [[id(b) for b in step] for step in buffers]
-    assert later and all(ids == second for ids in later)
-    assert len(set(first + second)) == 4 * len(server.model.layers)
+    assert len(grads_of) > 1 and len(grads_of[0]) == 2 * len(server.model.layers)
     assert len(trained) == cfg.sample_size
     for network in trained:  # the stack holds every layer's weights, then its biases
         arrays = [layer.weights for layer in network.layers]
         arrays += [layer.biases for layer in network.layers]
-        assert all(a.base is stack for a, stack in zip(arrays, buffers[0], strict=True))
+        assert all(a.base is stack for a, stack in zip(arrays, grads_of[0], strict=True))
 
 
 def test_a_stack_whose_train_losses_overflow_names_the_lowest_failing_client(
@@ -929,13 +923,13 @@ def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch,
     sizes = Counter(client.num_samples for client in clients)
     steps = {n: cfg.local_epochs * -(-n // cfg.batch_size) for n in sizes}
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
-    runs, default = [], fed.MIXING_STACK_BYTES
+    runs, default = [], fed.STACK_BYTES
     for budget in (default, 0, sys.maxsize):
-        monkeypatch.setattr(fed, "MIXING_STACK_BYTES", budget)
+        monkeypatch.setattr(fed, "STACK_BYTES", budget)
         with monkeypatch.context() as patch:
             patch.setattr(nn, "loss_and_grads", spy)
             runs.append(fed.mixing_phase(clients, [model] * len(clients), 0, cfg))
@@ -952,7 +946,7 @@ def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch,
 
 def test_a_lockstep_mixing_step_peaks_near_its_stack_budget():
     """One step of 25 clients at dirichlet_ragged shapes: stacked whole, its arrays
-    would peak near 9 MB; in chunks of MIXING_STACK_BYTES they stay near 2 MB."""
+    would peak near 9 MB; in chunks of STACK_BYTES they stay near 2 MB."""
     model, clients = dirichlet_shaped_clients(False, rows=64)
     cfg = make_config(local_epochs=1, batch_size=64)
     fed.mixing_phase(clients, [model] * len(clients), 0, cfg)
@@ -962,7 +956,7 @@ def test_a_lockstep_mixing_step_peaks_near_its_stack_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * fed.MIXING_STACK_BYTES, peak
+    assert peak < 3 * fed.STACK_BYTES, peak
 
 
 def deep_shaped_clients(count=12, rows=40):
@@ -989,17 +983,17 @@ def width(alpha):
 
 
 def deep_round(monkeypatch, budget):
-    """One round of 12 deep-shaped clients under DEEP_ONE_STEP, with MIXING_STACK_BYTES
+    """One round of 12 deep-shaped clients under DEEP_ONE_STEP, with STACK_BYTES
     at budget: per client its trained network and train loss, and the width of each
     "w" and batch_loss call."""
     model, clients = deep_shaped_clients()
     server, trained, calls = fed.ServerState(model), [], {"w": [], "loss": []}
     kernel, loss_of, finish = nn.loss_and_grads, nn.batch_loss, fed.client_local_learning
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if wrt == nn.WRT_W:
             calls["w"].append(width(alpha))
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     def loss_spy(net, alpha, x, labels):
         calls["loss"].append(width(alpha))
@@ -1010,7 +1004,7 @@ def deep_round(monkeypatch, budget):
         return finish(client, result, alpha)
 
     with monkeypatch.context() as patch:
-        patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+        patch.setattr(fed, "STACK_BYTES", budget)
         patch.setattr(nn, "loss_and_grads", spy)
         patch.setattr(nn, "batch_loss", loss_spy)
         patch.setattr(fed, "client_local_learning", finishing)
@@ -1022,7 +1016,7 @@ def test_a_one_step_weight_stack_equals_one_client_per_call_at_deep_shapes(monke
     """A one-step weight phase is sized like a mixing phase: 12 equal deep-shaped shards
     stack by 6, and each stack's train losses take one batch_loss call.  The trained
     branches and train losses equal those of one client per call bit for bit."""
-    trained, losses, calls = deep_round(monkeypatch, fed.MIXING_STACK_BYTES)
+    trained, losses, calls = deep_round(monkeypatch, fed.STACK_BYTES)
     alone, alone_losses, alone_calls = deep_round(monkeypatch, 0)
     assert calls == {"w": [6, 6], "loss": [6, 6]}
     assert alone_calls == {"w": [1] * 12, "loss": [1] * 12}
@@ -1055,17 +1049,17 @@ def test_a_failing_one_step_stack_is_located_as_one_client_per_call(monkeypatch,
     client by client, and every client's result, client 1's located error included,
     equals that of one client per call."""
     cfg, kernel, results = make_config(**DEEP_ONE_STEP), nn.loss_and_grads, []
-    for budget in (fed.MIXING_STACK_BYTES, 0):
+    for budget in (fed.STACK_BYTES, 0):
         model, clients = deep_shaped_clients()
         diverge(model, clients)
         calls = []
 
-        def spy(net, alpha, batch, wrt, *out):
+        def spy(net, alpha, batch, wrt):
             calls.append(width(alpha))
-            return kernel(net, alpha, batch, wrt, *out)
+            return kernel(net, alpha, batch, wrt)
 
         with monkeypatch.context() as patch:
-            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            patch.setattr(fed, "STACK_BYTES", budget)
             patch.setattr(nn, "loss_and_grads", spy)
             results.append(fed.weight_phase(clients, [model] * len(clients),
                                             [c.alpha for c in clients], 0, cfg))
@@ -1081,13 +1075,13 @@ def test_a_failing_one_step_stack_is_located_as_one_client_per_call(monkeypatch,
 
 def test_a_one_step_weight_phase_peaks_near_one_client_per_call(monkeypatch):
     """Twelve deep-shaped clients' one-step weight phase, stacked by 6, holds its trained
-    branches and no more than MIXING_STACK_BYTES of stepping beyond one client per call:
-    no copy of the branches, and no second buffer set."""
+    branches and no more than STACK_BYTES of stepping beyond one client per call:
+    no copy of the branches."""
     model, clients = deep_shaped_clients()
     cfg, alphas, peaks = make_config(**DEEP_ONE_STEP), [c.alpha for c in clients], []
-    for budget in (0, fed.MIXING_STACK_BYTES):
+    for budget in (0, fed.STACK_BYTES):
         with monkeypatch.context() as patch:
-            patch.setattr(fed, "MIXING_STACK_BYTES", budget)
+            patch.setattr(fed, "STACK_BYTES", budget)
             fed.weight_phase(clients, [model] * len(clients), alphas, 0, cfg)
             tracemalloc.start()
             try:
@@ -1097,7 +1091,7 @@ def test_a_one_step_weight_phase_peaks_near_one_client_per_call(monkeypatch):
                 tracemalloc.stop()
         assert all(not isinstance(result, NumericError) for result in trained)
         del trained
-    assert peaks[1] <= peaks[0] + fed.MIXING_STACK_BYTES, peaks
+    assert peaks[1] <= peaks[0] + fed.STACK_BYTES, peaks
 
 
 def test_each_bench_workload_stacks_its_weight_phases(monkeypatch):
@@ -1109,10 +1103,10 @@ def test_each_bench_workload_stacks_its_weight_phases(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.json"
     kernel, chunks = nn.loss_and_grads, {}
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if wrt == nn.WRT_W and net is server.model:  # the first step of a chunk
             chunks[name].append(width(alpha))
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     for name, workload in json.loads(path.read_text()).items():
@@ -1132,10 +1126,10 @@ def test_fine_tuning_mixes_equal_shards_in_stacked_calls(config_factory, monkeyp
     with equal shards on the server's branches share each step's kernel call."""
     stacks, kernel = [], nn.loss_and_grads
 
-    def spy(net, alpha, batch, wrt, *out):
+    def spy(net, alpha, batch, wrt):
         if wrt == nn.WRT_ALPHA:
             stacks.append(len(alpha.logits) if alpha.logits.ndim == 3 else 1)
-        return kernel(net, alpha, batch, wrt, *out)
+        return kernel(net, alpha, batch, wrt)
 
     monkeypatch.setattr(nn, "loss_and_grads", spy)
     _, _, clients = fed.run_experiment(config_factory(rounds=0))

@@ -9,9 +9,13 @@ change and re-pins it on purpose.
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import blas_env
 from pfedmb import cli
 
 RESULT_FILES = ("rounds.csv", "final.json", "alpha_trajectory.csv")
@@ -135,3 +139,46 @@ def test_bench_shape_result_bytes_match_golden(shape, tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     blob = b"".join((out / name).read_bytes() for name in RESULT_FILES)
     assert hashlib.sha256(blob).hexdigest() == BENCH_GOLDEN[shape]
+
+
+# OpenBLAS kernels, each with the /proc/cpuinfo flags it needs to run
+BLAS_CORETYPES = {"Sandybridge": {"avx"}, "Haswell": {"avx2", "fma"}, "SkylakeX": {"avx512f"}}
+
+# a child's last stdout line: sha256 of a probe matmul's bits, then of the run's result files
+UNDER_ONE_KERNEL = """
+import hashlib, pathlib, sys, tempfile
+import numpy as np
+from pfedmb import cli
+rng = np.random.default_rng(0)
+probe = rng.normal(size=(64, 128)) @ rng.normal(size=(128, 20))
+with tempfile.TemporaryDirectory() as tmp:
+    path, out = pathlib.Path(tmp) / "config.json", pathlib.Path(tmp) / "out"
+    path.write_text(sys.argv[1])
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    blob = b"".join((out / name).read_bytes() for name in sys.argv[2:])
+print(hashlib.sha256(probe.tobytes()).hexdigest(), hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_bench_shape_result_bytes_hold_under_every_blas_kernel():
+    """paired_paper's result bytes are BENCH_GOLDEN's under each OpenBLAS kernel this host
+    runs, while the bits of a 64x128 @ 128x20 product differ between two of them: result
+    files are portable across BLAS kernels, model bits are not."""
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to tell which OpenBLAS kernels this host runs")
+    kernels = [name for name, needs in BLAS_CORETYPES.items() if needs <= flags]
+    if len(kernels) < 2:
+        pytest.skip(f"this host runs {len(kernels)} of the OpenBLAS kernels, too few to differ")
+    probes = set()
+    for kernel in kernels:
+        done = subprocess.run(
+            [sys.executable, "-c", UNDER_ONE_KERNEL, json.dumps(BENCH_SHAPES["paired_paper"]),
+             *RESULT_FILES], env=dict(blas_env(1), OPENBLAS_CORETYPE=kernel),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        probe, result = done.stdout.splitlines()[-1].split()
+        assert result == BENCH_GOLDEN["paired_paper"], kernel
+        probes.add(probe)
+    assert len(probes) > 1, f"one probe product under {kernels}: the kernels did not differ"

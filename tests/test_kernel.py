@@ -275,32 +275,6 @@ def test_a_stacked_batch_loss_equals_one_call_per_client_bit_for_bit(
         assert losses[k] == nn.batch_loss(*as_nn(*own, own_logits, shared), own_x, own_y)
 
 
-@pytest.mark.parametrize("clients", [1, 3])
-@pytest.mark.parametrize("branches,dims,shared,rows", SHAPES, ids=SHAPE_IDS)
-def test_a_weight_call_writes_into_the_buffers_it_is_given(branches, dims, shared, rows,
-                                                           clients):
-    """loss_and_grads(..., "w", out) returns the very arrays of out, holding the bits of
-    the call that allocates its gradients; one client, or a stack of three."""
-    weights, biases, logits, x, y = make_problem(branches, dims, shared, rows, seed=3)
-    if clients > 1:
-        rng = np.random.default_rng(4)
-        weights, biases = ([np.stack([p + rng.normal(scale=0.1, size=p.shape)
-                                      for _ in range(clients)]) for p in arrays]
-                           for arrays in (weights, biases))
-        logits = np.stack([logits + k for k in range(clients)])
-        x, y = np.concatenate([x] * clients), np.concatenate([y] * clients)
-    net, alpha = as_nn(weights, biases, logits, shared)
-    loss, grads = nn.loss_and_grads(net, alpha, (x, y), "w")
-    out = tuple([np.full_like(g, np.nan) for g in group] for group in grads)
-    got_loss, got = nn.loss_and_grads(net, alpha, (x, y), "w", out)
-    np.testing.assert_array_equal(got_loss, loss)
-    for given, returned, want in zip(out, got, grads):
-        assert len(returned) == len(want) == len(weights)
-        for buffer, g, w in zip(given, returned, want):
-            assert g is buffer
-            np.testing.assert_array_equal(g, w)
-
-
 def test_forward_refuses_stacked_logits():
     """Both gradient groups and batch_loss split a stacked batch into equal client
     batches; forward, which serves evaluation, takes no client axis."""

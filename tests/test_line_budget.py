@@ -143,3 +143,17 @@ def test_only_nn_steps_a_parameter():
                     and any(keyword.arg == "out" for keyword in node.keywords)):
                 steppers.append(f"{path.name}:{node.lineno}")
     assert not steppers, f"steps a parameter outside nn.py: {steppers}"
+
+
+def test_only_nn_allocates_uninitialized_arrays():
+    """The kernel allocates every gradient it returns: no other module calls np.empty or
+    np.empty_like, so buffers that a caller makes and the kernel fills stay out."""
+    allocators = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "nn.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = node.func if isinstance(node, ast.Call) else None
+            if isinstance(f, ast.Attribute) and f.attr in ("empty", "empty_like"):
+                allocators.append(f"{path.name}:{node.lineno}")
+    assert not allocators, f"allocates an uninitialized array outside nn.py: {allocators}"

@@ -183,6 +183,73 @@ def test_every_valid_run_completes_or_fails_located(raw):
             assert not (out / "final.json").exists()
 
 
+def gradcheck_config(branches, seed, shared_alpha, hidden_dims, num_classes, input_dim):
+    """SMALL with the fields that shape gradcheck's network, alpha and batch."""
+    data = {"synthetic": {"num_classes": num_classes, "input_dim": input_dim,
+                          "samples_per_class": 12}}
+    return dict(SMALL, branches=branches, seed=seed, shared_alpha=shared_alpha,
+                hidden_dims=hidden_dims, data=data, partition={"scheme": "dirichlet", "beta": 1.0})
+
+
+def gradcheck(raw):
+    """(exit code, stdout, report, (analytic, numeric) of each compared coordinate)."""
+    reports, compared = [], []
+    check, rel_err = nn.gradient_check, nn._rel_err
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "gradient_check",
+                      lambda *args: reports.append(check(*args)) or reports[-1])
+        patch.setattr(nn, "_rel_err", lambda a, n: compared.append((a, n)) or rel_err(a, n))
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["gradcheck", "--config", str(path)])
+    (report,) = reports
+    return code, out.getvalue(), report, compared
+
+
+# configs whose gradcheck printed FAIL while it still compared the coordinates whose +-h
+# straddle a ReLU kink: zero biases put a unit fed only by dead units exactly at 0
+@pytest.mark.parametrize("shape", [(3, 2, True, [2, 2], 3, 3), (4, 0, False, [4, 4, 4], 4, 4),
+                                   (1, 3, False, [5, 3], 2, 3), (4, 0, False, [4, 3, 5], 3, 4)])
+def test_gradcheck_skips_the_coordinates_at_a_relu_kink(shape):
+    code, out, report, _ = gradcheck(gradcheck_config(*shape))
+    assert code == 0 and report.passed and report.skipped > 0
+    assert f"skipped:           {report.skipped} coordinates at a ReLU kink\n" in out
+
+
+def test_gradcheck_fails_a_group_whose_every_coordinate_is_skipped(monkeypatch):
+    """A check that compared nothing does not pass."""
+    monkeypatch.setattr(np, "array_equal", lambda *args: False)  # every coordinate a kink
+    net, alpha = nn.init_network([3, 4, 2], 2, seed=0), nn.uniform_alpha(2, 2)
+    report = nn.gradient_check(net, alpha, (np.ones((4, 3)), [0, 1, 0, 1]))
+    assert report.skipped == 3 * 4 * 2 + 4 * 2 + 4 * 2 * 2 + 2 * 2 + 2 * 2
+    assert report.w_error == report.alpha_error == np.inf and not report.passed
+
+
+# gradcheck's difference quotient rounds each loss to its last place, so at h = 1e-5 it
+# resolves a gradient to about ulp(loss) / 2h, 1.1e-11 at a loss of 1.4; under the 1e-8
+# floor of the relative error that is 1.1e-3, over GRADCHECK_TOLERANCE
+QUOTIENT_ROUNDING = 1e-10
+MAX_SKIPPED_SHARE = 0.25  # measured: at most 0.20 of a draw's coordinates, 0.21 over 400 others
+
+
+# a dead network on four balanced classes: the output biases' gradient is exactly 0,
+# and the quotient reads 2.2e-11
+@example(raw=gradcheck_config(2, 0, True, [1, 1], 4, 1))
+@settings(max_examples=120)
+@given(raw=run_configs())
+def test_gradcheck_errs_on_a_drawn_config_only_by_the_quotients_rounding(raw):
+    """gradcheck skips at most MAX_SKIPPED_SHARE of the coordinates, says how many, and
+    each coordinate it compares is within GRADCHECK_TOLERANCE, or differs by no more than
+    the rounding of the quotient, which cannot resolve a gradient near 0."""
+    code, out, report, compared = gradcheck(raw)
+    assert code == (0 if report.passed else 1)
+    assert report.skipped <= MAX_SKIPPED_SHARE * (report.skipped + len(compared))
+    assert ("at a ReLU kink" in out) == (report.skipped > 0)
+    over = [(a, n) for a, n in compared if nn._rel_err(a, n) > nn.GRADCHECK_TOLERANCE]
+    assert all(abs(a - n) <= QUOTIENT_ROUNDING for a, n in over), over
+
+
 
 def spread(error, change, base) -> float:
     """The largest |error| over the largest |change|, or over 1e-5 of the largest |base|

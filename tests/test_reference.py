@@ -194,7 +194,7 @@ def reference_run(config):
 
 
 def program_run(config):
-    """The same arrays from run_experiment; its server is run_training's."""
+    """The same arrays from run_experiment; its server is run_experiment's."""
     result, server, _ = federation.run_experiment(config)
     fields = ("per_round_mean_test_accuracy", "per_round_mean_train_loss", "alpha_trajectory",
               "final_client_accuracies", "final_alpha")
@@ -263,12 +263,11 @@ def test_a_run_equals_the_numpy_reference_bit_for_bit(raw):
 @given(raw=run_configs())
 def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(federation, "MIXING_STACK_BYTES", budget)
+        patch.setattr(federation, "STACK_BYTES", budget)
         assert_equals_reference(raw)
 
 
-# likewise, every client's weight phase in its own call, or all of a shard size's in one;
-# a weight phase of one SGD step is sized by MIXING_STACK_BYTES, so both budgets are set
+# likewise, every client's weight phase in its own call, or all of a shard size's in one
 @pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
 @settings(max_examples=60)
 @example(raw=FLOOR_HIT)
@@ -284,8 +283,7 @@ def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
 @given(raw=run_configs())
 def test_any_weight_stack_budget_equals_the_reference(budget, raw):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(federation, "WEIGHT_STACK_BYTES", budget)
-        patch.setattr(federation, "MIXING_STACK_BYTES", budget)
+        patch.setattr(federation, "STACK_BYTES", budget)
         assert_equals_reference(raw)
 
 
