@@ -16,7 +16,7 @@ round), and each client phase on (seed, CLIENT, client_id, round, phase).
 A round trains its clients' mixing phases in one lockstep call, grouped by model
 and batches per epoch, then their weight phases in another, and finishes each
 client in canonical (ascending id) order; fine-tuning mixes in lockstep and trains
-weights per client.  config.threads is accepted but ignored.
+weights chunk by chunk, and evaluation stacks clients.  config.threads is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
     Returns per client its new AlphaParams, or the located NumericError that ended its
     phase; a client with one branch keeps its logits, whose gradient is exactly 0.
     """
-    return _lockstep(clients, models, [c.alpha for c in clients], ALPHA_PHASE, round_index, config)
+    return list(_lockstep(clients, models, [c.alpha for c in clients], ALPHA_PHASE,
+                          round_index, config))
 
 
 def weight_phase(clients: list, models: list, alphas: list, round_index: int, config) -> list:
@@ -160,36 +161,44 @@ def weight_phase(clients: list, models: list, alphas: list, round_index: int, co
     network and its train loss on its whole shard (None when fine-tuning, in round
     config.rounds), or the located NumericError that ended either phase or the loss.
     """
-    return _lockstep(clients, models, alphas, WEIGHT_PHASE, round_index, config)
+    return list(_lockstep(clients, models, alphas, WEIGHT_PHASE, round_index, config))
+
+
+def _chunks(models: list, keys: list):
+    """Index lists of the entries of one model object and one key (rows, holds branches,
+    ...), not None, in first-seen order, each cut to STACK_BYTES: per client its branches
+    and a step's gradients if it holds branches, else what one step reads at `rows`."""
+    groups = {}
+    for i, (model, key) in enumerate(zip(models, keys)):
+        if key is not None:
+            groups.setdefault((id(model), *key), []).append(i)
+    for (_, rows, branches, *_), group in groups.items():
+        per_client = 8 * sum(layer.weights.size + layer.biases.size if branches
+                             else layer.out_dim * (layer.in_dim + rows)
+                             for layer in models[group[0]].layers)
+        size = max(1, STACK_BYTES // per_client)
+        yield from (group[k : k + size] for k in range(0, len(group), size))
 
 
 def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index: int,
-              config) -> list:
-    """phase for each client whose alphas[i] is AlphaParams (with branches to mix, in the
-    mixing phase); every other client's result is its alphas[i].
-
-    Clients of one model and as many batches per epoch (one size, if a shard fits a batch)
-    train as one stack per STACK_BYTES, bit for bit as if alone.
-    """
-    weights, groups, out = phase == WEIGHT_PHASE, {}, {}
-    for i, (client, model, alpha) in enumerate(zip(clients, models, alphas)):
-        if isinstance(alpha, nn.AlphaParams) and (weights or alpha.num_branches > 1):
-            n, bs = client.num_samples, config.batch_size  # first batch's rows, batch count
-            groups.setdefault((id(model), min(n, bs), -(-n // bs)), []).append(i)
-    for (_, rows, batches), group in groups.items():
-        model = models[group[0]]
-        multi_step = weights and (config.local_epochs > 1 or batches > 1)
-        if multi_step:  # the stack's branches, and one step's gradients
-            per_client = 8 * sum(layer.weights.size + layer.biases.size for layer in model.layers)
-        else:  # combined weights and layer outputs: all that a one-step stack reads
-            per_client = 8 * sum(layer.out_dim * (layer.in_dim + rows) for layer in model.layers)
-        size = max(1, STACK_BYTES // per_client)
-        for k in range(0, len(group), size):
-            chunk = group[k : k + size]
-            out.update(zip(chunk, _train_chunk([clients[i] for i in chunk], model,
-                                               [alphas[i] for i in chunk], phase,
-                                               round_index, config)))
-    return [out.get(i, alpha) for i, alpha in enumerate(alphas)]
+              config):
+    """Per client in canonical order, phase's result if alphas[i] is AlphaParams (with
+    branches to mix, in the mixing phase), else alphas[i].  Clients of one model and as
+    many batches per epoch (one size, if a shard fits a batch) train as one stack per
+    STACK_BYTES, bit for bit as if alone, when the generator reaches its first client."""
+    weights, bs, keys, done = phase == WEIGHT_PHASE, config.batch_size, [], {}
+    for client, alpha in zip(clients, alphas):
+        n = client.num_samples  # first batch's rows, whether branches step twice, batch count
+        keys.append((min(n, bs), weights and (config.local_epochs > 1 or n > bs), -(-n // bs))
+                    if isinstance(alpha, nn.AlphaParams) and (weights or alpha.num_branches > 1)
+                    else None)
+    chunks = {chunk[0]: chunk for chunk in _chunks(models, keys)}
+    for i, alpha in enumerate(alphas):
+        if chunk := chunks.get(i):
+            done.update(zip(chunk, _train_chunk([clients[j] for j in chunk], models[i],
+                                                [alphas[j] for j in chunk], phase,
+                                                round_index, config)))
+        yield done.pop(i, alpha)
 
 
 def _branches(net: nn.Network, s: int) -> nn.Network:
@@ -328,14 +337,34 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
         server.model = aggregate(updates, strategy, server.model)
     server.round = t + 1
 
-    accuracies = [_at(c, t, "evaluation", metrics.evaluate_client,
-                      c.current_model(server), c.alpha, c.test_shard) for c in clients]
     return RoundReport(
         sampled=sampled,
         train_losses=[loss for _, loss in trained],  # every client finished: no errors
-        test_accuracies=accuracies,
+        test_accuracies=_evaluate(clients, [c.current_model(server) for c in clients], t),
         alpha_values=np.stack([c.alpha.values() for c in clients]),
     )
+
+
+def _evaluate(clients: list, models: list, round_index: int) -> list:
+    """Each client's test accuracy on models[i] with its alpha: one evaluate_client call per
+    chunk of clients of one model and test-shard length, stacked if it holds two or more.
+    An error reruns every client alone, in canonical order, to name the first that fails."""
+    accuracies = {}
+    try:
+        for chunk in _chunks(models, [(len(c.test_shard), False) for c in clients]):
+            members = [clients[i] for i in chunk]
+            alpha, shard = members[0].alpha, members[0].test_shard
+            if len(members) > 1:  # their logits stacked, their test shards back to back
+                alpha = replace(alpha, logits=np.stack([c.alpha.logits for c in members]))
+                shard = LabeledDataset(np.concatenate([c.test_shard.features for c in members]),
+                                       np.concatenate([c.test_shard.labels for c in members]),
+                                       shard.num_classes)
+            result = metrics.evaluate_client(models[chunk[0]], alpha, shard)
+            accuracies.update(zip(chunk, result if len(members) > 1 else [result]))
+    except NumericError:
+        return [_at(c, round_index, "evaluation", metrics.evaluate_client, model, c.alpha,
+                    c.test_shard) for c, model in zip(clients, models)]
+    return [accuracies[i] for i in range(len(clients))]
 
 
 # ------------------------------------------------------------- experiment glue
@@ -361,16 +390,15 @@ def setup_experiment(config):
     return server, clients
 
 
-def fine_tune(client: ClientState, global_model: nn.Network, config, alpha) -> nn.Network:
-    """Post-training local adaptation; the result never reaches the server.
-
-    The weight phase of one more local pass on the client's own data, keyed as
-    round config.rounds, given alpha from mixing_phase for that round; returns
-    the personalized network.  It trains this client alone, so a caller that drops
-    each result holds one tuned network at a time.
-    """
-    trained = weight_phase([client], [global_model], [alpha], config.rounds, config)[0]
-    return client_local_learning(client, trained, alpha).model
+def fine_tune(clients: list, models: list, alphas: list, config):
+    """Post-training local adaptation: a generator of the clients' personalized networks in
+    canonical order, which never reach the server.  The weight phase of one more local pass,
+    keyed as round config.rounds, given alphas from mixing_phase for that round: each chunk
+    trains as weight_phase cuts it when its first client is reached, and is freed once its
+    last network is dropped; client_local_learning finishes (or raises) each client."""
+    trained = _lockstep(clients, models, alphas, WEIGHT_PHASE, config.rounds, config)
+    for client, alpha in zip(clients, alphas):
+        yield client_local_learning(client, next(trained), alpha).model
 
 
 def _keep_freed_heap() -> None:
@@ -387,19 +415,17 @@ def run_experiment(config):
     """End-to-end run of the configured method, fine-tuning included.
 
     Returns (ExperimentResult, server, clients).  Fine-tuning is one mixing_phase for
-    every client, then per client fine_tune, whose network is evaluated and dropped
-    before the next is trained; a caller who wants the networks fine-tunes as this does.
+    every client, then fine_tune over them, each of whose networks is evaluated and
+    dropped as it comes; a caller who wants the networks fine-tunes as this does.
     """
     _keep_freed_heap()
     server, clients = setup_experiment(config)
     reports = [run_round(server, clients, config) for _ in range(config.rounds)]
     models = [client.current_model(server) for client in clients]
-    accuracies, alphas = [], mixing_phase(clients, models, config.rounds, config)
-    for client, model, alpha in zip(clients, models, alphas):
-        tuned = fine_tune(client, model, config, alpha)
-        accuracies.append(_at(client, config.rounds, "evaluation", metrics.evaluate_client,
-                              tuned, client.alpha, client.test_shard))
-        del tuned  # one fine-tuned network alive at a time
+    tuned = fine_tune(clients, models, mixing_phase(clients, models, config.rounds, config),
+                      config)
+    accuracies = [_at(client, config.rounds, "evaluation", metrics.evaluate_client,
+                      next(tuned), client.alpha, client.test_shard) for client in clients]
 
     result = metrics.ExperimentResult(
         per_round_mean_test_accuracy=[float(np.mean(r.test_accuracies)) for r in reports],

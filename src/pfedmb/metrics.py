@@ -38,14 +38,15 @@ def config_fingerprint(config_dict: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def evaluate_client(net: nn.Network, alpha: nn.AlphaParams, shard: LabeledDataset) -> float:
-    """Fraction of argmax-correct predictions of (net combined with alpha)."""
+def evaluate_client(net: nn.Network, alpha: nn.AlphaParams, shard: LabeledDataset):
+    """Fraction of argmax-correct predictions of (net combined with alpha); given S clients'
+    logits and test shards back to back, as nn.forward takes them, the list of S fractions."""
     if shard.num_classes != net.num_classes:
         raise ConfigurationError(
             f"shard has {shard.num_classes} classes, network outputs {net.num_classes}"
         )
     logits = nn.forward(net, alpha, shard.features)
-    return float((logits.argmax(axis=1) == shard.labels).mean())
+    return (logits.argmax(axis=-1) == shard.labels.reshape(logits.shape[:-1])).mean(-1).tolist()
 
 
 def alpha_similarity(alphas, group_labels=None):

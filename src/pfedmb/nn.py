@@ -221,7 +221,7 @@ def integral_labels(labels: np.ndarray) -> bool:
     return labels.dtype.kind == "f" and bool((labels == np.round(labels)).all())
 
 
-def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED, stacked=False) -> tuple:
+def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED) -> tuple:
     """(x as float64, labels as int64) after checking that both fit net and alpha."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -249,8 +249,6 @@ def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED, stacked
         raise UsageError("stacked branches need logits stacked for as many clients")
     if alpha.logits.ndim == 3:
         clients = alpha.logits.shape[0]
-        if not stacked:
-            raise UsageError("only loss_and_grads and batch_loss take a client axis")
         if not clients or x.shape[0] % clients:
             raise UsageError(f"{x.shape[0]} rows do not split into {clients} equal client batches")
         x = x.reshape(clients, -1, x.shape[1])  # S batches, back to back
@@ -258,7 +256,8 @@ def _check_batch(net: Network, alpha: AlphaParams, x, labels=_UNLABELED, stacked
 
 
 def forward(net: Network, alpha: AlphaParams, x) -> np.ndarray:
-    """Class logits for a batch, shape (n, num_classes).
+    """Class logits for a batch, shape (n, num_classes); with S clients' logits and
+    batches back to back, as batch_loss takes them, shape (S, n / S, num_classes).
 
     Evaluates each layer through its combined weights; ReLU between layers,
     identity after the last.
@@ -298,7 +297,7 @@ def _nll(logits: np.ndarray, labels: np.ndarray) -> tuple:
 def batch_loss(net: Network, alpha: AlphaParams, x, labels):
     """Mean softmax cross entropy of the batch, no gradients; raises NumericError if non-finite.
     With S clients' logits and batches, as loss_and_grads takes them, the (S,) losses."""
-    x, labels = _check_batch(net, alpha, x, labels, stacked=True)
+    x, labels = _check_batch(net, alpha, x, labels)
     with np.errstate(over="ignore", invalid="ignore"):
         loss = _nll(_forward(net, alpha.values(), x)[0][-1], labels)[0]
     return loss if loss.ndim else float(loss)
@@ -316,7 +315,7 @@ def loss_and_grads(net: Network, alpha: AlphaParams, batch, wrt: str):
     """
     if wrt not in (WRT_W, WRT_ALPHA):
         raise UsageError(f"wrt must be 'w' or 'alpha'; got {wrt!r}")
-    x, labels = _check_batch(net, alpha, *batch, stacked=True)
+    x, labels = _check_batch(net, alpha, *batch)
     # overflow and non-finite gradients surface in the finiteness checks, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         avals = alpha.values()
@@ -412,6 +411,8 @@ def gradient_check(net: Network, alpha: AlphaParams, batch, h: float = 1e-5) -> 
     """
     if not 0.0 < h <= 1e-2:
         raise ConfigurationError(f"h must be in (0, 1e-2], got {h}")
+    if alpha.logits.ndim == 3:
+        raise UsageError("gradient_check takes no client axis")
     x, labels = _check_batch(net, alpha, *batch)
     _, (d_weights, d_biases) = loss_and_grads(net, alpha, (x, labels), WRT_W)
     _, d_logits = loss_and_grads(net, alpha, (x, labels), WRT_ALPHA)

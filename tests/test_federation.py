@@ -658,14 +658,10 @@ def received_bytes(server, clients):
 
 def both_phases(server, clients, config, round_index):
     """Each client's mixing_phase and weight_phase result, without finishing any client;
-    at round config.rounds the weight phases run one client at a time, as fine_tune's."""
+    at round config.rounds the weight phases run in the chunks fine_tune trains."""
     models = [client.current_model(server) for client in clients]
     alphas = fed.mixing_phase(clients, models, round_index, config)
-    if round_index < config.rounds:
-        trained = fed.weight_phase(clients, models, alphas, round_index, config)
-    else:
-        trained = [fed.weight_phase([c], [m], [a], round_index, config)[0]
-                   for c, m, a in zip(clients, models, alphas)]
+    trained = fed.weight_phase(clients, models, alphas, round_index, config)
     return [str(t) if isinstance(t, NumericError) else
             ([bytes(layer.weights) + bytes(layer.biases) for layer in t[0].layers], t[1],
              bytes(a.logits)) for t, a in zip(trained, alphas)]
@@ -824,21 +820,67 @@ def test_a_stack_whose_train_losses_overflow_names_the_lowest_failing_client(
                      [1, "finite"]]
 
 
-def test_an_overflowing_aggregation_is_quiet_and_the_round_evaluation_names_it(config_factory):
+def evaluation_spy(monkeypatch, widths):
+    """Record in widths how many clients each evaluate_client call evaluates."""
+    evaluate = metrics.evaluate_client
+
+    def spy(net, alpha, shard):
+        widths.append(width(alpha))
+        return evaluate(net, alpha, shard)
+
+    monkeypatch.setattr(metrics, "evaluate_client", spy)
+
+
+def test_an_overflowing_aggregation_is_quiet_and_the_round_evaluation_names_it(
+        config_factory, monkeypatch):
     """Branches at 1e308 keep every client's forward pass and train loss finite, but
     n_i * alpha_i * W overflows in aggregate: no numpy warning, and the round's
-    evaluation raises the first client's located error."""
+    evaluation raises the first client's located error, whether the two clients' test
+    shards of 6 rows are one stacked call, rerun client by client, or one call each."""
     cfg = config_factory(
         clients=2, sample_size=2, hidden_dims=(), lr_alpha=0.0, lr_w=0.0,
         data={"synthetic": {"num_classes": 2, "input_dim": 1, "class_mean_scale": 0.5,
-                            "noise_std": 0.1, "samples_per_class": 30}},
+                            "noise_std": 0.1, "samples_per_class": 40}},
         partition={"scheme": "paired_clusters", "num_pairs": 1, "classes_per_pair": 2},
     )
-    server, clients = fed.setup_experiment(cfg)
-    server.model.layers[0].weights[...] = 1e308
-    with pytest.raises(NumericError) as raised:
-        fed.run_round(server, clients, cfg)
-    assert str(raised.value) == "client 0, round 0, evaluation: non-finite activations in layer 0"
+    for budget in (fed.STACK_BYTES, 0):
+        server, clients = fed.setup_experiment(cfg)
+        server.model.layers[0].weights[...] = 1e308
+        widths = []
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "STACK_BYTES", budget)
+            evaluation_spy(patch, widths)
+            with pytest.raises(NumericError) as raised:
+                fed.run_round(server, clients, cfg)
+        assert str(raised.value) == ("client 0, round 0, evaluation: "
+                                     "non-finite activations in layer 0")
+        assert widths == ([2, 1] if budget else [1, 1])
+
+
+def test_a_stacked_evaluation_names_the_first_failing_client_not_the_stacks_first(
+        config_factory, monkeypatch):
+    """Four clients of one test-shard length are evaluated in one stacked call.  Branches
+    at 1e150 train finitely on every shard, but overflow on the test features of clients
+    2 and 3, scaled by 1e160.  The stack raises, every client is rerun alone in order,
+    and the round names client 2, as one call per client does."""
+    cfg = config_factory(lr_alpha=0.0, lr_w=0.0)
+    for budget in (fed.STACK_BYTES, 0):
+        server, clients = fed.setup_experiment(cfg)
+        assert len({len(c.test_shard) for c in clients}) == 1
+        server.model.layers[0].weights[...] *= 1e150
+        for client in clients[2:]:
+            test = client.test_shard
+            client.test_shard = LabeledDataset(test.features * 1e160, test.labels,
+                                               test.num_classes)
+        widths = []
+        with monkeypatch.context() as patch:
+            patch.setattr(fed, "STACK_BYTES", budget)
+            evaluation_spy(patch, widths)
+            with pytest.raises(NumericError) as raised:
+                fed.run_round(server, clients, cfg)
+        assert str(raised.value) == ("client 2, round 0, evaluation: "
+                                     "non-finite activations in layer 0")
+        assert widths == ([4, 1, 1, 1] if budget else [1, 1, 1, 1, 1, 1])
 
 
 def diverge_mixing(method, server, clients):
@@ -1138,14 +1180,15 @@ def test_fine_tuning_mixes_equal_shards_in_stacked_calls(config_factory, monkeyp
 
 
 def run_keeping_fine_tuned(monkeypatch, config):
-    """run_experiment's (result, server, clients) plus the network that each
-    fine_tune call returned, in call order."""
+    """run_experiment's (result, server, clients) plus every network that fine_tune
+    yielded, in order."""
     networks = []
     fine_tune = fed.fine_tune
 
-    def spy(client, model, cfg, alpha):
-        networks.append(fine_tune(client, model, cfg, alpha))
-        return networks[-1]
+    def spy(clients, models, alphas, cfg):
+        for network in fine_tune(clients, models, alphas, cfg):
+            networks.append(network)
+            yield network
 
     with monkeypatch.context() as patch:
         patch.setattr(fed, "fine_tune", spy)
@@ -1179,23 +1222,42 @@ def test_partial_participation_experiment_end_to_end(config_factory, monkeypatch
     assert_same_networks(again, personalized)
 
 
-def test_experiment_holds_one_fine_tuned_network_at_a_time(config_factory, monkeypatch):
-    cfg = config_factory(sample_size=2, rounds=1)
-    refs = []
-    fine_tune = fed.fine_tune
+def test_experiment_holds_one_open_chunk_of_fine_tuned_networks_per_group(
+        config_factory, monkeypatch):
+    """Dirichlet shards of two batches an epoch (clients 0, 2, 4 and 7) and of three
+    (clients 1 and 5) fine-tune in weight chunks of at most two clients.  Whenever a
+    network is yielded, the arrays of the networks yielded so far that are still alive
+    belong to at most one chunk per group: run_experiment drops each network, and a
+    chunk is freed once its last client has been yielded.  None outlives the run."""
+    cfg = config_factory(clients=8, sample_size=3, rounds=1, seed=1, batch_size=8,
+                         partition={"scheme": "dirichlet", "beta": 0.5})
+    server, _ = fed.setup_experiment(cfg)
+    branches = 8 * sum(layer.weights.size + layer.biases.size for layer in server.model.layers)
+    monkeypatch.setattr(fed, "STACK_BYTES", 2 * branches)
+    fine_tune, yielded, open_groups = fed.fine_tune, [], []
 
-    def spy(client, model, config, alpha):
-        gc.collect()
-        assert [i for i, ref in enumerate(refs) if ref() is not None] == []
-        network = fine_tune(client, model, config, alpha)
-        refs.append(weakref.ref(network))
-        return network
+    def spy(clients, models, alphas, config):
+        tuned = fine_tune(clients, models, alphas, config)
+        for client in clients:  # as run_experiment does, no network is bound across a next
+            weights = (network := next(tuned)).layers[0].weights
+            storage = weights if weights.base is None else weights.base  # a chunk's stack
+            n, bs = client.num_samples, config.batch_size
+            yielded.append((weakref.ref(storage), (min(n, bs), -(-n // bs))))
+            gc.collect()
+            alive = {(group, id(ref())) for ref, group in yielded if ref() is not None}
+            groups = sorted(group for group, _ in alive)
+            assert len(groups) == len(set(groups)), (client.client_id, alive)
+            open_groups.append(groups)
+            yield network
+            del network
 
     monkeypatch.setattr(fed, "fine_tune", spy)
     result = fed.run_experiment(cfg)
     gc.collect()
-    assert len(refs) == cfg.clients
-    assert [i for i, ref in enumerate(refs) if ref() is not None] == []
+    two, three = (8, 2), (8, 3)
+    assert [group for _, group in yielded] == [two, three, two, (5, 1), two, three, (7, 1), two]
+    assert open_groups[4] == [two, three]  # client 4's chunk is open beside clients 1 and 5's
+    assert all(ref() is None for ref, _ in yielded)
     assert len(result[0].final_client_accuracies) == cfg.clients
 
 
@@ -1312,8 +1374,8 @@ def test_fine_tune_zero_rates_is_identity(config_factory):
     server, clients, _ = run_rounds(cfg)
     before = clients[0].alpha.logits.copy()
     cfg = dataclasses.replace(cfg, local_epochs=2, lr_alpha=0.0, lr_w=0.0)
-    model = fed.fine_tune(clients[0], server.model, cfg,
-                          mixed(clients[0], server.model, cfg.rounds, cfg))
+    [model] = fed.fine_tune([clients[0]], [server.model],
+                            [mixed(clients[0], server.model, cfg.rounds, cfg)], cfg)
     for got, want in zip(model.layers, server.model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
     np.testing.assert_array_equal(clients[0].alpha.logits, before)
@@ -1332,7 +1394,7 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
 
     before = evaluate_client(model, client.alpha, shard)
     cfg = make_config(rounds=0, local_epochs=5, lr_alpha=0.1, lr_w=0.1, batch_size=16, seed=1)
-    tuned = fed.fine_tune(client, model, cfg, mixed(client, model, cfg.rounds, cfg))
+    [tuned] = fed.fine_tune([client], [model], [mixed(client, model, cfg.rounds, cfg)], cfg)
     after = evaluate_client(tuned, client.alpha, shard)
     assert after >= before
     assert after == 1.0

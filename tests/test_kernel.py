@@ -276,17 +276,20 @@ def test_a_stacked_batch_loss_equals_one_call_per_client_bit_for_bit(
 
 
 def test_forward_refuses_stacked_logits():
-    """Both gradient groups and batch_loss split a stacked batch into equal client
-    batches; forward, which serves evaluation, takes no client axis."""
+    """Both gradient groups, batch_loss and forward, which serves evaluation, refuse
+    stacked logits whose batch does not split into equal client batches; gradient_check
+    takes no client axis."""
     weights, biases, _, x, y = make_problem(3, (4, 5, 3), False, 6)
     net, stacked = as_nn(weights, biases, np.zeros((3, 2, 3)), False)
     for call in (lambda: nn.loss_and_grads(net, stacked, (x[:5], y[:5]), "alpha"),
                  lambda: nn.loss_and_grads(net, stacked, (x[:5], y[:5]), "w"),
-                 lambda: nn.batch_loss(net, stacked, x[:5], y[:5])):
+                 lambda: nn.batch_loss(net, stacked, x[:5], y[:5]),
+                 lambda: nn.forward(net, stacked, x[:5])):
         with pytest.raises(UsageError, match="5 rows do not split into 3 equal client batches"):
             call()
-    with pytest.raises(UsageError, match="client axis"):
-        nn.forward(net, stacked, x)
+    assert nn.forward(net, stacked, x).shape == (3, 2, 3)
+    with pytest.raises(UsageError, match="gradient_check takes no client axis"):
+        nn.gradient_check(net, stacked, (x, y))
 
 
 def test_stacked_branches_need_logits_stacked_for_as_many_clients():

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfedmb import nn
 from pfedmb.data import LabeledDataset, write_atomic
@@ -59,6 +61,34 @@ def test_accuracy_matches_per_sample_hand_count():
         logits = nn.forward(net, alpha, shard.features[i : i + 1])
         correct += int(np.argmax(logits[0]) == shard.labels[i])
     assert got == pytest.approx(correct / 30, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(clients=st.integers(2, 7), rows=st.integers(1, 12), branches=st.integers(1, 4),
+       dims=st.lists(st.integers(1, 6), min_size=2, max_size=4), shared=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_stacked_evaluation_equals_one_call_per_client(clients, rows, branches, dims,
+                                                         shared, seed):
+    """S clients' logits stacked (S, rows, B), their test shards back to back: one
+    evaluate_client call returns exactly the S fractions of one call per client, and
+    forward gives each client the bits of its own logits."""
+    rng = np.random.default_rng(seed)
+    net, layers = nn.init_network(dims, branches, seed=seed), len(dims) - 1
+    for layer in net.layers:
+        layer.biases[...] = rng.normal(size=layer.biases.shape)
+    logits = rng.normal(size=(clients, 1 if shared else layers, branches))
+    x = rng.normal(size=(clients * rows, dims[0]))
+    y = rng.integers(0, dims[-1], size=clients * rows)
+    stacked = nn.AlphaParams(logits, layers, shared)
+    got = evaluate_client(net, stacked, LabeledDataset(x, y, dims[-1]))
+    outputs = nn.forward(net, stacked, x)
+    want = []
+    for k, (own_x, own_y) in enumerate(zip(np.split(x, clients), np.split(y, clients))):
+        alpha = nn.AlphaParams(logits[k], layers, shared)
+        want.append(evaluate_client(net, alpha, LabeledDataset(own_x, own_y, dims[-1])))
+        np.testing.assert_array_equal(outputs[k], nn.forward(net, alpha, own_x))
+    assert type(got) is list and all(type(a) is float for a in got + want)
+    assert got == want
 
 
 def test_evaluate_rejects_empty_shard():

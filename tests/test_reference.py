@@ -62,9 +62,13 @@ def mean_loss(weights, biases, mix, x, y):
     return loss
 
 
-def accuracy(weights, biases, mix, x, y):
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = class_logits(weights, biases, mix, x)
+def accuracy(cid, t, weights, biases, mix, x, y):
+    """Client cid's test accuracy in round t; an error names the client and round."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = class_logits(weights, biases, mix, x)
+    except NumericError as exc:
+        raise NumericError(f"client {cid}, round {t}, evaluation: {exc}") from None
     return float((out.argmax(axis=1) == y).mean())
 
 
@@ -178,7 +182,7 @@ def reference_run(config):
             updates.append((len(train[cid][1]), w, b, mix(cid)))
         if not local:
             server_w, server_b = aggregate(updates, alpha_weighted, server_w, server_b)
-        accuracies = [accuracy(*model(cid), mix(cid), *test[cid]) for cid in clients]
+        accuracies = [accuracy(cid, t, *model(cid), mix(cid), *test[cid]) for cid in clients]
         rounds["per_round_mean_test_accuracy"].append(float(np.mean(accuracies)))
         rounds["per_round_mean_train_loss"].append(float(np.mean(losses)))
         rounds["alpha_trajectory"].append(np.stack([mix(cid) for cid in clients]))
@@ -187,7 +191,7 @@ def reference_run(config):
     for cid in clients:  # fine-tuning is keyed as round T; its branches are dropped
         w, b, logits[cid] = local_learning(config, cid, config.rounds, *model(cid),
                                            logits[cid], *train[cid])
-        final.append(accuracy(w, b, mix(cid), *test[cid]))
+        final.append(accuracy(cid, config.rounds, w, b, mix(cid), *test[cid]))
     return dict(rounds, final_client_accuracies=final,
                 final_alpha=[mix(cid) for cid in clients],
                 server_weights=server_w, server_biases=server_b)
@@ -267,11 +271,14 @@ def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
         assert_equals_reference(raw)
 
 
-# likewise, every client's weight phase in its own call, or all of a shard size's in one
+# likewise for every other stacked pass (weight phases, evaluation, fine-tuning): every
+# client in its own call, or every group of clients in one
 @pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
 @settings(max_examples=60)
 @example(raw=FLOOR_HIT)
 @example(raw=MIXED_FAILURES)
+# no round: fine-tuning's evaluation fails, for client 1 first
+@example(raw=dict(MIXED_FAILURES, rounds=0))
 @example(raw=dict(FLOOR_HIT, lr_w=1e300))
 # one step per phase on four 7-row shards, three sampled: a one-step stack, whose train
 # losses overflow under lr_w 1e300
@@ -280,6 +287,8 @@ def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
 @example(raw=RAGGED_STACK)
 # the ragged stack's weight phase overflows under lr_w 1e300 after its first full batch
 @example(raw=dict(RAGGED_STACK, lr_w=1e300))
+# every client trains and is evaluated on its own branches
+@example(raw=dict(RAGGED_STACK, method="local"))
 @given(raw=run_configs())
 def test_any_weight_stack_budget_equals_the_reference(budget, raw):
     with pytest.MonkeyPatch.context() as patch:
