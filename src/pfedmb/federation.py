@@ -13,10 +13,10 @@ trains its own model every round and nothing is aggregated.
 Determinism: every stream is a fresh numpy Generator keyed by explicit
 integers -- network init on (seed, INIT), client sampling on (seed, SAMPLE,
 round), and each client phase on (seed, CLIENT, client_id, round, phase).
-A round trains its clients' mixing phases in one lockstep call, grouped by model
-and batches per epoch, then their weight phases in another, and finishes each
-client in canonical (ascending id) order; fine-tuning mixes in lockstep and trains
-weights chunk by chunk, and evaluation stacks clients.  config.threads is accepted but ignored.
+One local pass serves every round and fine-tuning: it trains its clients' mixing
+phases in lockstep, grouped by model and batches per epoch, then their weight phases
+chunk by chunk, and finishes each client in canonical (ascending id) order.
+Evaluation stacks clients too.  config.threads is accepted but ignored.
 """
 
 from __future__ import annotations
@@ -98,11 +98,12 @@ class ServerState:
 
 @dataclass
 class ClientUpdate:
-    """What a sampled client returns: new branch parameters and mixing weights."""
+    """What a sampled client returns: new branch parameters, mixing weights and train loss."""
 
     num_samples: int
     model: nn.Network
     alpha_values: np.ndarray  # (num_layers, B) simplex rows
+    train_loss: float = None  # on the whole shard; None when fine-tuning
 
 
 @dataclass
@@ -144,24 +145,16 @@ def _batches(chunk: list, round_index: int, phase: int, config):
             yield epoch, rows[epoch, s, full : sizes[s]], s
 
 
-def mixing_phase(clients: list, models: list, round_index: int, config) -> list:
-    """Phase 1 of local learning in lockstep: client i's mixing logits on fixed models[i].
-
-    Returns per client its new AlphaParams, or the located NumericError that ended its
-    phase; a client with one branch keeps its logits, whose gradient is exactly 0.
-    """
-    return list(_lockstep(clients, models, [c.alpha for c in clients], ALPHA_PHASE,
-                          round_index, config))
-
-
-def weight_phase(clients: list, models: list, alphas: list, round_index: int, config) -> list:
-    """Phase 2 of local learning in lockstep: client i's branches from models[i], alphas[i] fixed.
-
-    alphas is what mixing_phase returned for the clients.  Returns per client its trained
-    network and its train loss on its whole shard (None when fine-tuning, in round
-    config.rounds), or the located NumericError that ended either phase or the loss.
-    """
-    return list(_lockstep(clients, models, alphas, WEIGHT_PHASE, round_index, config))
+def _local_pass(clients: list, models: list, round_index: int, config):
+    """Two-phase local learning of client i from models[i] in round round_index, yielding
+    each ClientUpdate in canonical order: every client's mixing phase in one lockstep pass,
+    then each weight chunk when its first client is reached; client_local_learning finishes
+    each client, raising the located error of either phase or of the train loss."""
+    alphas = list(_lockstep(clients, models, [c.alpha for c in clients], ALPHA_PHASE,
+                            round_index, config))
+    trained = _lockstep(clients, models, alphas, WEIGHT_PHASE, round_index, config)
+    for client, alpha in zip(clients, alphas):
+        yield client_local_learning(client, next(trained), alpha)
 
 
 def _chunks(models: list, keys: list):
@@ -182,10 +175,11 @@ def _chunks(models: list, keys: list):
 
 def _lockstep(clients: list, models: list, alphas: list, phase: int, round_index: int,
               config):
-    """Per client in canonical order, phase's result if alphas[i] is AlphaParams (with
-    branches to mix, in the mixing phase), else alphas[i].  Clients of one model and as
-    many batches per epoch (one size, if a shard fits a batch) train as one stack per
-    STACK_BYTES, bit for bit as if alone, when the generator reaches its first client."""
+    """Per client in canonical order, phase's result if alphas[i] is AlphaParams (with branches
+    to mix, in the mixing phase), else alphas[i]: new AlphaParams, or the trained network and
+    its train loss (None when fine-tuning), or the located NumericError that ended either.
+    Clients of one model and as many batches per epoch (one size, if a shard fits a batch)
+    train as one stack per STACK_BYTES, bit for bit as if alone, on reaching its first client."""
     weights, bs, keys, done = phase == WEIGHT_PHASE, config.batch_size, [], {}
     for client, alpha in zip(clients, alphas):
         n = client.num_samples  # first batch's rows, whether branches step twice, batch count
@@ -209,8 +203,8 @@ def _branches(net: nn.Network, s: int) -> nn.Network:
 
 def _train_chunk(chunk: list, model: nn.Network, alphas: list, phase: int, round_index: int,
                  config) -> list:
-    """chunk's phase, one kernel call and one step per SGD step; per client what mixing_phase
-    or weight_phase returns.  Two or more clients train stacked over a leading axis.  The
+    """chunk's phase, one kernel call and one step per SGD step; per client what _lockstep
+    yields for it.  Two or more clients train stacked over a leading axis.  The
     first step writes the stepped parameters into its gradients, which later steps step in
     place, as a client's own batch of a ragged chunk steps its slice.  A stack that raises
     is rerun client by client from the start, on the same streams, to locate each error."""
@@ -267,14 +261,14 @@ def _at(client: ClientState, round_index: int, stage: str, fn, *args):
 def client_local_learning(client: ClientState, trained, alpha) -> ClientUpdate:
     """Finish one client's local learning in canonical order; persists its new mixing logits.
 
-    alpha is what mixing_phase returned for the client, and trained what weight_phase
-    returned: the branches trained with alpha held fixed and their train loss, or the
-    located NumericError of either phase or of the train loss, which is raised here.
+    alpha is the client's mixing phase result, and trained its weight phase result: the
+    branches trained with alpha held fixed and their train loss, or the located
+    NumericError of either phase or of the train loss, which is raised here.
     """
     if isinstance(trained, NumericError):
         raise trained
     client.alpha = alpha
-    return ClientUpdate(client.num_samples, trained[0], alpha.values())
+    return ClientUpdate(client.num_samples, trained[0], alpha.values(), trained[1])
 
 
 def aggregate(
@@ -326,20 +320,18 @@ def run_round(server: ServerState, clients: list, config) -> RoundReport:
 
     members = [clients[cid] for cid in sampled]
     models = [client.current_model(server) for client in members]
-    alphas = mixing_phase(members, models, t, config)
-    trained = weight_phase(members, models, alphas, t, config)
     updates = []
-    for client, result, alpha in zip(members, trained, alphas):
-        updates.append(client_local_learning(client, result, alpha))
+    for client, update in zip(members, _local_pass(members, models, t, config)):
+        updates.append(update)
         if strategy is None:
-            client.local_model = updates[-1].model
+            client.local_model = update.model
     if strategy is not None:
         server.model = aggregate(updates, strategy, server.model)
     server.round = t + 1
 
     return RoundReport(
         sampled=sampled,
-        train_losses=[loss for _, loss in trained],  # every client finished: no errors
+        train_losses=[update.train_loss for update in updates],
         test_accuracies=_evaluate(clients, [c.current_model(server) for c in clients], t),
         alpha_values=np.stack([c.alpha.values() for c in clients]),
     )
@@ -356,9 +348,10 @@ def _evaluate(clients: list, models: list, round_index: int) -> list:
             alpha, shard = members[0].alpha, members[0].test_shard
             if len(members) > 1:  # their logits stacked, their test shards back to back
                 alpha = replace(alpha, logits=np.stack([c.alpha.logits for c in members]))
-                shard = LabeledDataset(np.concatenate([c.test_shard.features for c in members]),
-                                       np.concatenate([c.test_shard.labels for c in members]),
-                                       shard.num_classes)
+                shard = nn._trusted(  # rows that setup checked, back to back
+                    LabeledDataset, num_classes=shard.num_classes,
+                    features=np.concatenate([c.test_shard.features for c in members]),
+                    labels=np.concatenate([c.test_shard.labels for c in members]))
             result = metrics.evaluate_client(models[chunk[0]], alpha, shard)
             accuracies.update(zip(chunk, result if len(members) > 1 else [result]))
     except NumericError:
@@ -390,15 +383,13 @@ def setup_experiment(config):
     return server, clients
 
 
-def fine_tune(clients: list, models: list, alphas: list, config):
+def fine_tune(clients: list, models: list, config):
     """Post-training local adaptation: a generator of the clients' personalized networks in
-    canonical order, which never reach the server.  The weight phase of one more local pass,
-    keyed as round config.rounds, given alphas from mixing_phase for that round: each chunk
-    trains as weight_phase cuts it when its first client is reached, and is freed once its
-    last network is dropped; client_local_learning finishes (or raises) each client."""
-    trained = _lockstep(clients, models, alphas, WEIGHT_PHASE, config.rounds, config)
-    for client, alpha in zip(clients, alphas):
-        yield client_local_learning(client, next(trained), alpha).model
+    canonical order, which never reach the server.  One more local pass, keyed as round
+    config.rounds, whose weight chunks are freed once their last network is dropped."""
+    for update in _local_pass(clients, models, config.rounds, config):
+        yield update.model
+        del update  # before the next chunk trains, so that this one can be freed
 
 
 def _keep_freed_heap() -> None:
@@ -414,16 +405,13 @@ def _keep_freed_heap() -> None:
 def run_experiment(config):
     """End-to-end run of the configured method, fine-tuning included.
 
-    Returns (ExperimentResult, server, clients).  Fine-tuning is one mixing_phase for
-    every client, then fine_tune over them, each of whose networks is evaluated and
-    dropped as it comes; a caller who wants the networks fine-tunes as this does.
+    Returns (ExperimentResult, server, clients).  Each network that fine_tune yields is
+    evaluated and dropped; a caller who wants the networks fine-tunes as this does.
     """
     _keep_freed_heap()
     server, clients = setup_experiment(config)
     reports = [run_round(server, clients, config) for _ in range(config.rounds)]
-    models = [client.current_model(server) for client in clients]
-    tuned = fine_tune(clients, models, mixing_phase(clients, models, config.rounds, config),
-                      config)
+    tuned = fine_tune(clients, [client.current_model(server) for client in clients], config)
     accuracies = [_at(client, config.rounds, "evaluation", metrics.evaluate_client,
                       next(tuned), client.alpha, client.test_shard) for client in clients]
 

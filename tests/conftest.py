@@ -67,6 +67,20 @@ def run_rounds(config):
                              for _ in range(config.rounds)]
 
 
+def mixing_results(clients, models, round_index, config):
+    """Each client's mixing phase on models[i], as the first lockstep pass of a local pass
+    runs it: per client its new AlphaParams, or the located NumericError that ended it."""
+    return list(federation._lockstep(clients, models, [c.alpha for c in clients],
+                                     federation.ALPHA_PHASE, round_index, config))
+
+
+def weight_results(clients, models, alphas, round_index, config):
+    """Each client's weight phase from models[i] with alphas[i] fixed, in the chunks a local
+    pass trains: per client (network, train loss), or the located NumericError."""
+    return list(federation._lockstep(clients, models, alphas, federation.WEIGHT_PHASE,
+                                     round_index, config))
+
+
 def make_config(**overrides):
     """Small, fast experiment config; tests override what they care about."""
     base = dict(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import child_minor_faults, make_config, run_rounds
+from conftest import child_minor_faults, make_config, mixing_results, run_rounds, weight_results
 from pfedmb import federation as fed
 from pfedmb import metrics, nn
 from pfedmb.config import parse_config
@@ -44,16 +44,11 @@ def tiny_client(seed=3, n=6, in_dim=2, classes=2, branches=2, client_id=0):
     return fed.ClientState(client_id, shard, test, alpha)
 
 
-def mixed(client, model, round_index, config):
-    """The client's mixing phase on model, as weight_phase and fine_tune take it."""
-    return fed.mixing_phase([client], [model], round_index, config)[0]
-
-
 def learned(client, model, round_index, config):
-    """client_local_learning after the client's mixing and weight phases on model."""
-    alpha = mixed(client, model, round_index, config)
-    trained = fed.weight_phase([client], [model], [alpha], round_index, config)[0]
-    return fed.client_local_learning(client, trained, alpha)
+    """The client's ClientUpdate from a local pass of it alone on model: its mixing and
+    weight phases, finished by client_local_learning."""
+    [update] = fed._local_pass([client], [model], round_index, config)
+    return update
 
 
 # -------------------------------------------------------------------- sampling
@@ -657,11 +652,11 @@ def received_bytes(server, clients):
 
 
 def both_phases(server, clients, config, round_index):
-    """Each client's mixing_phase and weight_phase result, without finishing any client;
-    at round config.rounds the weight phases run in the chunks fine_tune trains."""
+    """Each client's mixing and weight phase result, without finishing any client; at
+    round config.rounds the weight phases run in the chunks fine-tuning trains."""
     models = [client.current_model(server) for client in clients]
-    alphas = fed.mixing_phase(clients, models, round_index, config)
-    trained = fed.weight_phase(clients, models, alphas, round_index, config)
+    alphas = mixing_results(clients, models, round_index, config)
+    trained = weight_results(clients, models, alphas, round_index, config)
     return [str(t) if isinstance(t, NumericError) else
             ([bytes(layer.weights) + bytes(layer.biases) for layer in t[0].layers], t[1],
              bytes(a.logits)) for t, a in zip(trained, alphas)]
@@ -820,6 +815,45 @@ def test_a_stack_whose_train_losses_overflow_names_the_lowest_failing_client(
                      [1, "finite"]]
 
 
+@pytest.mark.parametrize("case", ["equal", "ragged", "alone"])
+def test_each_updates_train_loss_is_its_trained_networks_loss_on_its_whole_shard(
+        monkeypatch, case):
+    """Three of four clients sampled: an equal stack, the ragged stack of 24, 21 and 17 rows,
+    or one client per chunk.  Each sampled client's ClientUpdate carries batch_loss of its
+    trained network and new mixing on its whole shard, bit for bit, and the round reports
+    those losses; fine-tuning's updates carry None."""
+    cfg = make_config(sample_size=3)
+    server, clients = fed.setup_experiment(cfg)
+    if case == "ragged":
+        cut_shards(clients)
+    updates, widths = [], []
+    kernel, finish = nn.loss_and_grads, fed.client_local_learning
+
+    def spy(net, alpha, batch, wrt):
+        if wrt == nn.WRT_W:
+            widths.append(width(alpha))
+        return kernel(net, alpha, batch, wrt)
+
+    def finishing(client, result, alpha):
+        updates.append(finish(client, result, alpha))
+        return updates[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fed, "STACK_BYTES", 0 if case == "alone" else fed.STACK_BYTES)
+        patch.setattr(nn, "loss_and_grads", spy)
+        patch.setattr(fed, "client_local_learning", finishing)
+        report = fed.run_round(server, clients, cfg)
+    assert report.sampled == [0, 2, 3] and max(widths) == (1 if case == "alone" else 3)
+    assert report.train_losses == [update.train_loss for update in updates]
+    for cid, update in zip(report.sampled, updates):
+        shard = clients[cid].shard
+        want = nn.batch_loss(update.model, clients[cid].alpha, shard.features, shard.labels)
+        assert update.train_loss == want
+    models = [client.current_model(server) for client in clients]
+    tuned = list(fed._local_pass(clients, models, cfg.rounds, cfg))
+    assert [update.train_loss for update in tuned] == [None] * len(clients)
+
+
 def evaluation_spy(monkeypatch, widths):
     """Record in widths how many clients each evaluate_client call evaluates."""
     evaluate = metrics.evaluate_client
@@ -974,7 +1008,7 @@ def test_lockstep_mixing_equals_one_client_per_call_at_bench_shapes(monkeypatch,
         monkeypatch.setattr(fed, "STACK_BYTES", budget)
         with monkeypatch.context() as patch:
             patch.setattr(nn, "loss_and_grads", spy)
-            runs.append(fed.mixing_phase(clients, [model] * len(clients), 0, cfg))
+            runs.append(mixing_results(clients, [model] * len(clients), 0, cfg))
         if budget == default:  # every size group is split into several chunks
             assert 1 < max(stacks) < min(sizes.values())
         if budget == sys.maxsize:  # one stack per size group and step
@@ -991,10 +1025,10 @@ def test_a_lockstep_mixing_step_peaks_near_its_stack_budget():
     would peak near 9 MB; in chunks of STACK_BYTES they stay near 2 MB."""
     model, clients = dirichlet_shaped_clients(False, rows=64)
     cfg = make_config(local_epochs=1, batch_size=64)
-    fed.mixing_phase(clients, [model] * len(clients), 0, cfg)
+    mixing_results(clients, [model] * len(clients), 0, cfg)
     tracemalloc.start()
     try:
-        fed.mixing_phase(clients, [model] * len(clients), 0, cfg)
+        mixing_results(clients, [model] * len(clients), 0, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1103,8 +1137,8 @@ def test_a_failing_one_step_stack_is_located_as_one_client_per_call(monkeypatch,
         with monkeypatch.context() as patch:
             patch.setattr(fed, "STACK_BYTES", budget)
             patch.setattr(nn, "loss_and_grads", spy)
-            results.append(fed.weight_phase(clients, [model] * len(clients),
-                                            [c.alpha for c in clients], 0, cfg))
+            results.append(weight_results(clients, [model] * len(clients),
+                                          [c.alpha for c in clients], 0, cfg))
         assert calls == ([6] + [1] * 6 + [6] if budget else [1] * 12)
     stacked, alone = results
     assert isinstance(stacked[1], NumericError) and isinstance(alone[1], NumericError)
@@ -1124,10 +1158,10 @@ def test_a_one_step_weight_phase_peaks_near_one_client_per_call(monkeypatch):
     for budget in (0, fed.STACK_BYTES):
         with monkeypatch.context() as patch:
             patch.setattr(fed, "STACK_BYTES", budget)
-            fed.weight_phase(clients, [model] * len(clients), alphas, 0, cfg)
+            weight_results(clients, [model] * len(clients), alphas, 0, cfg)
             tracemalloc.start()
             try:
-                trained = fed.weight_phase(clients, [model] * len(clients), alphas, 0, cfg)
+                trained = weight_results(clients, [model] * len(clients), alphas, 0, cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1185,8 +1219,8 @@ def run_keeping_fine_tuned(monkeypatch, config):
     networks = []
     fine_tune = fed.fine_tune
 
-    def spy(clients, models, alphas, cfg):
-        for network in fine_tune(clients, models, alphas, cfg):
+    def spy(clients, models, cfg):
+        for network in fine_tune(clients, models, cfg):
             networks.append(network)
             yield network
 
@@ -1236,8 +1270,8 @@ def test_experiment_holds_one_open_chunk_of_fine_tuned_networks_per_group(
     monkeypatch.setattr(fed, "STACK_BYTES", 2 * branches)
     fine_tune, yielded, open_groups = fed.fine_tune, [], []
 
-    def spy(clients, models, alphas, config):
-        tuned = fine_tune(clients, models, alphas, config)
+    def spy(clients, models, config):
+        tuned = fine_tune(clients, models, config)
         for client in clients:  # as run_experiment does, no network is bound across a next
             weights = (network := next(tuned)).layers[0].weights
             storage = weights if weights.base is None else weights.base  # a chunk's stack
@@ -1374,8 +1408,7 @@ def test_fine_tune_zero_rates_is_identity(config_factory):
     server, clients, _ = run_rounds(cfg)
     before = clients[0].alpha.logits.copy()
     cfg = dataclasses.replace(cfg, local_epochs=2, lr_alpha=0.0, lr_w=0.0)
-    [model] = fed.fine_tune([clients[0]], [server.model],
-                            [mixed(clients[0], server.model, cfg.rounds, cfg)], cfg)
+    [model] = fed.fine_tune([clients[0]], [server.model], cfg)
     for got, want in zip(model.layers, server.model.layers):
         np.testing.assert_array_equal(got.weights, want.weights)
     np.testing.assert_array_equal(clients[0].alpha.logits, before)
@@ -1394,7 +1427,7 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
 
     before = evaluate_client(model, client.alpha, shard)
     cfg = make_config(rounds=0, local_epochs=5, lr_alpha=0.1, lr_w=0.1, batch_size=16, seed=1)
-    [tuned] = fed.fine_tune([client], [model], [mixed(client, model, cfg.rounds, cfg)], cfg)
+    [tuned] = fed.fine_tune([client], [model], cfg)
     after = evaluate_client(tuned, client.alpha, shard)
     assert after >= before
     assert after == 1.0

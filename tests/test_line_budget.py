@@ -111,6 +111,20 @@ def test_every_top_level_name_has_a_caller_outside_tests():
     assert not dead, f"named only by tests, or not at all: {dead}"
 
 
+def test_only_the_local_pass_drives_the_lockstep_phases():
+    """Rounds and fine-tuning share one two-phase driver: _local_pass is the one top-level
+    function in src/pfedmb that names _lockstep, so a second copy of the phase order
+    (every mixing phase, then the weight phases) stays out."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            named = {getattr(node, "id", None) or getattr(node, "attr", None)
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            if "_lockstep" in named:
+                callers.append(f"{path.name}: {getattr(top, 'name', top.lineno)}")
+    assert callers == ["federation.py: _local_pass"], callers
+
+
 def test_only_data_reads_an_input_file():
     """Config, CSV and checkpoint are read by data.read_utf8, so each is decoded
     and rejected the same way: no other module calls json.load(s), .read_text,

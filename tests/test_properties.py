@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import make_config, mixing_results, weight_results
 from pfedmb import federation as fed
 from pfedmb import nn
 from pfedmb.cli import main
@@ -261,7 +261,7 @@ def spread(error, change, base) -> float:
 
 
 def rank_one_spreads(raw):
-    """One weight_phase of every client of raw's config at round 0, after its mixing phase.
+    """Every client's weight phase of raw's config at round 0, after its mixing phase.
 
     Each client's change to branch b of layer l should be alpha_ib * D_il, one D_il per
     layer, biases too; D_il is taken from the client's largest-alpha branch.  So an
@@ -275,8 +275,8 @@ def rank_one_spreads(raw):
     except PartitionError:
         return None
     models = [client.current_model(server) for client in clients]
-    alphas = fed.mixing_phase(clients, models, 0, config)
-    trained = fed.weight_phase(clients, models, alphas, 0, config)
+    alphas = mixing_results(clients, models, 0, config)
+    trained = weight_results(clients, models, alphas, 0, config)
     if any(isinstance(result, NumericError) for result in trained):
         return None
     spreads, steps = [], []  # steps: per client, D_il of each layer's weights and biases

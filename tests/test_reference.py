@@ -257,22 +257,10 @@ def test_a_run_equals_the_numpy_reference_bit_for_bit(raw):
     assert_equals_reference(raw)
 
 
-# drawn configs have at most 4 clients, whose mixing steps always fit one stacked
-# call: these budgets give every client its own call, or all of them one call
-@pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
-@settings(max_examples=60)
-@example(raw=FLOOR_HIT)
-@example(raw=MIXED_FAILURES)
-@example(raw=RAGGED_STACK)
-@given(raw=run_configs())
-def test_any_mixing_stack_budget_equals_the_reference(budget, raw):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(federation, "STACK_BYTES", budget)
-        assert_equals_reference(raw)
-
-
-# likewise for every other stacked pass (weight phases, evaluation, fine-tuning): every
-# client in its own call, or every group of clients in one
+# drawn configs have at most 4 clients, whose steps and evaluations always fit one stacked
+# call: these budgets give every client its own call in every stacked pass (mixing and
+# weight phases, evaluation, fine-tuning), or every group of clients one call; the one
+# STACK_BYTES sizes the weight stacks and every other stack, so this test covers them all
 @pytest.mark.parametrize("budget", [0, sys.maxsize], ids=["one_client_per_call", "unbounded"])
 @settings(max_examples=60)
 @example(raw=FLOOR_HIT)
