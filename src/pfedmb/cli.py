@@ -140,6 +140,8 @@ def cmd_gradcheck(args) -> int:
     if report.skipped:
         print(f"skipped:           {report.skipped} coordinates at a ReLU kink")
     print(f"tolerance:         {nn.GRADCHECK_TOLERANCE:.0e}")
+    if np.finfo(np.longdouble).eps == np.finfo(np.float64).eps:  # as on MSVC, arm64 macOS
+        print("precision:         float64 losses; a gradient near 0 may read as FAIL")
     print(f"result:            {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

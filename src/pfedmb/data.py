@@ -194,21 +194,17 @@ class Partition:
     test: list
 
 
-def apportion(total: int, weights) -> np.ndarray:
-    """Integer counts proportional to weights, summing exactly to total.
-
-    Largest-remainder rounding; ties broken toward the lowest index.  The
-    weights must sum to more than 0; partition passes no other rows.
-    """
+def apportion(total, weights) -> np.ndarray:
+    """Integer counts proportional to weights, summing exactly to total, by largest remainder
+    with ties toward the lowest index; totals (R,) and weights (R, K) give R rows, each as its
+    own call would.  The weights must sum to more than 0; partition passes no other rows."""
     w = np.asarray(weights, dtype=np.float64)
-    quotas = total * w / w.sum()
+    total = np.asarray(total)[..., None]
+    quotas = total * w / w.sum(axis=-1, keepdims=True)
     counts = np.floor(quotas).astype(np.int64)
-    frac = quotas - counts
-    leftover = total - counts.sum()
-    if leftover > 0:
-        order = np.argsort(-frac, kind="stable")
-        counts[order[:leftover]] += 1
-    return counts
+    order = np.argsort(counts - quotas, axis=-1, kind="stable")  # remainders, largest first
+    leftover = total - counts.sum(axis=-1, keepdims=True)
+    return counts + (np.argsort(order, axis=-1) < leftover)  # a rank below leftover gets 1
 
 
 def _check_class_count(spec: PartitionSpec, num_classes: int) -> None:
@@ -277,15 +273,13 @@ def partition(dataset: LabeledDataset, spec: PartitionSpec) -> Partition:
         if isinstance(spec.scheme, SizeHeterogeneous) and (weights.sum(axis=1) == 0.0).any():
             continue  # some class unowned; all of its samples must be assigned
 
+        shuffled = [rng.permutation(members) for members in per_class]
+        held = np.flatnonzero(weights.sum(axis=1))  # a class held by nobody stays out
+        pools = apportion([len(shuffled[c]) for c in held], DEFAULT_SPLIT_RATIO).ravel()
+        shares = apportion(pools, np.repeat(weights[held], 3, axis=0))  # row (class, split)
         owner = np.full(len(dataset), 3 * n)
-        for c, members in enumerate(per_class):
-            shuffled = rng.permutation(members)
-            if weights[c].sum() == 0.0:
-                continue  # class held by nobody (allowed for k-class schemes)
-            ends = np.cumsum(apportion(len(shuffled), DEFAULT_SPLIT_RATIO)).tolist()
-            for s, pool in enumerate(shuffled[a:b] for a, b in zip([0, *ends], ends)):
-                shares = apportion(len(pool), weights[c])
-                owner[pool] = np.repeat(s * n + np.arange(n), shares)
+        owner[np.concatenate([shuffled[c] for c in held])] = np.repeat(
+            np.tile(np.arange(3 * n), len(held)), shares.ravel())
 
         groups = _group(owner, 3 * n)
         if all(len(g) > 0 for g in groups):

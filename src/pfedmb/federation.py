@@ -159,8 +159,8 @@ def _local_pass(clients: list, models: list, round_index: int, config):
 
 def _chunks(models: list, keys: list):
     """Index lists of the entries of one model object and one key (rows, holds branches,
-    ...), not None, in first-seen order, each cut to STACK_BYTES: per client its branches
-    and a step's gradients if it holds branches, else what one step reads at `rows`."""
+    ...), not None, in first-seen order, each cut to STACK_BYTES: per client its branches,
+    counted once, if it holds branches, else what one step reads at `rows`."""
     groups = {}
     for i, (model, key) in enumerate(zip(models, keys)):
         if key is not None:
@@ -302,12 +302,12 @@ def aggregate(
                 b_acc += coeffs[:, None] * layer.biases
         floor = DEAD_BRANCH_FLOOR * total
         for prev, (denom, w_acc, b_acc) in zip(previous_global.layers, sums):
-            dead = denom < floor
-            safe = np.where(dead, 1.0, denom)
-            layers.append(nn.MultiBranchDense(
-                np.where(dead[:, None, None], prev.weights, w_acc / safe[:, None, None]),
-                np.where(dead[:, None], prev.biases, b_acc / safe[:, None]),
-            ))
+            dead = denom < floor  # such a branch's sums are divided by 1, then overwritten
+            denom[dead] = 1.0
+            w_acc /= denom[:, None, None]
+            b_acc /= denom[:, None]
+            w_acc[dead], b_acc[dead] = prev.weights[dead], prev.biases[dead]
+            layers.append(nn.MultiBranchDense(w_acc, b_acc))
     return nn.Network(layers)
 
 
@@ -370,11 +370,17 @@ def setup_experiment(config):
     model = nn.init_network(dims, config.branches, seed=[config.seed, INIT_STREAM])
     server = ServerState(model=model)
     local = STRATEGY_FOR_METHOD[config.method] is None
+    train, test = [], []
+    for lists, shards in ((part.train, train), (part.test, test)):  # a split's rows, one copy
+        rows, ends = dataset.subset(np.concatenate(lists)), np.cumsum([len(i) for i in lists])
+        shards += [nn._trusted(LabeledDataset, features=rows.features[a:b],
+                               labels=rows.labels[a:b], num_classes=rows.num_classes)
+                   for a, b in zip([0, *ends], ends)]
     clients = [
         ClientState(
             client_id=i,
-            shard=dataset.subset(part.train[i]),
-            test_shard=dataset.subset(part.test[i]),
+            shard=train[i],
+            test_shard=test[i],
             alpha=nn.uniform_alpha(len(dims) - 1, config.branches, config.shared_alpha),
             local_model=model.copy() if local else None,
         )

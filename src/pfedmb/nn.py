@@ -40,8 +40,8 @@ _UNLABELED = object()  # forward's batches carry no labels; None is a bad label 
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax."""
-    z = np.asarray(logits, dtype=np.float64)
+    """Row-wise stable softmax, in float64, or in longdouble for gradient_check's copies."""
+    z = np.asarray(logits, dtype=np.promote_types(np.asarray(logits).dtype, np.float64))
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -265,21 +265,22 @@ def forward(net: Network, alpha: AlphaParams, x) -> np.ndarray:
     x, _ = _check_batch(net, alpha, x)
     # overflow is reported by the finiteness check, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward(net, alpha.values(), x)[0][-1]
+        return _forward(net, alpha.values(), x, keep=False)[0][-1]
 
 
-def _forward(net: Network, avals: np.ndarray, x: np.ndarray) -> tuple:
-    """([x, *layer outputs], combined weights) of a checked x, under the caller's np.errstate."""
+def _forward(net: Network, avals: np.ndarray, x: np.ndarray, keep: bool = True) -> tuple:
+    """([x, *layer outputs], combined weights) of a checked x, under the caller's np.errstate;
+    unless keep, only the last output and no weights: a layer's input is freed as it runs."""
     # the rows of avals come from a softmax: no simplex check as in combine_branches
     acts, ws = [x], []
     for l, layer in enumerate(net.layers):
         w, b = _combine(layer, avals[..., l, :])
-        z = acts[-1] @ w.swapaxes(-1, -2)
+        z = (acts[-1] if keep else acts.pop()) @ w.swapaxes(-1, -2)
         z += b[..., None, :]
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite activations in layer {l}")
-        ws.append(w if l else None)  # the backward pass reads no first-layer weights
-        acts.append(np.maximum(z, 0.0) if l < net.num_layers - 1 else z)
+        ws.append(w if l and keep else None)  # the backward pass reads no first-layer weights
+        acts.append(np.maximum(z, 0.0, out=z) if l < net.num_layers - 1 else z)
     return acts, ws
 
 
@@ -299,7 +300,7 @@ def batch_loss(net: Network, alpha: AlphaParams, x, labels):
     With S clients' logits and batches, as loss_and_grads takes them, the (S,) losses."""
     x, labels = _check_batch(net, alpha, x, labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _nll(_forward(net, alpha.values(), x)[0][-1], labels)[0]
+        loss = _nll(_forward(net, alpha.values(), x, keep=False)[0][-1], labels)[0]
     return loss if loss.ndim else float(loss)
 
 
@@ -408,6 +409,8 @@ def gradient_check(net: Network, alpha: AlphaParams, batch, h: float = 1e-5) -> 
     the max relative error |a - n| / max(|a|, |n|, 1e-8) per parameter group.  A
     coordinate whose +h and -h evaluations differ in which ReLU units are active on the
     batch straddles a kink, where the difference quotient is no derivative: it is skipped.
+    The quotient is a Richardson step over +-h and +-h/2 of losses in np.longdouble, which
+    resolves gradients near 0 where longdouble is wider than float64 (not on MSVC or arm64).
     """
     if not 0.0 < h <= 1e-2:
         raise ConfigurationError(f"h must be in (0, 1e-2], got {h}")
@@ -417,29 +420,35 @@ def gradient_check(net: Network, alpha: AlphaParams, batch, h: float = 1e-5) -> 
     _, (d_weights, d_biases) = loss_and_grads(net, alpha, (x, labels), WRT_W)
     _, d_logits = loss_and_grads(net, alpha, (x, labels), WRT_ALPHA)
 
-    net = net.copy()
-    alpha = alpha.copy()
+    net, alpha = net.copy(), alpha.copy()
+    arrays = [a for layer in net.layers for a in (layer.weights, layer.biases)] + [alpha.logits]
+    wide = [a.astype(np.longdouble) for a in arrays]  # the copies whose losses are differenced
+    wide_net = _trusted(Network, layers=[_trusted(MultiBranchDense, weights=w, biases=b)
+                                         for w, b in zip(wide[:-1:2], wide[1::2])])
+    wide_alpha = _trusted(AlphaParams, **{**vars(alpha), "logits": wide[-1]})
 
-    def loss_at(arr, idx, value):
-        """(batch_loss, each hidden layer's active units) with arr[idx] set to value."""
-        arr[idx] = value
+    def loss_at(k, idx, step):
+        """(longdouble loss, float64 kink masks at +-h) with arrays[k][idx] moved by step."""
+        orig = arrays[k][idx], wide[k][idx]
+        arrays[k][idx], wide[k][idx] = orig[0] + step, orig[1] + step
         with np.errstate(over="ignore", invalid="ignore"):
-            acts = _forward(net, alpha.values(), x)[0]
-            return float(_nll(acts[-1], labels)[0]), [a > 0.0 for a in acts[1:-1]]
+            acts = _forward(net, alpha.values(), x)[0] if abs(step) == h else []
+            loss = _nll(_forward(wide_net, wide_alpha.values(), x, keep=False)[0][-1], labels)[0]
+        arrays[k][idx], wide[k][idx] = orig
+        return loss, [a > 0.0 for a in acts[1:-1]]
 
-    def rel_errors(arr, grads):
-        """Per coordinate of arr, its relative error, or None where +-h straddle a kink."""
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            (hi, on), (lo, off) = loss_at(arr, idx, orig + h), loss_at(arr, idx, orig - h)
-            arr[idx] = orig
+    def rel_errors(k, grads):
+        """Per coordinate of arrays[k], its relative error, or None where +-h straddle a kink."""
+        for idx in np.ndindex(grads.shape):
+            (hi, on), (lo, off), (hi2, _), (lo2, _) = (loss_at(k, idx, step)
+                                                       for step in (h, -h, h / 2, -h / 2))
+            numeric = (4.0 * (hi2 - lo2) / h - (hi - lo) / (2.0 * h)) / 3.0  # O(h**4)
             kink = not all(map(np.array_equal, on, off))
-            yield None if kink else _rel_err(grads[idx], (hi - lo) / (2.0 * h))
+            yield None if kink else _rel_err(grads[idx], float(numeric))
 
-    w_errs = [err for layer, d_w, d_b in zip(net.layers, d_weights, d_biases)
-              for arr, grads in ((layer.weights, d_w), (layer.biases, d_b))
-              for err in rel_errors(arr, grads)]
-    a_errs = list(rel_errors(alpha.logits, d_logits))
+    grads = [g for pair in zip(d_weights, d_biases) for g in pair] + [d_logits]
+    errs = [list(rel_errors(k, g)) for k, g in enumerate(grads)]
+    w_errs, a_errs = sum(errs[:-1], []), errs[-1]
     w_err, a_err = (max((e for e in errs if e is not None), default=math.inf)
                     for errs in (w_errs, a_errs))
     return GradCheckReport(w_err, a_err, (w_errs + a_errs).count(None))

@@ -1,8 +1,10 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -79,6 +81,83 @@ def weight_results(clients, models, alphas, round_index, config):
     pass trains: per client (network, train loss), or the located NumericError."""
     return list(federation._lockstep(clients, models, alphas, federation.WEIGHT_PHASE,
                                      round_index, config))
+
+
+def branch_shares(n, weight):
+    """(share, live) of the clients an aggregation takes, with shard sizes n (S,) and
+    weights (S, L, B): share[j, l, b] = n_j a_jlb / sum_k n_k a_klb, client j's share of
+    branch (l, b) (0 for a dead branch), and live, whether the branch's mass reaches
+    DEAD_BRANCH_FLOOR of sum(n); a dead branch keeps the server's previous value."""
+    coeffs = n[:, None, None] * weight
+    mass = coeffs.sum(axis=0)
+    live = mass >= federation.DEAD_BRANCH_FLOOR * n.sum()
+    return np.where(live, coeffs / np.where(live, mass, 1.0), 0.0), live
+
+
+def aggregation_weight(alpha, strategy):
+    """a of the rule n_j a_jlb: the mixing weights under alpha weighting, else 1."""
+    alpha_weighted = strategy is federation.AggregationStrategy.ALPHA_WEIGHTED
+    return alpha if alpha_weighted else np.ones_like(alpha)
+
+
+def coupling(alpha, n, sampled, strategy):
+    """Who learns from whom in one round, per layer: C[l, i, j], client j's share of client
+    i's combined layer l after the round, and in column N the share that dead branches
+    keep from the server's previous model.
+
+    alpha (N, L, B) holds every client's mixing weights after the round, n every shard
+    size, and sampled the ids aggregated.  Branch b becomes sum_j share_jb W_jb over the
+    sampled clients (branch_shares), so C[l, i, j] = sum_b alpha_ilb share_jlb; with no
+    strategy (`local`) every client keeps its own model and C is the identity."""
+    clients, layers, _ = alpha.shape
+    c = np.zeros((layers, clients, clients + 1))
+    if strategy is None:
+        c[:, np.arange(clients), np.arange(clients)] = 1.0
+        return c
+    share, live = branch_shares(n[sampled], aggregation_weight(alpha[sampled], strategy))
+    c[:, :, sampled] = np.einsum("ilb,jlb->lij", alpha, share)
+    c[:, :, clients] = np.einsum("ilb,lb->li", alpha, ~live)
+    return c
+
+
+def aggregation_gap(updates, strategy, previous, aggregated) -> float:
+    """How far aggregate's result is from the mix that coupling assumes: each live branch
+    sum_j share_jb W_jb over the updates, each dead one its previous value; the largest
+    difference over the largest magnitude of the arrays it mixes."""
+    n = np.array([update.num_samples for update in updates], dtype=np.float64)
+    alpha = np.stack([update.alpha_values for update in updates])
+    share, live = branch_shares(n, aggregation_weight(alpha, strategy))
+    gaps = []  # NaN propagates through np.max
+    for l, (prev, new) in enumerate(zip(previous.layers, aggregated.layers)):
+        for name in ("weights", "biases"):
+            stack = np.stack([getattr(update.model.layers[l], name) for update in updates])
+            want = np.einsum("jb,jb...->b...", share[:, l], stack)
+            want[~live[l]] = getattr(prev, name)[~live[l]]
+            scale = max(np.abs(stack).max(), np.abs(getattr(prev, name)).max(), 1e-300)
+            gaps.append(np.abs(getattr(new, name) - want).max() / scale)
+    return float(np.max(gaps))
+
+
+def collaboration(out_dir):
+    """coupling of every round, rebuilt from a run's result files and its config alone:
+    final.json's config gives the shard sizes (setup_experiment) and each round's sampled
+    ids (sample_clients), and alpha_trajectory.csv every client's mixing weights after
+    each round, each row rescaled to sum to 1 after the file's 10-digit rounding."""
+    out = Path(out_dir)
+    config = ExperimentConfig(**json.loads((out / "final.json").read_text())["config"],
+                              output_dir="unused")
+    if not config.rounds:
+        return []
+    _, clients = federation.setup_experiment(config)
+    n = np.array([client.num_samples for client in clients], dtype=np.float64)
+    rows = np.loadtxt(out / "alpha_trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    alpha = np.zeros((config.rounds, len(clients), *clients[0].alpha.values().shape))
+    alpha[tuple(rows[:, :4].astype(np.int64).T)] = rows[:, 4]
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    strategy = federation.STRATEGY_FOR_METHOD[config.method]
+    return [coupling(alpha[t], n, federation.sample_clients(
+                config.seed, len(clients), config.sample_size, t), strategy)
+            for t in range(config.rounds)]
 
 
 def make_config(**overrides):

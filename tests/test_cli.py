@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,22 @@ def test_gradcheck_fault_injection_fails(smoke_config, monkeypatch, capsys):
         assert errors.pop(name) >= 0.1
         assert errors.popitem()[1] < 1e-4  # the other group is untouched
         assert out.endswith("result:            FAIL\n")
+
+
+def test_gradcheck_says_where_its_losses_are_only_float64(smoke_config, monkeypatch, capsys):
+    """The losses it differences are longdouble; where that is float64 a precision line says
+    so, and the lines it printed before stay as they were."""
+    path, _ = smoke_config
+    narrow = np.finfo(np.longdouble).eps == np.finfo(np.float64).eps
+    assert main(["gradcheck", "--config", str(path)]) == 0
+    wide_out = capsys.readouterr().out
+    assert ("precision:" in wide_out) == narrow
+    finfo = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda dtype: finfo(np.float64))
+    main(["gradcheck", "--config", str(path)])
+    out = capsys.readouterr().out
+    line = "precision:         float64 losses; a gradient near 0 may read as FAIL\n"
+    assert line in out and out.replace(line, "") == wide_out.replace(line, "")
 
 
 def test_gradcheck_single_branch_skips_mixing_group(smoke_config, capsys):

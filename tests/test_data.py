@@ -4,7 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pfedmb import data
 from pfedmb.data import (
     Dirichlet,
     LabeledDataset,
@@ -109,6 +112,21 @@ def test_apportion_never_pays_zero_weight_entries():
         w[rng.integers(0, 6)] = 0.0
         counts = apportion(int(rng.integers(1, 50)), w)
         assert (counts[w == 0.0] == 0).all()
+
+
+def test_apportion_of_rows_equals_one_call_per_row():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        rows, k = int(rng.integers(1, 12)), int(rng.integers(1, 120))
+        w = rng.dirichlet(np.full(k, rng.uniform(0.05, 3.0)), size=rows)
+        w[rng.uniform(size=w.shape) < 0.3] = 0.0
+        w[np.arange(rows), rng.integers(0, k, size=rows)] += rng.uniform(0.1, 1.0, size=rows)
+        totals = rng.integers(0, 500, size=rows)
+        got = apportion(totals, w)
+        assert got.dtype == np.int64 and got.shape == (rows, k)
+        for row, total, weights in zip(got, totals, w):
+            np.testing.assert_array_equal(row, apportion(int(total), weights))
+            np.testing.assert_array_equal(row, reference_apportion(int(total), weights))
 
 
 # ----------------------------------------------------------------- partitioner
@@ -357,6 +375,96 @@ def test_client_shard_bytes_are_pinned(case, config_factory):
                 digest.update(f"{a.dtype.str}{a.shape}{a.flags.c_contiguous}".encode())
                 digest.update(a.tobytes())
     assert digest.hexdigest() == PINNED_SHARDS[case]
+
+
+# partition as it was written before it apportioned every class at once: a loop over the
+# classes and their splits, one 1-D largest-remainder call per pool
+def reference_apportion(total, weights):
+    w = np.asarray(weights, dtype=np.float64)
+    quotas = total * w / w.sum()
+    counts = np.floor(quotas).astype(np.int64)
+    frac = quotas - counts
+    leftover = total - counts.sum()
+    if leftover > 0:
+        order = np.argsort(-frac, kind="stable")
+        counts[order[:leftover]] += 1
+    return counts
+
+
+def reference_partition(dataset, spec):
+    data._check_class_count(spec, dataset.num_classes)
+    n = spec.num_clients
+    per_class = data._group(dataset.labels, dataset.num_classes)
+    for attempt in range(data.MAX_PARTITION_ATTEMPTS):
+        rng = np.random.default_rng((spec.seed, attempt))
+        weights = data._class_weights(spec, dataset.num_classes, rng)
+        if isinstance(spec.scheme, SizeHeterogeneous) and (weights.sum(axis=1) == 0.0).any():
+            continue
+        owner = np.full(len(dataset), 3 * n)
+        for c, members in enumerate(per_class):
+            shuffled = rng.permutation(members)
+            if weights[c].sum() == 0.0:
+                continue
+            ends = np.cumsum(reference_apportion(len(shuffled), data.DEFAULT_SPLIT_RATIO))
+            ends = ends.tolist()
+            for s, pool in enumerate(shuffled[a:b] for a, b in zip([0, *ends], ends)):
+                shares = reference_apportion(len(pool), weights[c])
+                owner[pool] = np.repeat(s * n + np.arange(n), shares)
+        groups = data._group(owner, 3 * n)
+        if all(len(g) > 0 for g in groups):
+            return data.Partition(train=groups[:n], val=groups[n : 2 * n], test=groups[2 * n :])
+    raise PartitionError(
+        f"no viable partition after {data.MAX_PARTITION_ATTEMPTS} attempts "
+        f"(seed={spec.seed}); dataset too small for the spec"
+    )
+
+
+def outcome(fn, ds, spec):
+    """Every index array of fn's partition (dtype and values), or the error it raised."""
+    try:
+        p = fn(ds, spec)
+    except (ConfigurationError, PartitionError) as exc:
+        return type(exc), str(exc)
+    return [(idx.dtype.str, idx.tolist()) for _, lists in splits_of(p) for idx in lists]
+
+
+@st.composite
+def partition_cases(draw):
+    """A small task, some of whose classes may have no samples, and a spec of any scheme:
+    Dirichlet beta 0.1-3, k-class schemes that leave classes unheld, size-heterogeneous
+    specs that redraw, and datasets too small to split (PartitionError)."""
+    classes = draw(st.integers(2, 8))
+    present = draw(st.integers(2, classes))  # classes past `present` have no samples
+    per_class = draw(st.integers(1, 40))
+    task = small_task(num_classes=present, samples_per_class=per_class,
+                      seed=draw(st.integers(0, 50)))
+    ds = LabeledDataset(task.features, task.labels, classes)
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(sorted(data.SCHEMES)))
+    if kind == "dirichlet":
+        scheme = Dirichlet(beta=draw(st.floats(0.1, 3.0)))
+    elif kind == "random_k_classes":
+        scheme = RandomKClasses(k=draw(st.integers(1, classes + 1)))
+    elif kind == "size_heterogeneous":
+        u_min = draw(st.floats(0.05, 1.0))
+        scheme = SizeHeterogeneous(k=draw(st.integers(1, classes)), u_min=u_min,
+                                   u_max=u_min + draw(st.floats(0.0, 1.0)))
+    else:
+        scheme = PairedClusters(num_pairs=-(-n // 2), classes_per_pair=draw(st.integers(1, 3)))
+        n = 2 * scheme.num_pairs
+    return ds, PartitionSpec(scheme, num_clients=n, seed=draw(st.integers(0, 2**32)))
+
+
+DIFFERENTIAL_SPECS = 300
+
+
+@settings(max_examples=DIFFERENTIAL_SPECS)
+@given(case=partition_cases())
+def test_partition_equals_its_class_by_class_loop(case):
+    """Apportioning every class and pool at once keeps every draw and every index array,
+    and raises the loop's errors with the loop's messages."""
+    ds, spec = case
+    assert outcome(partition, ds, spec) == outcome(reference_partition, ds, spec)
 
 
 def test_subset_copies_rows_and_refuses_no_rows():

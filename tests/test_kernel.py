@@ -173,6 +173,34 @@ def test_the_mixing_phase_allocates_no_branch_gradients():
     assert peak < branch_bytes / 2
 
 
+@pytest.mark.parametrize("call", ["batch_loss", "forward"])
+def test_a_loss_or_forward_holds_one_layer_at_a_time(call):
+    """A 6-client train-loss stack at deep_server shapes, as one weight chunk of a round
+    computes it: forward and batch_loss keep no layer's output or combined weights past the
+    next layer, so they peak well under what a forward that keeps every layer holds
+    (939,296 B when they kept them all), with the bits of loss_and_grads' loss."""
+    branches, dims, _, _ = SHAPES[2]
+    clients, rows = 6, 40
+    rng = np.random.default_rng(3)
+    net = nn.Network([nn.MultiBranchDense(rng.uniform(-1, 1, (clients, branches, o, i)) / i,
+                                          rng.normal(0.0, 0.1, (clients, branches, o)))
+                      for i, o in zip(dims, dims[1:])])
+    alpha = nn.AlphaParams(rng.normal(size=(clients, len(dims) - 1, branches)), len(dims) - 1)
+    x, y = rng.normal(size=(clients * rows, dims[0])), rng.integers(0, dims[-1], clients * rows)
+    args = (net, alpha, x, y) if call == "batch_loss" else (net, alpha, x)
+    getattr(nn, call)(*args)
+    tracemalloc.start()
+    try:
+        got = getattr(nn, call)(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = 8 * clients * sum(o * (i + rows) for i, o in zip(dims, dims[1:]))
+    assert kept == 910_080 and peak < 2 * kept / 3, peak
+    if call == "batch_loss":
+        np.testing.assert_array_equal(got, nn.loss_and_grads(net, alpha, (x, y), "w")[0])
+
+
 def test_an_overflowing_loss_raises_in_batch_loss_as_in_loss_and_grads():
     # finite logits (1e308, -1e308): their spread overflows in the log-softmax
     net = nn.Network([nn.MultiBranchDense(np.zeros((1, 2, 1)), [[1e308, -1e308]])])
