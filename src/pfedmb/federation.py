@@ -44,7 +44,7 @@ WEIGHT_PHASE = 1
 FEDAVG = "fedavg"
 LOCAL_ONLY = "local"
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 
 DEAD_BRANCH_FLOOR = 1e-12  # share of the sampled sum(n_i) below which a branch is dead
 STACK_BYTES = 1 << 20  # per stack: a multi-step weight stack's branches, else what a call reads
@@ -439,25 +439,19 @@ def _fingerprint(config) -> str:
 
 
 def checkpoint_arrays(server: ServerState, clients: list) -> dict:
-    """The run state's arrays, nested as the checkpoint document nests them.
+    """The run state's arrays, each under the dotted key the checkpoint file stores it at.
 
-    A client's local_model is None, or its own branches under `local`.  The
-    arrays are the state's own, not copies.
+    Under `local` each client's own branches are keyed too.  The arrays are the
+    state's own, not copies.
     """
-    def branches(model: nn.Network, prefix: str = "") -> dict:
-        return {f"{prefix}weights": [layer.weights for layer in model.layers],
-                f"{prefix}biases": [layer.biases for layer in model.layers]}
-
-    return {
-        **branches(server.model, "global_"),
-        "clients": [
-            {
-                "alpha_logits": c.alpha.logits,
-                "local_model": None if c.local_model is None else branches(c.local_model),
-            }
-            for c in clients
-        ],
-    }
+    arrays = {f"clients[{i}].alpha_logits": c.alpha.logits for i, c in enumerate(clients)}
+    nets = [("global_", server.model)] + [(f"clients[{i}].local_model.", c.local_model)
+                                          for i, c in enumerate(clients) if c.local_model]
+    for prefix, net in nets:
+        for l, layer in enumerate(net.layers):
+            arrays[f"{prefix}weights[{l}]"] = layer.weights
+            arrays[f"{prefix}biases[{l}]"] = layer.biases
+    return arrays
 
 
 def save_checkpoint(server: ServerState, clients: list, config, path) -> None:
@@ -492,7 +486,12 @@ def load_checkpoint(path, config):
     server, clients = setup_experiment(config)
     try:
         server.round = _checked_round(doc, config)
-        _restore(checkpoint_arrays(server, clients), doc, "")
+        arrays = checkpoint_arrays(server, clients)
+        unknown = doc.keys() - arrays.keys() - {"schema_version", "config_fingerprint", "round"}
+        if unknown:
+            raise ParseError(f"{min(unknown)}: unknown key")
+        for key, like in arrays.items():
+            _restore(like, _member(doc, key), key)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return server, clients
@@ -502,9 +501,9 @@ def _located(key: str, value, problem: str) -> ParseError:
     return ParseError(f"{key}: {problem}, got {reprlib.repr(value)}")
 
 
-def _member(doc: dict, name: str, key: str = ""):
+def _member(doc: dict, name: str):
     if name not in doc:
-        raise ParseError(f"{key or name}: missing key {name!r}")
+        raise ParseError(f"{name}: missing key")
     return doc[name]
 
 
@@ -526,31 +525,16 @@ def _checked_round(doc, config) -> int:
     return rounds
 
 
-def _restore(like, value, key: str) -> None:
-    """Check value at key against the layout like; copy its arrays into like's."""
-    if isinstance(like, dict):
-        if not isinstance(value, dict):
-            raise _located(key, value, "expected a JSON object")
-        for name, part in like.items():
-            inner = f"{key}.{name}" if key else name
-            _restore(part, _member(value, name, inner), inner)
-    elif isinstance(like, list):
-        if not isinstance(value, list) or len(value) != len(like):
-            raise _located(key, value, f"expected a list of {len(like)}")
-        for i, (part, item) in enumerate(zip(like, value)):
-            _restore(part, item, f"{key}[{i}]")
-    elif like is None:
-        if value is not None:
-            raise _located(key, value, "expected null")
-    else:  # an array: nested lists of finite numbers in like's shape
-        try:
-            cells = np.array(value, dtype=object)
-            numeric = all(type(v) in (int, float) for v in cells.flat)
-            values = cells.astype(np.float64) if cells.ndim == like.ndim and numeric else None
-        except (ValueError, OverflowError):
-            values = None
-        if values is None or not np.isfinite(values).all():
-            raise _located(key, value, f"expected a {like.ndim}-D array of finite numbers")
-        if values.shape != like.shape:
-            raise _located(key, value, f"expected shape {like.shape}")
-        like[...] = values
+def _restore(like: np.ndarray, value, key: str) -> None:
+    """Check that value is nested lists of finite numbers in like's shape; copy it into like."""
+    try:
+        cells = np.array(value, dtype=object)
+        numeric = all(type(v) in (int, float) for v in cells.flat)
+        values = cells.astype(np.float64) if cells.ndim == like.ndim and numeric else None
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise _located(key, value, f"expected a {like.ndim}-D array of finite numbers")
+    if values.shape != like.shape:
+        raise _located(key, value, f"expected shape {like.shape}")
+    like[...] = values

@@ -646,9 +646,7 @@ def test_a_diverging_ragged_weight_stack_names_the_lowest_failing_client(
 def received_bytes(server, clients):
     """Every array a phase receives: the server's branches, each client's own branches
     under `local`, and each client's mixing logits."""
-    nets = [server.model] + [c.local_model for c in clients if c.local_model is not None]
-    arrays = [a for net in nets for layer in net.layers for a in (layer.weights, layer.biases)]
-    return [bytes(a) for a in arrays + [c.alpha.logits for c in clients]]
+    return [bytes(a) for a in fed.checkpoint_arrays(server, clients).values()]
 
 
 def both_phases(server, clients, config, round_index):
@@ -1435,27 +1433,22 @@ def test_fine_tune_improves_train_accuracy_on_separable_shard():
 
 # ------------------------------------------------------------------ checkpoints
 
-SCHEMA_3_KEYS = {"schema_version", "config_fingerprint", "round",
-                 "global_weights", "global_biases", "clients"}
+HEADER_KEYS = {"schema_version", "config_fingerprint", "round"}
 
 
 def _fingerprint(cfg):
     return metrics.config_fingerprint(cfg.semantic_dict())
 
 
+def _state_bits(server, clients):
+    return {key: (a.dtype, a.shape, a.tobytes())
+            for key, a in fed.checkpoint_arrays(server, clients).items()}
+
+
 def _assert_same_state(got_server, got_clients, want_server, want_clients):
+    """The same round, and every checkpoint_arrays array bit-equal under the same key."""
     assert got_server.round == want_server.round
-    models = [(got_server.model, want_server.model)] + [
-        (a.local_model, b.local_model) for a, b in zip(got_clients, want_clients)
-        if b.local_model is not None
-    ]
-    for got, want in models:
-        for la, lb in zip(got.layers, want.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.biases, lb.biases)
-    for a, b in zip(got_clients, want_clients):
-        np.testing.assert_array_equal(a.alpha.logits, b.alpha.logits)
-        assert (a.local_model is None) == (b.local_model is None)
+    assert _state_bits(got_server, got_clients) == _state_bits(want_server, want_clients)
 
 
 @pytest.mark.parametrize("method", ["pfedmb", "pfedmb_plain_agg", "fedavg", "local"])
@@ -1470,9 +1463,9 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
     for k in range(cfg.rounds + 1):
         fed.save_checkpoint(part_server, part_clients, cfg, path)
         doc = json.loads(path.read_text())
-        assert set(doc) == SCHEMA_3_KEYS
+        assert set(doc) == HEADER_KEYS | fed.checkpoint_arrays(part_server, part_clients).keys()
         assert doc["round"] == k and doc["config_fingerprint"] == _fingerprint(cfg)
-        assert all(set(c) == {"alpha_logits", "local_model"} for c in doc["clients"])
+        assert doc["schema_version"] == fed.CHECKPOINT_SCHEMA_VERSION == 4
 
         resumed_server, resumed_clients = fed.load_checkpoint(path, cfg)
         for _ in range(cfg.rounds - k):
@@ -1484,11 +1477,7 @@ def test_checkpoint_resume_is_bit_exact(tmp_path, config_factory, method):
 
 
 def _assert_no_shared_memory(server, clients):
-    layers = list(server.model.layers)
-    for c in clients:
-        layers += [] if c.local_model is None else c.local_model.layers
-    arrays = ([l.weights for l in layers] + [l.biases for l in layers]
-              + [c.alpha.logits for c in clients])
+    arrays = list(fed.checkpoint_arrays(server, clients).values())
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
@@ -1516,9 +1505,9 @@ def test_local_setup_gives_each_client_its_own_branches(config_factory, tmp_path
     path = tmp_path / "ckpt.json"
     fed.save_checkpoint(server, clients, cfg, path)
     doc = json.loads(path.read_text())
-    doc["clients"][2]["local_model"] = None
+    del doc["clients[2].local_model.weights[0]"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match=r"clients\[2\]\.local_model: expected a JSON object"):
+    with pytest.raises(ParseError, match=r"clients\[2\]\.local_model\.weights\[0\]: missing key$"):
         fed.load_checkpoint(path, cfg)
 
 
@@ -1567,25 +1556,17 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(
     assert list(tmp_path.iterdir()) == [path]
 
 
-def _drop_round(doc):
-    del doc["round"]
-    return doc
-
-
-def _drop_client_alpha(doc):
-    del doc["clients"][1]["alpha_logits"]
-    return doc
-
-
-def _drop_last_client(doc):
-    del doc["clients"][-1]
-    return doc
+def _drop(key):
+    """A damage that deletes doc[key]."""
+    def damage(doc):
+        del doc[key]
+        return doc
+    return damage
 
 
 def _give_client_own_branches(doc):
-    doc["clients"][1]["local_model"] = {
-        "weights": doc["global_weights"], "biases": doc["global_biases"]
-    }
+    for key in [k for k in doc if k.startswith("global_")]:
+        doc["clients[1].local_model." + key.removeprefix("global_")] = doc[key]
     return doc
 
 
@@ -1604,12 +1585,15 @@ MALFORMED_CONFIG = make_config(rounds=1)
 OTHER_FINGERPRINT = _fingerprint(make_config(rounds=1, seed=17))
 
 MALFORMED = {
-    "no_round": (_drop_round, "missing key 'round'"),
-    "client_without_alpha_logits": (_drop_client_alpha, "missing key 'alpha_logits'"),
+    "no_round": (_drop("round"), "round: missing key"),
+    "client_without_alpha_logits": (_drop("clients[1].alpha_logits"),
+                                    "clients[1].alpha_logits: missing key"),
     "top_level_list": (lambda doc: [1, 2], "top level must be a JSON object"),
     "schema_1": (_put("schema_version", value=1), "schema_version: unsupported"),
     "schema_2": (_put("schema_version", value=2),
-                 "schema_version: unsupported checkpoint schema, expected 3, got 2"),
+                 "schema_version: unsupported checkpoint schema, expected 4, got 2"),
+    "schema_3": (_put("schema_version", value=3),
+                 "schema_version: unsupported checkpoint schema, expected 4, got 3"),
     "other_fingerprint": (
         _put("config_fingerprint", value=OTHER_FINGERPRINT),
         f"config_fingerprint: written under config {OTHER_FINGERPRINT!r}, "
@@ -1618,25 +1602,27 @@ MALFORMED = {
     "round_str": (_put("round", value="x"), "round: expected an int"),
     "round_negative": (_put("round", value=-3), "round: expected an int in [0, 1]"),
     "round_past_config": (_put("round", value=2), "round: expected an int in [0, 1], got 2"),
-    "nan_weight": (_put("global_weights", 0, 0, 0, 0, value=float("nan")),
+    "nan_weight": (_put("global_weights[0]", 0, 0, 0, value=float("nan")),
                    "global_weights[0]: expected a 3-D array of finite numbers"),
-    "ragged_weights": (_put("global_weights", 0, 0, value=[[1.0], [1.0, 2.0]]),
+    "ragged_weights": (_put("global_weights[0]", 0, value=[[1.0], [1.0, 2.0]]),
                        "global_weights[0]: expected a 3-D array"),
-    "other_config_weights": (_put("global_weights", 0, value=np.zeros((2, 9, 5)).tolist()),
+    "other_config_weights": (_put("global_weights[0]", value=np.zeros((2, 9, 5)).tolist()),
                              "global_weights[0]: expected shape (2, 8, 5)"),
-    "bias_shape": (_put("global_biases", 0, value=[[0.0]]),
+    "bias_shape": (_put("global_biases[0]", value=[[0.0]]),
                    "global_biases[0]: expected shape (2, 8)"),
-    "clients_null": (_put("clients", value=None), "clients: expected a list"),
-    "client_count": (_drop_last_client, "clients: expected a list of 4"),
-    "client_int": (_put("clients", 0, value=5), "clients[0]: expected a JSON object"),
-    "alpha_non_numeric": (_put("clients", 1, "alpha_logits", value=[["a", "b"], [0, 0]]),
+    "clients_null": (_put("clients", value=None), "clients: unknown key"),
+    "client_count": (_drop("clients[3].alpha_logits"), "clients[3].alpha_logits: missing key"),
+    "client_past_the_population": (_put("clients[4].alpha_logits", value=[[0.0, 0.0]] * 2),
+                                   "clients[4].alpha_logits: unknown key"),
+    "client_int": (_put("clients[0]", value=5), "clients[0]: unknown key"),
+    "alpha_non_numeric": (_put("clients[1].alpha_logits", value=[["a", "b"], [0, 0]]),
                           "clients[1].alpha_logits: expected a 2-D array"),
-    "alpha_shape": (_put("clients", 1, "alpha_logits", value=[[0.0, 0.0]]),
+    "alpha_shape": (_put("clients[1].alpha_logits", value=[[0.0, 0.0]]),
                     "clients[1].alpha_logits: expected shape (2, 2)"),
-    "local_model_int": (_put("clients", 1, "local_model", value=3),
-                        "clients[1].local_model: expected null, got 3"),
+    "local_model_int": (_put("clients[1].local_model", value=3),
+                        "clients[1].local_model: unknown key"),
     "local_model_under_pfedmb": (_give_client_own_branches,
-                                 "clients[1].local_model: expected null, got {"),
+                                 "clients[1].local_model.biases[0]: unknown key"),
 }
 
 
@@ -1669,20 +1655,18 @@ def saved_checkpoints(tmp_path_factory):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_any_value_at_any_checkpoint_key_is_loaded_or_located(saved_checkpoints, data):
+    """Any JSON value at any key of a pfedmb or a `local` checkpoint (one layer of a
+    client's own branches too) loads, or raises an error that names the path and the key."""
     saved, path = saved_checkpoints
     doc, cfg = saved[data.draw(st.sampled_from(sorted(saved)))]
     doc = json.loads(json.dumps(doc))
-    target, key = doc, ""
-    if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, len(doc["clients"]) - 1))
-        target, key = doc["clients"][i], f"clients[{i}]."
-    name = data.draw(st.sampled_from(sorted(target)))
-    target[name] = data.draw(JSON_VALUES)
+    key = data.draw(st.sampled_from(sorted(doc)))
+    doc[key] = data.draw(JSON_VALUES)
     path.write_text(json.dumps(doc))  # non-finite floats become NaN/Infinity
     try:
         fed.load_checkpoint(path, cfg)
     except PfedmbError as exc:
-        assert str(path) in str(exc) and key + name in str(exc)
+        assert str(exc).startswith(f"{path}: {key}: "), exc
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
